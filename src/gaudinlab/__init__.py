@@ -19,13 +19,9 @@ from .errors import (
     ResonanceError,
 )
 from .liealg import (
-    AlgebraElement,
     InvariantPolynomial,
     LieBasis,
     build_slm_basis,
-    cartan_decompose,
-    invariant_poly_eval,
-    invariant_poly_grad,
     matrix_exponential,
     trace_pairing,
 )
@@ -69,7 +65,6 @@ from .flows import (
     action_along_curve,
     diagnostics,
     evolve,
-    hamiltonian_vector_field,
     plaquette_residual,
     poisson_bracket,
     step,

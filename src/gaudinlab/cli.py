@@ -4,8 +4,9 @@
     gaudin-lab verify <suite> [--seed N] [--out DIR]
 
 Exit codes: 0 success, 1 verification check failed, 2 configuration error,
-3 numerical abort (a flow ran into a pole; the reason and last good time
-are recorded in the diagnostics JSON).
+3 numerical abort (a flow step ran into a pole or a resonance, or went
+non-finite; the reason and last good time are recorded in the diagnostics
+JSON).
 """
 
 from __future__ import annotations
@@ -43,7 +44,37 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def _number(value, what):
+    """A finite float from a config value, or a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _complex_pair(value, what):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
+    return complex(_number(value[0], what), _number(value[1], what))
+
+
+def _output_path(outputs, key, default):
+    path = outputs.get(key, default)
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"outputs.{key} must be a file path, got {path!r}")
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) \
+            or not os.access(folder, os.W_OK):
+        raise ConfigError(f"cannot write outputs.{key} to {path!r}")
+    return path
+
+
 def _build_run(cfg):
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     for key in ("model", "initial_state", "curve", "step", "outputs"):
         if key not in cfg:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -51,17 +82,21 @@ def _build_run(cfg):
     st_cfg = cfg["initial_state"]
     seed = None
     if isinstance(st_cfg, dict) and st_cfg.get("random"):
-        seed = int(st_cfg.get("seed", 0))
+        seed = int(_number(st_cfg.get("seed", 0), "initial_state.seed"))
         rng = np.random.default_rng(seed)
-        state = random_phase_state(model, rng, spread=float(st_cfg.get("spread", 0.4)))
+        spread = _number(st_cfg.get("spread", 0.4), "initial_state.spread")
+        state = random_phase_state(model, rng, spread=spread)
     else:
         state = state_from_dict(st_cfg, model)
         seed = cfg.get("seed")
     curve = FlowCurve(cfg["curve"])
-    h = float(cfg["step"])
+    h = _number(cfg["step"], "step")
     if h <= 0:
         raise ConfigError("step must be positive")
-    z_samples = [complex(z[0], z[1]) for z in cfg.get("z_samples", [])]
+    z_cfg = cfg.get("z_samples", [])
+    if not isinstance(z_cfg, list):
+        raise ConfigError("z_samples must be a list of [re, im] pairs")
+    z_samples = [_complex_pair(z, f"z_samples[{k}]") for k, z in enumerate(z_cfg)]
     projection = cfg.get("projection", "monitor")
     if projection not in ("monitor", "project"):
         raise ConfigError("projection must be 'monitor' or 'project'")
@@ -76,8 +111,10 @@ def _build_run(cfg):
                 f"initial state violates sum L_a = 0 (|sum| = {total:.2e}); "
                 "fix the state or set projection = 'project'")
     method = cfg.get("method", "rk4")
-    margin = float(cfg.get("resonance_margin", 1e-3))
+    margin = _number(cfg.get("resonance_margin", 1e-3), "resonance_margin")
     checks = cfg.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError(f"checks must be a list of suite names, got {checks!r}")
     unknown = [c for c in checks if c != "all" and c not in SUITES]
     if unknown:
         raise ConfigError(f"unknown verification suites in 'checks': {unknown}")
@@ -90,8 +127,10 @@ def cmd_simulate(args):
     model, state, curve, h, z_samples, projection, method, margin, checks, \
         seed = _build_run(cfg)
     outputs = cfg["outputs"]
-    csv_path = outputs.get("trajectory_csv", "trajectory.csv")
-    json_path = outputs.get("diagnostics_json", "diagnostics.json")
+    if not isinstance(outputs, dict):
+        raise ConfigError("outputs must be an object")
+    csv_path = _output_path(outputs, "trajectory_csv", "trajectory.csv")
+    json_path = _output_path(outputs, "diagnostics_json", "diagnostics.json")
     try:
         traj = evolve(model, state, curve, h, method=method,
                       project_residue_sum=(projection == "project"),
@@ -171,7 +210,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GaudinLabError as exc:
+    except (GaudinLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

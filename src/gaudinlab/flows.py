@@ -24,7 +24,7 @@ curve only through its endpoints, which the tests exercise directly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .models import (
     lax_matrix,
     m_matrix,
     orbit_elements,
-    residue_sum,
     resonance_margin,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "FlowCurve",
     "Trajectory",
     "DiagnosticsReport",
-    "hamiltonian_vector_field",
     "step",
     "evolve",
     "action_along_curve",
@@ -64,7 +62,12 @@ class FlowCurve:
     waypoints: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
+        try:
+            pts = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"curve waypoints must be numbers: {exc}") from None
+        if pts.ndim != 2 or not np.all(np.isfinite(pts)):
+            raise ConfigError("curve must be a list of finite waypoints")
         object.__setattr__(self, "waypoints", pts)
         for k in range(len(pts) - 1):
             moved = np.nonzero(np.abs(pts[k + 1] - pts[k]) > 0)[0]
@@ -97,6 +100,8 @@ class Trajectory:
     h: float
     method: str
     projection_used: bool = False
+    # (model, z_samples, _Observables) of the last _observables call
+    observables: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -125,14 +130,6 @@ class DiagnosticsReport:
             d["abort_reason"] = self.abort_reason
             d["last_good_time"] = self.last_good_time
         return d
-
-
-def hamiltonian_vector_field(model, state, i):
-    """Tangent of the i-th flow: (dL_alpha list, dq, dp)."""
-    dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
-    Ls = orbit_elements(model, state)
-    dLs = [L @ D - D @ L for L, D in zip(Ls, dH_dL)]   # [-D, L]
-    return dLs, np.array(dH_dp), -np.array(dH_dq)
 
 
 def _advance_t(state, i, h):
@@ -263,7 +260,14 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
         dt = delta / n_steps
         for _ in range(n_steps):
             _guard(model, cur, arclen, resonance_margin_min)
-            cur = _signed_step(model, cur, axis, dt, method)
+            try:
+                cur = _signed_step(model, cur, axis, dt, method)
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                # a stage hit a pole or a resonance, went non-finite, or met
+                # a singular matrix (LinAlgError is a ValueError)
+                raise NumericalAbort(f"step failed: {exc}", arclen) from exc
             if project_residue_sum:
                 mean = sum(cur.orbit_mats) / len(cur.orbit_mats)
                 cur = PhaseState(orbit_mats=[L - mean for L in cur.orbit_mats],
@@ -350,10 +354,6 @@ def plaquette_residual(model, state, i, j, h, z_samples, method="rk4") -> float:
     return worst
 
 
-def _sorted_eigs(M):
-    return np.sort_complex(np.linalg.eigvals(M))
-
-
 def _constrained_residue_sum(model, Ls):
     """The conserved part of sum_a L_a: the full matrix on the sphere, its
     Cartan (diagonal) part on the torus."""
@@ -363,34 +363,60 @@ def _constrained_residue_sum(model, Ls):
     return total
 
 
-def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
-    """Fill the per-trajectory conservation and structure report."""
+@dataclass
+class _Observables:
+    """Per-state table that the trajectory CSV and the diagnostics read.
+    Row k belongs to traj.states[k]; drifts are measured against row 0."""
+
+    H: np.ndarray               # (K, n) charges H_i
+    casimir_drift: np.ndarray   # (K, N) orbit-spectrum drift per site
+    residue_norm: np.ndarray    # (K,) norm of the constrained residue sum
+    residue_drift: np.ndarray   # (K,) its distance from the row-0 value
+    charpoly: np.ndarray        # (K, Z, m+1) coefficients of det(x - L(z_s))
+
+
+def _observables(model, traj: Trajectory, z_samples) -> _Observables:
+    """Build the table once per trajectory and z-sample list.  The residues
+    are formed once per state and H_i and L(z_s) are evaluated from them."""
     if not traj.states:
         raise ConfigError("empty trajectory")
-    z_samples = [complex(z) for z in z_samples]
+    z_samples = tuple(complex(z) for z in z_samples)
+    if traj.observables is not None:
+        cached_model, cached_z, table = traj.observables
+        if cached_model is model and cached_z == z_samples:
+            return table
+    K, n = len(traj.states), model.n_hams
+    table = _Observables(
+        H=np.zeros((K, n), dtype=complex),
+        casimir_drift=np.zeros((K, model.n_sites)),
+        residue_norm=np.zeros(K),
+        residue_drift=np.zeros(K),
+        charpoly=np.zeros((K, len(z_samples), model.m + 1), dtype=complex))
+    for k, s in enumerate(traj.states):
+        Ls = orbit_elements(model, s)
+        on_residues = PhaseState(orbit_mats=Ls, q=s.q, p=s.p, t=s.t)
+        eigs = [np.sort_complex(np.linalg.eigvals(L)) for L in Ls]
+        res = _constrained_residue_sum(model, Ls)
+        if k == 0:
+            eig0, res0 = eigs, res
+        table.H[k] = [hamiltonian(model, on_residues, i) for i in range(n)]
+        table.casimir_drift[k] = [np.max(np.abs(e - e0)) for e, e0 in zip(eigs, eig0)]
+        table.residue_norm[k] = np.linalg.norm(res)
+        table.residue_drift[k] = np.linalg.norm(res - res0)
+        for c, z in enumerate(z_samples):
+            table.charpoly[k, c] = np.poly(lax_matrix(model, on_residues, z))
+    traj.observables = (model, z_samples, table)
+    return table
+
+
+def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
+    """Fill the per-trajectory conservation and structure report."""
+    obs = _observables(model, traj, z_samples)
     n = model.n_hams
     states = traj.states
 
-    H = np.array([[hamiltonian(model, s, i) for i in range(n)] for s in states])
-    ham_drift = np.max(np.abs(H - H[0]), axis=0) if len(states) > 1 \
-        else np.zeros(n)
-
-    Ls0 = orbit_elements(model, states[0])
-    eig0 = [_sorted_eigs(L) for L in Ls0]
-    cas = np.zeros(model.n_sites)
-    res0 = _constrained_residue_sum(model, Ls0)
-    res_drift = 0.0
-    iso0 = {z: np.poly(lax_matrix(model, states[0], z)) for z in z_samples}
-    iso_drift = 0.0
-    for s in states[1:]:
-        Ls = orbit_elements(model, s)
-        for a, L in enumerate(Ls):
-            cas[a] = max(cas[a], np.max(np.abs(_sorted_eigs(L) - eig0[a])))
-        res_drift = max(res_drift,
-                        np.linalg.norm(_constrained_residue_sum(model, Ls) - res0))
-        for z in z_samples:
-            c = np.poly(lax_matrix(model, s, z))
-            iso_drift = max(iso_drift, np.max(np.abs(c - iso0[z])))
+    ham_drift = np.max(np.abs(obs.H - obs.H[0]), axis=0)
+    iso_drift = np.max(np.abs(obs.charpoly - obs.charpoly[0]), initial=0.0)
 
     closure = np.zeros((n, n))
     for i in range(n):
@@ -415,8 +441,8 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
                                             traj.h, z_samples, traj.method))
     return DiagnosticsReport(
         hamiltonian_drift=ham_drift,
-        casimir_drift=cas,
-        residue_sum_drift=float(res_drift),
+        casimir_drift=np.max(obs.casimir_drift, axis=0),
+        residue_sum_drift=float(np.max(obs.residue_drift)),
         isospectral_drift=float(iso_drift),
         closure_values=closure,
         zero_curvature_residual=float(zc),
@@ -425,34 +451,29 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
 
 def write_trajectory_csv(path, model, traj: Trajectory, z_samples, seed=None):
     """Time series export: one row per sample with the conserved quantities."""
-    z_samples = [complex(z) for z in z_samples]
+    obs = _observables(model, traj, z_samples)
     n = model.n_hams
     header = ["step", "segment"]
     header += [f"t{i + 1}" for i in range(n)]
     header += [x for i in range(n) for x in (f"H{i + 1}_re", f"H{i + 1}_im")]
     header += ["casimir_drift", "residue_sum_norm"]
-    for k, z in enumerate(z_samples):
+    for k in range(obs.charpoly.shape[1]):
         for c in range(model.m + 1):
             header += [f"z{k}_c{c}_re", f"z{k}_c{c}_im"]
-    Ls0 = orbit_elements(model, traj.states[0])
-    eig0 = [_sorted_eigs(L) for L in Ls0]
+
+    def pairs(values):
+        return [f"{x:.17g}" for v in values for x in (v.real, v.imag)]
+
     with open(path, "w", newline="") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k, (t, s) in enumerate(zip(traj.times, traj.states)):
-            Ls = orbit_elements(model, s)
-            cas = max(np.max(np.abs(_sorted_eigs(L) - e0))
-                      for L, e0 in zip(Ls, eig0))
+        for k, t in enumerate(traj.times):
             row = [k, traj.segment_ids[k]]
             row += [f"{x:.17g}" for x in t]
-            for i in range(n):
-                Hval = hamiltonian(model, s, i)
-                row += [f"{Hval.real:.17g}", f"{Hval.imag:.17g}"]
-            row += [f"{cas:.17g}",
-                    f"{np.linalg.norm(_constrained_residue_sum(model, Ls)):.17g}"]
-            for z in z_samples:
-                for c in np.poly(lax_matrix(model, s, z)):
-                    row += [f"{c.real:.17g}", f"{c.imag:.17g}"]
+            row += pairs(obs.H[k])
+            row += [f"{np.max(obs.casimir_drift[k]):.17g}",
+                    f"{obs.residue_norm[k]:.17g}"]
+            row += pairs(obs.charpoly[k].ravel())
             writer.writerow(row)

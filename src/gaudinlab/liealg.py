@@ -2,8 +2,8 @@
 
 Provides the Cartan-Weyl basis (H_mu = E_mumu - E_{mu+1,mu+1}, root
 generators E_ij), the trace pairing and its Gram matrix on the Cartan
-subalgebra, decomposition of traceless matrices into Cartan/root
-components, a matrix exponential, and the invariant polynomials
+subalgebra, the Cartan components of traceless matrices, a matrix
+exponential, and the invariant polynomials
 P_k(X) = Tr(X^k)/k together with their trace-form gradients.
 
 Components live downstairs/upstairs as follows: a traceless X is written
@@ -23,33 +23,20 @@ from .errors import DimensionError
 
 __all__ = [
     "LieBasis",
-    "AlgebraElement",
     "InvariantPolynomial",
     "build_slm_basis",
     "trace_pairing",
-    "cartan_decompose",
     "cartan_components",
-    "root_components",
-    "assemble_from_components",
     "matrix_exponential",
-    "invariant_poly_eval",
-    "invariant_poly_grad",
     "traceless_part",
     "random_traceless",
 ]
-
-TRACE_TOL = 1e-12
 
 
 def traceless_part(X):
     X = np.asarray(X, dtype=complex)
     m = X.shape[0]
     return X - (np.trace(X) / m) * np.eye(m)
-
-
-def _matrix(X):
-    """Accept a bare ndarray or an AlgebraElement."""
-    return np.asarray(getattr(X, "matrix", X), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -117,29 +104,9 @@ def build_slm_basis(m: int) -> LieBasis:
     )
 
 
-@dataclass
-class AlgebraElement:
-    """A traceless m x m matrix with a lazily cached decomposition."""
-
-    matrix: np.ndarray
-    _components: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        nrm = np.linalg.norm(self.matrix)
-        if abs(np.trace(self.matrix)) > TRACE_TOL * max(nrm, 1.0):
-            raise DimensionError(
-                f"matrix is not traceless: |tr| = {abs(np.trace(self.matrix)):.3e}")
-
-    def components(self, basis: LieBasis):
-        if self._components is None:
-            self._components = cartan_decompose(basis, self.matrix)
-        return self._components
-
-
 def trace_pairing(A, B) -> complex:
     """<A, B> = Tr(AB).  Symmetric, ad-invariant."""
-    A, B = _matrix(A), _matrix(B)
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise DimensionError(f"shape mismatch {A.shape} vs {B.shape}")
     return complex(np.trace(A @ B))
@@ -147,35 +114,9 @@ def trace_pairing(A, B) -> complex:
 
 def cartan_components(basis: LieBasis, X) -> np.ndarray:
     """Cartan coordinates X^mu solving gram_{nu mu} X^mu = Tr(X H_nu)."""
-    X = _matrix(X)
+    X = np.asarray(X, dtype=complex)
     t = np.array([np.trace(X @ H) for H in basis.cartan])
     return basis.gram_inv @ t
-
-
-def root_components(basis: LieBasis, X) -> np.ndarray:
-    """Root coordinates: X^rho is the off-diagonal entry X[i, j] for rho=(i,j)."""
-    X = _matrix(X)
-    return np.array([X[i, j] for (i, j) in basis.root_pairs])
-
-
-def cartan_decompose(basis: LieBasis, X):
-    """Split traceless X into (X^mu, X^rho) with X = X^mu H_mu + X^rho E_rho."""
-    X = _matrix(X)
-    if X.shape != (basis.m, basis.m):
-        raise DimensionError(f"expected {(basis.m, basis.m)} matrix, got {X.shape}")
-    nrm = np.linalg.norm(X)
-    if abs(np.trace(X)) > TRACE_TOL * max(nrm, 1.0):
-        raise DimensionError("cartan_decompose needs a traceless matrix")
-    return cartan_components(basis, X), root_components(basis, X)
-
-
-def assemble_from_components(basis: LieBasis, xmu, xrho) -> np.ndarray:
-    out = np.zeros((basis.m, basis.m), dtype=complex)
-    for mu in range(basis.rank):
-        out += xmu[mu] * basis.cartan[mu]
-    for r, (i, j) in enumerate(basis.root_pairs):
-        out[i, j] += xrho[r]
-    return out
 
 
 # Pade-13 scaling-and-squaring (Higham 2005 coefficients).  Relative error
@@ -190,7 +131,7 @@ _THETA13 = 5.371920351148152
 
 def matrix_exponential(X) -> np.ndarray:
     """exp(X) by Pade-13 with scaling and squaring."""
-    X = _matrix(X)
+    X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise DimensionError(f"square matrix required, got shape {X.shape}")
     if not np.all(np.isfinite(X.view(float))):
@@ -225,7 +166,7 @@ class InvariantPolynomial:
             raise DimensionError(f"invariant polynomial degree must be >= 2, got {self.degree}")
 
     def evaluate(self, X) -> complex:
-        X = _matrix(X)
+        X = np.asarray(X, dtype=complex)
         return complex(np.trace(np.linalg.matrix_power(X, self.degree)) / self.degree)
 
     def gradient(self, X) -> np.ndarray:
@@ -234,16 +175,8 @@ class InvariantPolynomial:
         The naive gradient X^{k-1} is projected back into sl_m; the projection
         does not change Tr(Y grad) for traceless Y.
         """
-        X = _matrix(X)
+        X = np.asarray(X, dtype=complex)
         return traceless_part(np.linalg.matrix_power(X, self.degree - 1))
-
-
-def invariant_poly_eval(P: InvariantPolynomial, X) -> complex:
-    return P.evaluate(X)
-
-
-def invariant_poly_grad(P: InvariantPolynomial, X) -> np.ndarray:
-    return P.gradient(X)
 
 
 def random_traceless(rng, m: int, scale: float = 1.0) -> np.ndarray:

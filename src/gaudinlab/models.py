@@ -625,7 +625,7 @@ def model_to_dict(model: GaudinModel) -> dict:
 def model_from_dict(d: dict) -> GaudinModel:
     try:
         hams = d["hamiltonians"]
-        return make_gaudin_model(
+        spec = dict(
             genus=int(d["genus"]),
             m=int(d["m"]),
             marked_points=[_j2c(p) for p in d["marked_points"]],
@@ -634,8 +634,9 @@ def model_from_dict(d: dict) -> GaudinModel:
             degrees=[int(h["degree"]) for h in hams],
             tau=_j2c(d["tau"]) if "tau" in d else None,
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
+    return make_gaudin_model(**spec)
 
 
 def state_to_dict(state: PhaseState) -> dict:
@@ -659,10 +660,22 @@ def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
             p=np.array([_j2c(x) for x in d["p"]]) if "p" in d else None,
             t=np.array(d.get("t", np.zeros(model.n_hams)), dtype=float),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
     if state.phis is None and state.orbit_mats is None:
         raise ConfigError("state needs either phis or orbit_mats")
-    if model.genus == 1 and (state.q is None or state.p is None):
-        raise ConfigError("genus-1 states need q and p coordinates")
+    mats = state.phis if state.phis is not None else state.orbit_mats
+    if len(mats) != model.n_sites:
+        raise ConfigError(f"state has {len(mats)} orbit matrices for {model.n_sites} sites")
+    for a, M in enumerate(mats):
+        if M.shape != (model.m, model.m) or not np.all(np.isfinite(M.view(float))):
+            raise ConfigError(f"orbit matrix {a} must be a finite {model.m}x{model.m} matrix")
+        # cond with p = 1 goes through inv, not an SVD, and is inf when singular
+        if state.phis is not None and not np.linalg.cond(M, 1) * np.finfo(float).eps < 1.0:
+            raise ConfigError(f"group point phi_{a} is singular")
+    if model.genus == 1:
+        rk = (model.basis.rank,)
+        if state.q is None or state.p is None or state.q.shape != rk \
+                or state.p.shape != rk:
+            raise ConfigError(f"genus-1 states need q and p with {rk[0]} coordinates")
     return state

@@ -39,7 +39,6 @@ __all__ = [
     "weierstrass_eval",
     "sigma_eval",
     "zeta_eval",
-    "wp_eval",
     "reduce_to_cell",
     "lattice_distance",
     "quasi_periodicity_check",
@@ -175,10 +174,6 @@ def sigma_eval(cache: EllipticCache, z: complex) -> complex:
 
 def zeta_eval(cache: EllipticCache, z: complex) -> complex:
     return weierstrass_eval(cache, z)[1]
-
-
-def wp_eval(cache: EllipticCache, z: complex) -> complex:
-    return weierstrass_eval(cache, z)[0]
 
 
 def quasi_periodicity_check(cache: EllipticCache, z: complex, l: int) -> float:

@@ -114,6 +114,50 @@ class TestSimulate:
         assert code == 2
 
 
+    @pytest.mark.parametrize("name, mutate", [
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step="abc")),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step=float("nan"))),
+        ("rational_sl2_n3.json", lambda cfg: cfg["z_samples"].append([3.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(checks="univar")),
+        ("rational_sl2_n3.json", lambda cfg: cfg["curve"].append([float("nan"), 0.5])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["outputs"].update(
+            trajectory_csv="/nonexistent/dir/traj.csv")),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"]["phis"].__setitem__(
+            0, [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]])),
+        ("rational_sl2_n3.json", lambda cfg: (cfg["initial_state"]["phis"].pop(),
+                                              cfg.update(projection="project"))),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["initial_state"]["q"].append([0.1, 0.0])),
+    ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
+            "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
+            "q_too_long"])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
+        code, _ = run_config(tmp_path, name, mutate=mutate)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_failed_step_aborts(self, tmp_path, capsys):
+        # an rk4 stage of this sl3 torus run goes non-finite at h = 0.005
+        import numpy as np
+        from gaudinlab.models import (model_to_dict, random_elliptic_ensemble,
+                                      state_to_dict)
+
+        model, state = random_elliptic_ensemble(np.random.default_rng(0), 3, 3,
+                                                (2, 3), tau=1.1j)
+        cfg = {"model": model_to_dict(model), "initial_state": state_to_dict(state),
+               "curve": [[0.0, 0.0], [0.06, 0.0], [0.06, 0.06]], "step": 0.005,
+               "outputs": {"trajectory_csv": str(tmp_path / "traj.csv"),
+                           "diagnostics_json": str(tmp_path / "diag.json")}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", str(path)]) == 3
+        diag = json.loads((tmp_path / "diag.json").read_text())
+        assert diag["abort_reason"].startswith("step failed")
+        assert 0.0 <= diag["last_good_time"] < 0.12
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSimulateDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         outs = []

@@ -1,19 +1,23 @@
+import csv
+
 import numpy as np
 import pytest
 
-from gaudinlab.errors import ConfigError, NumericalAbort
+from gaudinlab import flows
+from gaudinlab.errors import ConfigError, NumericalAbort, PoleError, ResonanceError
 from gaudinlab.flows import (
     FlowCurve,
     action_along_curve,
     diagnostics,
     evolve,
-    hamiltonian_vector_field,
     plaquette_residual,
     poisson_bracket,
     step,
+    write_trajectory_csv,
 )
 from gaudinlab.models import (
     PhaseState,
+    grad_hamiltonian,
     hamiltonian,
     lax_matrix,
     make_gaudin_model,
@@ -48,10 +52,16 @@ class TestCurve:
         assert list(c.segments()) == []
 
 
+def orbit_tangent(model, state, i):
+    """dL_a/dt^i = [-dH_i/dL_a, L_a] from the gradients and the residues."""
+    dH_dL, _, _ = grad_hamiltonian(model, state, i)
+    return [L @ D - D @ L for L, D in zip(orbit_elements(model, state), dH_dL)]
+
+
 class TestVectorField:
     def test_quadratic_closed_form(self, rational):
         model, state = rational
-        dLs, dq, dp = hamiltonian_vector_field(model, state, 0)
+        dLs = orbit_tangent(model, state, 0)
         w = model.ham_points[0]
         Lw = rational_lax(model, state, w)
         Ls = orbit_elements(model, state)
@@ -65,12 +75,12 @@ class TestVectorField:
         seeds = [-X, -X, 2.0 * X]   # residues X, X, -2X sum to zero
         model = make_gaudin_model(0, 2, [0.0, 1.0, -1.0], seeds, [2.0], [2])
         state = PhaseState(phis=[np.eye(2, dtype=complex)] * 3, t=np.zeros(1))
-        dLs, _, _ = hamiltonian_vector_field(model, state, 0)
+        dLs = orbit_tangent(model, state, 0)
         assert max(np.linalg.norm(d) for d in dLs) < 1e-14
 
     def test_tangent_traceless_and_casimir_flat(self, rational):
         model, state = rational
-        dLs, _, _ = hamiltonian_vector_field(model, state, 0)
+        dLs = orbit_tangent(model, state, 0)
         Ls = orbit_elements(model, state)
         for dL, L in zip(dLs, Ls):
             assert abs(np.trace(dL)) < 1e-13
@@ -215,6 +225,46 @@ class TestEvolve:
         assert 0.0 <= info.value.last_good_time < 2.0
 
 
+    def test_failed_stage_aborts(self):
+        # at h = 0.005 an rk4 stage of this sl3 torus run goes non-finite
+        # inside the Lax matrix; the run ends as a NumericalAbort
+        model, state = random_elliptic_ensemble(np.random.default_rng(0), 3, 3,
+                                                (2, 3), tau=1.1j)
+        curve = FlowCurve([[0.0, 0.0], [0.06, 0.0], [0.06, 0.06]])
+        with pytest.raises(NumericalAbort) as info:
+            evolve(model, state, curve, 0.005)
+        assert 0.0 <= info.value.last_good_time < 0.12
+
+    @pytest.mark.parametrize("error", [
+        PoleError("stage at a pole"),
+        ResonanceError("stage at a resonance"),
+        np.linalg.LinAlgError("Singular matrix"),
+        ValueError("matrix_exponential: non-finite entries"),
+    ])
+    def test_stage_errors_abort(self, rational, monkeypatch, error):
+        model, state = rational
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) > 3:   # the second step fails
+                raise error
+            return grad_hamiltonian(*args)
+
+        monkeypatch.setattr(flows, "grad_hamiltonian", failing)
+        with pytest.raises(NumericalAbort) as info:
+            evolve(model, state, FlowCurve([[0.0, 0.0], [0.1, 0.0]]), 0.01,
+                   method="conjugation")
+        assert info.value.last_good_time == pytest.approx(0.01)
+        assert str(error) in info.value.reason
+
+    def test_config_error_in_a_stage_is_not_an_abort(self, rational):
+        model, state = rational
+        with pytest.raises(ConfigError):
+            evolve(model, state, FlowCurve([[0.0, 0.0], [0.1, 0.0]]), 0.01,
+                   method="verlet")
+
+
 class TestAction:
     def test_stationary_zero(self, rational):
         model, state = rational
@@ -342,3 +392,57 @@ class TestDiagnostics:
         r1 = plaquette_residual(model, state, 0, 1, 0.004, zs)
         r2 = plaquette_residual(model, state, 0, 1, 0.002, zs)
         assert abs(2 * r2 - r1) < 2e-2 * max(r1, 1.0)
+
+
+class TestObservables:
+    """The CSV and the diagnostics are two views of one per-state table."""
+
+    @pytest.mark.parametrize("kind", ["genus0", "genus1", "projected"])
+    def test_csv_and_diagnostics_agree(self, rng, tmp_path, monkeypatch, kind):
+        if kind == "genus1":
+            model, state = random_elliptic_ensemble(rng, 2, 2, (2, 2))
+            zs = [0.05 + 0.44j, -0.33 + 0.21j]
+            curve, h = FlowCurve([[0.0, 0.0], [0.02, 0.0], [0.02, 0.02]]), 0.004
+        else:
+            model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
+            zs = [2.2 + 1.4j, -1.9 + 0.7j]
+            curve, h = FlowCurve([[0.0, 0.0], [0.1, 0.0], [0.1, 0.1]]), 0.01
+        traj = evolve(model, state, curve, h,
+                      project_residue_sum=(kind == "projected"))
+
+        counts = {"hamiltonian": 0, "lax_matrix": 0, "orbit_elements": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(flows, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(flows, name, counted)
+        # leave the closure brackets out of the count
+        monkeypatch.setattr(flows, "poisson_bracket", lambda *args: 0j)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, model, traj, zs, seed=1)
+        rep = diagnostics(model, traj, zs)
+        K, n = len(traj.states), model.n_hams
+        assert counts == {"hamiltonian": K * n, "lax_matrix": K * len(zs),
+                          "orbit_elements": K}
+
+        with open(path) as fh:
+            assert fh.readline() == "# seed=1\n"
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == K
+
+        def col(name):
+            return np.array([float(r[name]) for r in rows])
+
+        H = np.stack([col(f"H{i + 1}_re") + 1j * col(f"H{i + 1}_im")
+                      for i in range(n)], axis=1)
+        np.testing.assert_array_equal(np.max(np.abs(H - H[0]), axis=0),
+                                      rep.hamiltonian_drift)
+        assert np.max(col("casimir_drift")) == np.max(rep.casimir_drift)
+        # |norm_k - norm_0| <= |res_k - res_0| <= norm_k + norm_0
+        norm = col("residue_sum_norm")
+        assert np.max(np.abs(norm - norm[0])) <= rep.residue_sum_drift + 1e-15
+        assert rep.residue_sum_drift <= np.max(norm) + norm[0]
+        coeffs = np.stack([col(f"z{k}_c{c}_re") + 1j * col(f"z{k}_c{c}_im")
+                           for k in range(len(zs)) for c in range(model.m + 1)],
+                          axis=1)
+        assert np.max(np.abs(coeffs - coeffs[0])) == rep.isospectral_drift
