@@ -216,9 +216,7 @@ def _signed_step(model, state, i, h, method):
 
 
 def _guard(model, state, t_scalar, margin):
-    if model.genus == 1 and resonance_margin(model, state) < margin:
-        raise NumericalAbort(
-            "rho(Q) approached a lattice point (root resonance)", t_scalar)
+    # finiteness first: the resonance margin of a non-finite q is undefined
     mats = state.phis if state.phis is not None else state.orbit_mats
     finite = all(np.all(np.isfinite(M.view(float))) for M in mats)
     if state.q is not None:
@@ -226,6 +224,9 @@ def _guard(model, state, t_scalar, margin):
             and np.all(np.isfinite(state.p.view(float)))
     if not finite:
         raise NumericalAbort("state left the finite regime", t_scalar)
+    if model.genus == 1 and resonance_margin(model, state) < margin:
+        raise NumericalAbort(
+            "rho(Q) approached a lattice point (root resonance)", t_scalar)
 
 
 def evolve(model, state, curve: FlowCurve, h, method="rk4",

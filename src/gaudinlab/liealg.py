@@ -47,6 +47,8 @@ class LieBasis:
     roots       : (m(m-1), rk) integer array, row r holds rho_r(H_mu)
     root_gens   : elementary matrices E_ij, i != j, same order as `roots`
     root_pairs  : the (i, j) index pairs in the same order
+    root_entries: (rows, cols) index arrays of the root entries, X[root_entries]
+    neg_root    : neg_root[r] is the index of the root -rho_r, i.e. (j, i)
     gram        : rk x rk matrix of Tr(H_mu H_nu)
     """
 
@@ -55,6 +57,8 @@ class LieBasis:
     roots: np.ndarray
     root_gens: tuple
     root_pairs: tuple
+    root_entries: tuple
+    neg_root: np.ndarray
     gram: np.ndarray
     gram_inv: np.ndarray = field(repr=False, default=None)
 
@@ -99,6 +103,8 @@ def build_slm_basis(m: int) -> LieBasis:
         roots=np.array(roots, dtype=float),
         root_gens=tuple(gens),
         root_pairs=tuple(pairs),
+        root_entries=tuple(np.array(pairs).T),
+        neg_root=np.array([pairs.index((j, i)) for i, j in pairs]),
         gram=gram,
         gram_inv=np.linalg.inv(gram),
     )

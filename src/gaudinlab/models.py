@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PoleError, ResonanceError
+from .errors import ConfigError, PoleError
 from .liealg import (
     InvariantPolynomial,
     LieBasis,
@@ -50,11 +50,16 @@ from .liealg import (
     random_traceless,
     traceless_part,
 )
-from .weierstrass import (
+# kernel_phi and sigma_eval are not called in this module; they stay bound
+# here because perfbench/tracing.py times the kernel layer through the names
+# models imports, and perfbench/tests checks that these names are wrapped.
+from .weierstrass import (  # noqa: F401
     POLE_TOL,
     EllipticCache,
+    KernelTable,
     build_cache,
     kernel_phi,
+    kernel_table,
     lattice_distance,
     sigma_eval,
     zeta_eval,
@@ -190,8 +195,8 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
 
     zp = zh = None
     if genus == 1:
-        zp = np.array([zeta_eval(cache, p) for p in pts])
-        zh = np.array([zeta_eval(cache, q) for q in hpts])
+        zp = np.asarray(zeta_eval(cache, pts))
+        zh = np.asarray(zeta_eval(cache, hpts))
     return GaudinModel(genus=genus, basis=basis, marked_points=pts,
                        orbit_seeds=tuple(seeds), ham_points=hpts, polys=polys,
                        cache=cache, zeta_poles=zp, zeta_hampts=zh)
@@ -219,11 +224,37 @@ def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
     """Smallest lattice distance among all root pairings rho(Q); genus 1."""
     if model.genus == 0:
         return np.inf
-    margin = np.inf
-    for r in range(model.basis.n_roots):
-        u = model.basis.root_value(r, state.q)
-        margin = min(margin, lattice_distance(model.cache, u))
-    return margin
+    return float(np.min(lattice_distance(model.cache, model.basis.roots @ state.q)))
+
+
+def _guarded_residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
+    """Residues L_alpha of a genus-1 state, stacked (N, m, m), after the
+    per-evaluation guard: q, p and every residue must be finite before any
+    kernel work starts."""
+    if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
+        raise ValueError("non-finite Cartan coordinates q or momenta p")
+    Ls = np.array(orbit_elements(model, state))
+    if not np.all(np.isfinite(Ls)):
+        raise ValueError("non-finite residue L_alpha")
+    return Ls
+
+
+def _root_table(model: GaudinModel, q, z: complex, ham=None) -> KernelTable:
+    """Kernel data of one state at one point z, from one kernel_table call
+    (so one lattice and resonance guard over every argument): for every
+    root r, with u_r = rho_r(Q), and every pole p_a, the twisted kernel
+    Phi(u_r, z; p_a) e^{u_r zeta(p_a)} (residue exactly 1 at p_a) with its
+    log-derivatives, plus zeta(z) and zeta(z - p_a).  The poles are the
+    marked points, or the single point q_ham (the M matrices).  Roots come
+    in +/- pairs, so Phi(-u_r) is the row basis.neg_root[r]."""
+    if ham is None:
+        poles, zeta_poles = model.marked_points, model.zeta_poles
+    else:
+        poles, zeta_poles = model.ham_points[ham:ham + 1], model.zeta_hampts[ham:ham + 1]
+    u = model.basis.roots @ q
+    kt = kernel_table(model.cache, u, z, poles)
+    return kt._replace(value=kt.value * np.exp(u[:, None] * zeta_poles),
+                       dlog_du=kt.dlog_du + zeta_poles)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +276,6 @@ def rational_lax(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarra
     return out
 
 
-def _phi_twisted(model, u, z, pole_idx, at_ham_point=False):
-    """Kernel with residue exactly 1 at its pole: kernel_phi times the
-    constant exp(u * zeta(pole))."""
-    pole = (model.ham_points if at_ham_point else model.marked_points)[pole_idx]
-    zpole = (model.zeta_hampts if at_ham_point else model.zeta_poles)[pole_idx]
-    value, dlog_du, dlog_dz = kernel_phi(model.cache, u, z, pole)
-    return value * np.exp(u * zpole), dlog_du + zpole, dlog_dz
-
-
 def _cartan_residues(model, Ls):
     return np.array([cartan_components(model.basis, L) for L in Ls])
 
@@ -265,34 +287,28 @@ def _pi_from_momenta(model, lmu, p):
         + lmu.T @ model.zeta_poles
 
 
-def elliptic_lax(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
-    """Genus-1 Lax matrix; doubly periodic with Res_{p_alpha} L = L_alpha."""
-    if model.genus != 1:
-        raise ConfigError("elliptic_lax needs a genus-1 model")
-    z = complex(z)
-    cache, basis = model.cache, model.basis
-    if lattice_distance(cache, z) < POLE_TOL:
-        raise PoleError(f"Lax evaluation at the gluing point (z = {z} on the lattice)")
-    for pa in model.marked_points:
-        if lattice_distance(cache, z - pa) < POLE_TOL:
-            raise PoleError(f"Lax evaluation at marked point {pa}")
-    if resonance_margin(model, state) < POLE_TOL:
-        raise ResonanceError("rho(Q) sits on the lattice for some root")
-
-    Ls = orbit_elements(model, state)
+def _assemble_lax(model: GaudinModel, Ls: np.ndarray, p, table: KernelTable) -> np.ndarray:
+    """Genus-1 L(z) from the stacked residues, the momenta and the root
+    table at z."""
+    basis = model.basis
     lmu = _cartan_residues(model, Ls)
-    pi = _pi_from_momenta(model, lmu, state.p)
-    Lmu = pi + lmu.T @ np.array([zeta_eval(cache, z - pa) for pa in model.marked_points])
+    Lmu = _pi_from_momenta(model, lmu, p) + lmu.T @ table.zeta_zp
     out = np.zeros((model.m, model.m), dtype=complex)
     for mu in range(basis.rank):
         out += Lmu[mu] * basis.cartan[mu]
-    for r, (i, j) in enumerate(basis.root_pairs):
-        u = basis.root_value(r, state.q)
-        coef = 0j
-        for a in range(model.n_sites):
-            coef += Ls[a][i, j] * _phi_twisted(model, u, z, a)[0]
-        out[i, j] += coef
+    rows, cols = basis.root_entries
+    out[rows, cols] += np.sum(Ls[:, rows, cols].T * table.value, axis=1)
     return out
+
+
+def elliptic_lax(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
+    """Genus-1 Lax matrix; doubly periodic with Res_{p_alpha} L = L_alpha.
+    Raises PoleError at z = 0 and at the marked points, ResonanceError when
+    rho(Q) is on the lattice for some root."""
+    if model.genus != 1:
+        raise ConfigError("elliptic_lax needs a genus-1 model")
+    Ls = _guarded_residues(model, state)
+    return _assemble_lax(model, Ls, state.p, _root_table(model, state.q, complex(z)))
 
 
 def lax_matrix(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
@@ -331,38 +347,31 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i: int):
     """
     basis = model.basis
     w = model.ham_points[i]
-    L = lax_matrix(model, state, w)
-    G = model.polys[i].gradient(L)
     if model.genus == 0:
+        G = model.polys[i].gradient(lax_matrix(model, state, w))
         dH_dL = [G / (w - pa) for pa in model.marked_points]
         empty = np.zeros(0, dtype=complex)
         return dH_dL, empty, empty
+    # one residue pass and one root table at q_i serve L(q_i) and every
+    # partial derivative
+    Ls = _guarded_residues(model, state)
+    table = _root_table(model, state.q, w)
+    G = model.polys[i].gradient(_assemble_lax(model, Ls, state.p, table))
 
-    cache = model.cache
-    Ls = orbit_elements(model, state)
     Gmu = cartan_components(basis, G)
-    dH_dp = np.array(Gmu, dtype=complex)
-    dH_dq = np.zeros(basis.rank, dtype=complex)
-    dH_dL = []
-    for a, pa in enumerate(model.marked_points):
-        # Cartan channel: zeta(w - p_a) from the explicit sum, +zeta(p_a)
-        # from the dependence of pi^mu on the residues at fixed momenta.
-        coef = zeta_eval(cache, w - pa) + model.zeta_poles[a]
-        D = np.zeros((model.m, model.m), dtype=complex)
-        for mu in range(basis.rank):
-            D += Gmu[mu] * coef * basis.cartan[mu]
-        for r, (i_, j_) in enumerate(basis.root_pairs):
-            u = basis.root_value(r, state.q)
-            D[i_, j_] += G[i_, j_] * _phi_twisted(model, -u, w, a)[0]
-        dH_dL.append(traceless_part(D))
-    for r, (i_, j_) in enumerate(basis.root_pairs):
-        u = basis.root_value(r, state.q)
-        s = 0j
-        for a in range(model.n_sites):
-            value, dlog_du, _ = _phi_twisted(model, u, w, a)
-            s += Ls[a][i_, j_] * value * dlog_du
-        dH_dq += G[j_, i_] * s * basis.roots[r]
-    return dH_dL, dH_dq, dH_dp
+    rows, cols = basis.root_entries
+    # Cartan channel: zeta(w - p_a) from the explicit sum, +zeta(p_a) from
+    # the dependence of pi^mu on the residues at fixed momenta.
+    coef = table.zeta_zp + model.zeta_poles
+    D = np.zeros((model.n_sites, model.m, model.m), dtype=complex)
+    for mu in range(basis.rank):
+        D += np.multiply.outer(Gmu[mu] * coef, basis.cartan[mu])
+    # root channel: Phi(-u_r) is the row of the root -rho_r
+    D[:, rows, cols] = G[rows, cols] * table.value[basis.neg_root].T
+    dH_dL = [traceless_part(Da) for Da in D]
+    s = np.sum(Ls[:, rows, cols].T * table.value * table.dlog_du, axis=1)
+    dH_dq = (G[cols, rows] * s) @ basis.roots
+    return dH_dL, dH_dq, np.array(Gmu, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +399,21 @@ def m_matrix_elliptic(model: GaudinModel, state: PhaseState, i: int,
     z = 0 that matches d/dt gamma gamma^{-1}."""
     if model.genus != 1:
         raise ConfigError("m_matrix_elliptic needs a genus-1 model")
-    z = complex(z)
-    cache, basis = model.cache, model.basis
-    w = model.ham_points[i]
-    if lattice_distance(cache, z - w) < POLE_TOL:
-        raise PoleError(f"M_{i} evaluated at its own pole q_{i} = {w}")
-    if lattice_distance(cache, z) < POLE_TOL:
-        raise PoleError("M evaluated at the gluing point z = 0")
-    L = elliptic_lax(model, state, w)
+    basis = model.basis
+    Ls = _guarded_residues(model, state)
+    # the table at z has the single pole q_i; it raises PoleError at q_i
+    # and at the gluing point z = 0
+    table = _root_table(model, state.q, complex(z), ham=i)
+    L = _assemble_lax(model, Ls, state.p,
+                      _root_table(model, state.q, model.ham_points[i]))
     G = model.polys[i].gradient(L)
     Gmu = cartan_components(basis, G)
-    coef = zeta_eval(cache, z - w) - zeta_eval(cache, z)
+    coef = table.zeta_zp[0] - table.zeta_z
     out = np.zeros((model.m, model.m), dtype=complex)
     for mu in range(basis.rank):
         out += Gmu[mu] * coef * basis.cartan[mu]
-    for r, (i_, j_) in enumerate(basis.root_pairs):
-        u = basis.root_value(r, state.q)
-        out[i_, j_] += G[i_, j_] * _phi_twisted(model, u, z, i, at_ham_point=True)[0]
+    rows, cols = basis.root_entries
+    out[rows, cols] += G[rows, cols] * table.value[:, 0]
     return out
 
 
@@ -460,7 +467,9 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
     cache, basis = model.cache, model.basis
     tau = cache.tau
 
-    L = elliptic_lax(model, state, z)
+    Ls = _guarded_residues(model, state)
+    table = _root_table(model, state.q, z)
+    L = _assemble_lax(model, Ls, state.p, table)
 
     def f1(at):
         return retrivialization_factor(model, state, at)
@@ -468,29 +477,21 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
     F = f1(z)
     conjugated = F @ L @ np.linalg.inv(F)
 
-    # direct assembly
-    Ls = orbit_elements(model, state)
-    lmu = _cartan_residues(model, Ls)
-    pi = _pi_from_momenta(model, lmu, state.p)
-    Lmu = pi + lmu.T @ np.array([zeta_eval(cache, z - pa) for pa in model.marked_points])
-    direct = np.zeros((model.m, model.m), dtype=complex)
-    for mu in range(basis.rank):
-        direct += Lmu[mu] * basis.cartan[mu]
+    # direct assembly: the Cartan part of L is unchanged
+    direct = np.diag(np.diag(L))
     Lt = []
     for a, pa in enumerate(model.marked_points):
         Fa = f1(pa)
         Lt.append(Fa @ Ls[a] @ np.linalg.inv(Fa))
+    rows, cols = basis.root_entries
+    u = (basis.roots @ state.q)[:, None]
+    pa = model.marked_points
+    # sigma(u + z - p_a) / (sigma(u) sigma(z - p_a)), untwisted from the table
+    quot = table.value * np.exp(u * (table.zeta_z - model.zeta_poles))
     plane = 2j * np.pi / (tau - np.conj(tau))
-    for r, (i_, j_) in enumerate(basis.root_pairs):
-        u = basis.root_value(r, state.q)
-        coef = 0j
-        for a, pa in enumerate(model.marked_points):
-            quot = (sigma_eval(cache, u + z - pa)
-                    / (sigma_eval(cache, u) * sigma_eval(cache, z - pa)))
-            twist = np.exp(u * plane * ((z - np.conj(z)) - (pa - np.conj(pa)))
-                           - 2.0 * cache.eta1 * u * (z - pa))
-            coef += Lt[a][i_, j_] * quot * twist
-        direct[i_, j_] += coef
+    twist = np.exp(u * plane * ((z - np.conj(z)) - (pa - np.conj(pa)))
+                   - 2.0 * cache.eta1 * u * (z - pa))
+    direct[rows, cols] += np.sum(np.array(Lt)[:, rows, cols].T * quot * twist, axis=1)
     return conjugated, direct
 
 

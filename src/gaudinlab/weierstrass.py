@@ -12,6 +12,10 @@ Two independent evaluation routes are provided:
   with eta1 = -(pi^2/6) theta1'''(0)/theta1'(0).  Arguments are first
   reduced to the centred fundamental cell; the quasi-periodicity laws
   restore the values at the original point, so accuracy is uniform in |z|.
+  Every evaluation goes through one private array core (`_core`), which
+  treats a whole array of arguments in one pass; the scalar functions are
+  thin wrappers over it, and `kernel_table` evaluates the twisted kernel
+  for all (u, pole) pairs at one z with a single call.
 
 * `LatticeSumOracle` evaluates the same three functions from symmetrised
   truncated lattice sums.  Lattice points are grouped in +/- pairs, which
@@ -28,10 +32,11 @@ combination tau*eta1 - eta2 = pi*i is verified, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import PoleError, ResonanceError
 
 __all__ = [
     "EllipticCache",
@@ -43,6 +48,8 @@ __all__ = [
     "lattice_distance",
     "quasi_periodicity_check",
     "kernel_phi",
+    "kernel_table",
+    "KernelTable",
     "LatticeSumOracle",
     "POLE_TOL",
 ]
@@ -54,7 +61,7 @@ POLE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EllipticCache:
-    """Immutable per-tau data: nome powers for theta1 and quasi-periods."""
+    """Immutable per-tau data: theta1 series weights and quasi-periods."""
 
     tau: complex
     eta1: complex
@@ -63,6 +70,10 @@ class EllipticCache:
     coeffs: np.ndarray = field(repr=False)   # (-1)^n q^{(n+1/2)^2}
     odd: np.ndarray = field(repr=False)      # 2n + 1
     theta1_prime0: complex = field(repr=False)
+    # rows: the weights of sin, cos, sin in theta1, theta1', theta1''
+    weights: np.ndarray = field(repr=False)
+    # offsets from a cell-reduced point to the lattice points around the cell
+    near: np.ndarray = field(repr=False)
 
     @property
     def nome(self) -> complex:
@@ -90,89 +101,91 @@ def build_cache(tau: complex) -> EllipticCache:
     eta1 = -(np.pi ** 2 / 6.0) * th1ppp0 / th1p0
     cache = EllipticCache(tau=tau, eta1=complex(eta1), eta2=0j,
                           truncation=len(odd), coeffs=coeffs, odd=odd,
-                          theta1_prime0=complex(th1p0))
-    # eta2 = zeta(tau/2), evaluated with the generic machinery (tau/2 is in
-    # the cell, no reduction involved); the Legendre relation is a test, not
-    # an input.
-    eta2 = _zeta_incell(cache, tau / 2.0)
-    object.__setattr__(cache, "eta2", complex(eta2))
+                          theta1_prime0=complex(th1p0),
+                          weights=np.array([2.0 * coeffs, 2.0 * coeffs * odd,
+                                            -2.0 * coeffs * odd ** 2]),
+                          near=np.array([0, -1, 1, -tau, tau, -1 - tau, 1 + tau,
+                                         -1 + tau, 1 - tau]))
+    # eta2 = zeta(tau/2), evaluated with the generic machinery: tau/2
+    # reduces with n2 = round(1/2) = 0, so the placeholder eta2 is not used.
+    # The Legendre relation is a test, not an input.
+    object.__setattr__(cache, "eta2", complex(_core(cache, tau / 2.0)[1]))
     return cache
 
 
-def reduce_to_cell(cache: EllipticCache, z: complex):
-    """Write z = z0 + n1 + n2*tau with z0 in the centred fundamental cell."""
-    z = complex(z)
-    n2 = int(np.round(np.imag(z) / np.imag(cache.tau)))
+def _cell(cache: EllipticCache, z):
+    """Elementwise z = z0 + n1 + n2*tau with z0 in the centred fundamental
+    cell, and the distance from z to the nearest lattice point.  A
+    non-finite argument raises ValueError before any arithmetic."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"non-finite argument to an elliptic function: {z}")
+    n2 = np.round(z.imag / cache.tau.imag)
     zp = z - n2 * cache.tau
-    n1 = int(np.round(np.real(zp)))
-    return zp - n1, n1, n2
+    n1 = np.round(zp.real)
+    z0 = zp - n1
+    dist = np.min(np.abs(z0[..., None] + cache.near), axis=-1)
+    return z0, n1, n2, dist
 
 
-def lattice_distance(cache: EllipticCache, z: complex) -> float:
-    """Distance from z to the nearest lattice point (cell-reduced)."""
-    z0, _, _ = reduce_to_cell(cache, z)
-    cands = [z0, z0 - 1, z0 + 1, z0 - cache.tau, z0 + cache.tau,
-             z0 - 1 - cache.tau, z0 + 1 + cache.tau,
-             z0 - 1 + cache.tau, z0 + 1 - cache.tau]
-    return min(abs(c) for c in cands)
+def _core(cache: EllipticCache, z):
+    """(p, zeta, sigma, lattice distance) at every entry of the array z.
 
-
-def _theta_ratios(cache: EllipticCache, w: complex):
-    s = np.sin(cache.odd * w)
-    c = np.cos(cache.odd * w)
-    t1 = 2.0 * np.sum(cache.coeffs * s)
-    t1p = 2.0 * np.sum(cache.coeffs * cache.odd * c)
-    t1pp = -2.0 * np.sum(cache.coeffs * cache.odd ** 2 * s)
-    return t1, t1p, t1pp
-
-
-def _zeta_incell(cache, z0):
-    t1, t1p, _ = _theta_ratios(cache, np.pi * z0)
-    return 2.0 * cache.eta1 * z0 + np.pi * t1p / t1
-
-
-def _eval_reduced(cache, z0):
-    t1, t1p, t1pp = _theta_ratios(cache, np.pi * z0)
-    lam = t1p / t1
-    wp = -2.0 * cache.eta1 - np.pi ** 2 * (t1pp / t1 - lam * lam)
-    ze = 2.0 * cache.eta1 * z0 + np.pi * lam
-    sig = np.exp(cache.eta1 * z0 * z0) * t1 / (np.pi * cache.theta1_prime0)
-    return wp, ze, sig
-
-
-def weierstrass_eval(cache: EllipticCache, z: complex):
-    """(p(z), zeta(z), sigma(z)); raises PoleError within POLE_TOL of the
-    lattice where p and zeta blow up.  Use sigma_eval for sigma alone."""
-    z0, n1, n2 = reduce_to_cell(cache, z)
-    if abs(z0) < POLE_TOL:
-        raise PoleError(f"z = {z} is within {POLE_TOL} of a lattice point")
-    wp, ze, sig = _eval_reduced(cache, z0)
-    if n1 == 0 and n2 == 0:
-        return wp, ze, sig
+    Each argument is reduced to the centred cell.  theta1 and its first two
+    derivatives at pi*z0 take one sin/cos outer product over the series
+    terms and one matrix product each; the quasi-periodicity laws carry
+    zeta and sigma back from z0 to z.  p and zeta are NaN within POLE_TOL of
+    the lattice (callers guard with the distance); sigma grows like
+    exp(|z|^2) and saturates to inf far outside the cell.
+    """
+    z0, n1, n2, dist = _cell(cache, z)
+    w = np.multiply.outer(np.pi * z0, cache.odd)
+    sin, cos = np.sin(w), np.cos(w)
+    t1 = sin @ cache.weights[0]
+    t1p = cos @ cache.weights[1]
+    t1pp = sin @ cache.weights[2]
+    on_lattice = dist < POLE_TOL
+    t1_safe = np.where(on_lattice, 1.0, t1)
+    lam = t1p / t1_safe
+    wp = -2.0 * cache.eta1 - np.pi ** 2 * (t1pp / t1_safe - lam * lam)
     eta = 2.0 * n1 * cache.eta1 + 2.0 * n2 * cache.eta2
+    ze = 2.0 * cache.eta1 * z0 + np.pi * lam + eta
+    wp = np.where(on_lattice, np.nan, wp)
+    ze = np.where(on_lattice, np.nan, ze)
     omega = n1 + n2 * cache.tau
-    sign = -1.0 if (n1 % 2 or n2 % 2) else 1.0
-    # sigma grows like exp(|z|^2) and saturates to inf far outside the cell
+    sign = np.where((n1 % 2 != 0) | (n2 % 2 != 0), -1.0, 1.0)
+    sig = np.exp(cache.eta1 * z0 * z0) * t1 / (np.pi * cache.theta1_prime0)
     with np.errstate(over="ignore", invalid="ignore"):
         sig = sign * sig * np.exp(eta * (z0 + omega / 2.0))
-    return wp, ze + eta, sig
+    return wp, ze, sig, dist
 
 
-def sigma_eval(cache: EllipticCache, z: complex) -> complex:
+def reduce_to_cell(cache: EllipticCache, z):
+    """Write z = z0 + n1 + n2*tau with z0 in the centred fundamental cell."""
+    z0, n1, n2, _ = _cell(cache, z)
+    return z0[()], n1.astype(int)[()], n2.astype(int)[()]
+
+
+def lattice_distance(cache: EllipticCache, z):
+    """Distance from z to the nearest lattice point (cell-reduced)."""
+    return _cell(cache, z)[3][()]
+
+
+def weierstrass_eval(cache: EllipticCache, z):
+    """(p(z), zeta(z), sigma(z)); raises PoleError within POLE_TOL of the
+    lattice where p and zeta blow up.  Use sigma_eval for sigma alone."""
+    wp, ze, sig, dist = _core(cache, z)
+    if np.any(dist < POLE_TOL):
+        raise PoleError(f"z = {z} is within {POLE_TOL} of a lattice point")
+    return wp[()], ze[()], sig[()]
+
+
+def sigma_eval(cache: EllipticCache, z):
     """sigma(z); entire, so no pole error (sigma vanishes on the lattice)."""
-    z0, n1, n2 = reduce_to_cell(cache, z)
-    t1, _, _ = _theta_ratios(cache, np.pi * z0)
-    sig = np.exp(cache.eta1 * z0 * z0) * t1 / (np.pi * cache.theta1_prime0)
-    if n1 == 0 and n2 == 0:
-        return sig
-    eta = 2.0 * n1 * cache.eta1 + 2.0 * n2 * cache.eta2
-    omega = n1 + n2 * cache.tau
-    sign = -1.0 if (n1 % 2 or n2 % 2) else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return sign * sig * np.exp(eta * (z0 + omega / 2.0))
+    return _core(cache, z)[2][()]
 
 
-def zeta_eval(cache: EllipticCache, z: complex) -> complex:
+def zeta_eval(cache: EllipticCache, z):
     return weierstrass_eval(cache, z)[1]
 
 
@@ -195,8 +208,21 @@ def quasi_periodicity_check(cache: EllipticCache, z: complex, l: int) -> float:
     return max(rs, rz)
 
 
-def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):
-    """Twisted sigma-quotient kernel and its two log-derivatives.
+class KernelTable(NamedTuple):
+    """The twisted kernel over arguments u (R,) and poles (P,) at one z:
+    (R, P) arrays value, dlog_du and dlog_dz, plus zeta(z) and the (P,)
+    array zeta(z - pole) from the same evaluation."""
+
+    value: np.ndarray
+    dlog_du: np.ndarray
+    dlog_dz: np.ndarray
+    zeta_z: complex
+    zeta_zp: np.ndarray
+
+
+def kernel_table(cache: EllipticCache, us, z: complex, poles) -> KernelTable:
+    """Twisted sigma-quotient kernel and its two log-derivatives for every
+    u in `us` and every pole in `poles` at one point z:
 
     value    = sigma(u + z - pole) / (sigma(u) sigma(z - pole)) * exp(-u zeta(z))
     dlog_du  = zeta(u + z - pole) - zeta(u) - zeta(z)
@@ -205,21 +231,49 @@ def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):
     Doubly periodic in z; carries an essential singularity at z = 0 that the
     genus-one transition function removes; simple pole at z = pole with
     residue exp(-u zeta(pole)).
+
+    All R + P + R*P + 1 arguments go through one evaluation of the array
+    core and one lattice guard: PoleError when z, z - pole or u + z - pole
+    is within POLE_TOL of the lattice, ResonanceError (a PoleError) when u
+    is.  A sigma quotient that is not representable raises ValueError.
     """
-    for point, what in ((u, "u"), (z, "z"), (z - pole, "z - pole"),
-                        (u + z - pole, "u + z - pole")):
-        if lattice_distance(cache, point) < POLE_TOL:
-            raise PoleError(f"kernel_phi: {what} is on the lattice (u={u}, z={z}, pole={pole})")
-    wp_z, zeta_z, sig_z = weierstrass_eval(cache, z)
-    zeta_u = zeta_eval(cache, u)
-    zeta_s = zeta_eval(cache, u + z - pole)
-    zeta_zp = zeta_eval(cache, z - pole)
-    value = (sigma_eval(cache, u + z - pole)
-             / (sigma_eval(cache, u) * sigma_eval(cache, z - pole))
-             * np.exp(-u * zeta_z))
-    dlog_du = zeta_s - zeta_u - zeta_z
-    dlog_dz = zeta_s - zeta_zp + u * wp_z
-    return value, dlog_du, dlog_dz
+    us = np.asarray(us, dtype=complex)
+    poles = np.asarray(poles, dtype=complex)
+    z = complex(z)
+    R, P = len(us), len(poles)
+    shifted = (us[:, None] + z) - poles
+    wp, ze, sig, dist = _core(cache, np.concatenate(([z], z - poles, us, shifted.ravel())))
+    on_lattice = dist < POLE_TOL
+    if on_lattice.any():
+        k = int(np.argmax(on_lattice))
+        if k == 0:
+            raise PoleError(f"kernel: z = {z} is on the lattice")
+        if k <= P:
+            raise PoleError(f"kernel: z = {z} is at the pole {poles[k - 1]}")
+        if k <= P + R:
+            raise ResonanceError(f"kernel: u = {us[k - 1 - P]} is on the lattice")
+        r, a = divmod(k - 1 - P - R, P)
+        raise PoleError(f"kernel: u + z - pole is on the lattice "
+                        f"(u = {us[r]}, z = {z}, pole = {poles[a]})")
+    zeta_zp, zeta_u = ze[1:P + 1], ze[P + 1:P + 1 + R]
+    zeta_s = ze[P + 1 + R:].reshape(R, P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (sig[P + 1 + R:].reshape(R, P)
+                 / (sig[P + 1:P + 1 + R, None] * sig[1:P + 1])
+                 * np.exp(-us[:, None] * ze[0]))
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"kernel: a sigma quotient overflows "
+                         f"(largest |u| = {np.max(np.abs(us)):.3g})")
+    dlog_du = zeta_s - zeta_u[:, None] - ze[0]
+    dlog_dz = zeta_s - zeta_zp + us[:, None] * wp[0]
+    return KernelTable(value, dlog_du, dlog_dz, ze[0], zeta_zp)
+
+
+def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):
+    """Twisted sigma-quotient kernel and its two log-derivatives at one u
+    and one pole; `kernel_table` gives the formulas."""
+    table = kernel_table(cache, [u], z, [pole])
+    return table.value[0, 0], table.dlog_du[0, 0], table.dlog_dz[0, 0]
 
 
 # ---------------------------------------------------------------------------

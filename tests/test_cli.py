@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -151,11 +152,14 @@ class TestSimulate:
                            "diagnostics_json": str(tmp_path / "diag.json")}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert main(["simulate", str(path)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", str(path)]) == 3
         diag = json.loads((tmp_path / "diag.json").read_text())
         assert diag["abort_reason"].startswith("step failed")
         assert 0.0 <= diag["last_good_time"] < 0.12
         assert "Traceback" not in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSimulateDeterminism:

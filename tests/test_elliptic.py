@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaudinlab import models, weierstrass
 from gaudinlab.errors import PoleError, ResonanceError
 from gaudinlab.liealg import random_traceless
 from gaudinlab.models import (
@@ -319,3 +320,57 @@ class TestRetrivialization:
         for z in (0.3 + 0.1j, -0.2 + 0.6j):
             np.testing.assert_allclose(retrivialization_factor(model, st, z),
                                        np.eye(2), atol=1e-15)
+
+
+class TestKernelTableReuse:
+    """One genus-1 evaluation forms the residues once and evaluates the
+    kernel for every root and site in one call of the array core."""
+
+    @staticmethod
+    def count(monkeypatch, module, name, counts):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("m, n_sites", [(2, 1), (3, 3), (4, 2)])
+    def test_grad_hamiltonian_counts(self, monkeypatch, m, n_sites):
+        rng = np.random.default_rng(41)
+        model, state = random_elliptic_ensemble(rng, m, n_sites, (2, 3), max_gradient=1e3)
+        state = PhaseState(phis=[np.eye(m, dtype=complex) + 0.05 * random_traceless(rng, m)
+                                 for _ in range(n_sites)],
+                           q=state.q, p=state.p, t=state.t)
+        counts = {}
+        self.count(monkeypatch, weierstrass, "_core", counts)
+        self.count(monkeypatch, models, "orbit_elements", counts)
+        self.count(monkeypatch, np.linalg, "inv", counts)
+        grad_hamiltonian(model, state, 1)
+        assert counts == {"_core": 1, "orbit_elements": 1, "inv": n_sites}
+
+    def test_elliptic_lax_builds_one_table(self, monkeypatch, ensembles):
+        model, state = ensembles[(3, 2)]
+        counts = {}
+        self.count(monkeypatch, models, "_root_table", counts)
+        self.count(monkeypatch, weierstrass, "_core", counts)
+        elliptic_lax(model, state, 0.11 + 0.31j)
+        assert counts == {"_root_table": 1, "_core": 1}
+
+    @pytest.mark.parametrize("field", ["q", "p", "phis"])
+    def test_non_finite_state_stops_before_the_kernel(self, monkeypatch, ensembles, field):
+        model, state = ensembles[(2, 2)]
+        bad = state.copy()
+        if field == "phis":
+            bad.phis[0][0, 1] = np.nan
+        else:
+            getattr(bad, field)[0] = np.inf
+        counts = {}
+        self.count(monkeypatch, weierstrass, "_core", counts)
+        for call in (lambda: elliptic_lax(model, bad, 0.11 + 0.31j),
+                     lambda: grad_hamiltonian(model, bad, 0),
+                     lambda: m_matrix_elliptic(model, bad, 0, 0.11 + 0.31j)):
+            with pytest.raises(ValueError):
+                call()
+        assert counts == {}

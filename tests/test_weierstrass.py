@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from gaudinlab.errors import PoleError
+from gaudinlab import weierstrass
+from gaudinlab.errors import PoleError, ResonanceError
 from gaudinlab.weierstrass import (
+    POLE_TOL,
     LatticeSumOracle,
     build_cache,
     kernel_phi,
+    kernel_table,
     lattice_distance,
     quasi_periodicity_check,
+    reduce_to_cell,
     sigma_eval,
     weierstrass_eval,
     zeta_eval,
@@ -189,3 +193,93 @@ class TestKernel:
             kernel_phi(cache, 0.2, 0.1, 0.1)          # z at the pole
         with pytest.raises(PoleError):
             kernel_phi(cache, 0.2, 1.0 + TAU, 0.1)    # z on the lattice
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("tau", [1.1j, 0.3 + 1.5j])
+    def test_kernel_table_against_oracle(self, tau):
+        # Phi and its log-derivatives assembled from the lattice-sum oracle;
+        # u and z include points one period outside the fundamental cell
+        c = build_cache(tau)
+        oracle = LatticeSumOracle(tau)
+        us = np.array([0.21 + 0.13j, -0.17 + 0.22j, 1.31 - 0.05j, -0.12 - 0.3j - tau])
+        poles = np.array([0.17 + 0.31j, -0.28 - 0.12j])
+        worst = 0.0
+        for z in (-0.31 + 0.52j, 1.4 - 0.2j, 0.05 + 0.1j + tau, -1.2 + 0.3j - tau):
+            table = kernel_table(c, us, z, poles)
+            assert table.value.shape == (len(us), len(poles))
+            expected_zp = [oracle.zeta(z - p) for p in poles]
+            worst = max(worst, np.max(np.abs(table.zeta_zp - expected_zp)
+                                      / np.maximum(1.0, np.abs(expected_zp))))
+            for r, u in enumerate(us):
+                for a, p in enumerate(poles):
+                    s = u + z - p
+                    pairs = (
+                        (table.value[r, a], oracle.sigma(s)
+                         / (oracle.sigma(u) * oracle.sigma(z - p)) * np.exp(-u * oracle.zeta(z))),
+                        (table.dlog_du[r, a], oracle.zeta(s) - oracle.zeta(u) - oracle.zeta(z)),
+                        (table.dlog_dz[r, a],
+                         oracle.zeta(s) - oracle.zeta(z - p) + u * oracle.wp(z)),
+                    )
+                    for got, ref in pairs:
+                        worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+        assert worst < 1e-10
+
+    def test_wrappers_match_core(self, cache, rng):
+        # the public functions are wrappers over the array core, for a
+        # single argument (shape ()) and for an array of them (shape (k,))
+        zs = np.array(random_cell_points(rng, TAU, 6)) + np.array([0, 1, -2, TAU, 0, 3 - TAU])
+        wp, ze, sig, dist = weierstrass._core(cache, zs)
+        arrays = weierstrass_eval(cache, zs)
+        for got, ref in zip(arrays, (wp, ze, sig)):
+            assert got.shape == zs.shape
+            np.testing.assert_allclose(got, ref, rtol=1e-15)
+        np.testing.assert_allclose(zeta_eval(cache, zs), ze, rtol=1e-15)
+        np.testing.assert_allclose(sigma_eval(cache, zs), sig, rtol=1e-15)
+        np.testing.assert_allclose(lattice_distance(cache, zs), dist, rtol=1e-15)
+        z0, n1, n2 = reduce_to_cell(cache, zs)
+        np.testing.assert_allclose(z0 + n1 + n2 * TAU, zs, rtol=1e-14)
+        for k, z in enumerate(zs):
+            one = weierstrass_eval(cache, z)
+            assert np.shape(one[0]) == ()
+            for got, ref in zip(one, (wp[k], ze[k], sig[k])):
+                assert got == pytest.approx(ref, rel=1e-14)
+            assert zeta_eval(cache, z) == pytest.approx(ze[k], rel=1e-14)
+            assert sigma_eval(cache, z) == pytest.approx(sig[k], rel=1e-14)
+            assert lattice_distance(cache, z) == pytest.approx(dist[k], rel=1e-14)
+            z0k, n1k, n2k = reduce_to_cell(cache, z)
+            assert (z0k, n1k, n2k) == (pytest.approx(z0[k], abs=1e-15), n1[k], n2[k])
+        u, pole, z = 0.21 + 0.13j, 0.17 + 0.31j, -0.31 + 0.52j
+        table = kernel_table(cache, [u], z, [pole])
+        assert kernel_phi(cache, u, z, pole) == pytest.approx(
+            (table.value[0, 0], table.dlog_du[0, 0], table.dlog_dz[0, 0]), rel=1e-15)
+
+    def test_arguments_near_the_lattice_raise(self, cache):
+        near = 0.5 * POLE_TOL
+        with pytest.raises(PoleError):
+            weierstrass_eval(cache, np.array([0.3 + 0.1j, 2.0 - TAU + near]))
+        with pytest.raises(PoleError):
+            zeta_eval(cache, 1.0 + TAU + near * 1j)
+        us, poles = np.array([0.21 + 0.13j, -0.17 + 0.22j]), np.array([0.17 + 0.31j])
+        with pytest.raises(PoleError):
+            kernel_table(cache, us, 1.0 + near, poles)                   # z
+        with pytest.raises(PoleError):
+            kernel_table(cache, us, poles[0] + TAU + near, poles)        # z - pole
+        with pytest.raises(ResonanceError):
+            kernel_table(cache, np.append(us, -1.0 + TAU + near), 0.3, poles)   # u
+        with pytest.raises(PoleError):
+            kernel_table(cache, us, poles[0] - us[1] + 1.0 + near, poles)  # u + z - pole
+        # just outside POLE_TOL every argument is accepted
+        far = 2.0 * POLE_TOL
+        kernel_table(cache, np.append(us, 1.0 + far), poles[0] - us[1] + far, poles)
+
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.3, np.inf)])
+    def test_non_finite_argument_raises(self, cache, bad):
+        # rejected before any arithmetic, so no NaN reaches numpy
+        for call in (lambda: weierstrass_eval(cache, np.array([0.3 + 0.1j, bad])),
+                     lambda: sigma_eval(cache, bad),
+                     lambda: lattice_distance(cache, bad),
+                     lambda: reduce_to_cell(cache, bad),
+                     lambda: kernel_table(cache, [0.2 + 0.1j], bad, [0.1])):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
