@@ -50,9 +50,9 @@ from .liealg import (
     random_traceless,
     traceless_part,
 )
-# kernel_phi and sigma_eval are not called in this module; they stay bound
-# here because perfbench/tracing.py times the kernel layer through the names
-# models imports, and perfbench/tests checks that these names are wrapped.
+# kernel_phi is not called in this module; it stays bound here because
+# perfbench/tests/test_perfbench.py expects models to bind it (ROADMAP item 1
+# lists its removal together with that expectation).
 from .weierstrass import (  # noqa: F401
     POLE_TOL,
     EllipticCache,
@@ -468,8 +468,7 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
     tau = cache.tau
 
     Ls = _guarded_residues(model, state)
-    table = _root_table(model, state.q, z)
-    L = _assemble_lax(model, Ls, state.p, table)
+    L = _assemble_lax(model, Ls, state.p, _root_table(model, state.q, z))
 
     def f1(at):
         return retrivialization_factor(model, state, at)
@@ -477,17 +476,20 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
     F = f1(z)
     conjugated = F @ L @ np.linalg.inv(F)
 
-    # direct assembly: the Cartan part of L is unchanged
-    direct = np.diag(np.diag(L))
+    # direct assembly from sigma and zeta, not from the kernel table
+    pa = model.marked_points
+    lmu = _cartan_residues(model, Ls)
+    Lmu = _pi_from_momenta(model, lmu, state.p) + lmu.T @ zeta_eval(cache, z - pa)
+    direct = np.zeros((model.m, model.m), dtype=complex)
+    for mu in range(basis.rank):
+        direct += Lmu[mu] * basis.cartan[mu]
     Lt = []
-    for a, pa in enumerate(model.marked_points):
-        Fa = f1(pa)
+    for a, p_a in enumerate(pa):
+        Fa = f1(p_a)
         Lt.append(Fa @ Ls[a] @ np.linalg.inv(Fa))
     rows, cols = basis.root_entries
     u = (basis.roots @ state.q)[:, None]
-    pa = model.marked_points
-    # sigma(u + z - p_a) / (sigma(u) sigma(z - p_a)), untwisted from the table
-    quot = table.value * np.exp(u * (table.zeta_z - model.zeta_poles))
+    quot = sigma_eval(cache, u + z - pa) / (sigma_eval(cache, u) * sigma_eval(cache, z - pa))
     plane = 2j * np.pi / (tau - np.conj(tau))
     twist = np.exp(u * plane * ((z - np.conj(z)) - (pa - np.conj(pa)))
                    - 2.0 * cache.eta1 * u * (z - pa))
