@@ -38,13 +38,10 @@ from .weierstrass import (
 from .models import (
     GaudinModel,
     PhaseState,
-    elliptic_lax,
     grad_hamiltonian,
     hamiltonian,
     lax_matrix,
     m_matrix,
-    m_matrix_elliptic,
-    m_matrix_rational,
     make_gaudin_model,
     model_from_dict,
     model_to_dict,
@@ -52,7 +49,6 @@ from .models import (
     random_elliptic_ensemble,
     random_phase_state,
     random_rational_ensemble,
-    rational_lax,
     retrivialize,
     state_from_dict,
     state_to_dict,

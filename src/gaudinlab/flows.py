@@ -237,6 +237,7 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
     mean residue from the orbit matrices; the state then evolves in the
     matrix representation and Casimirs are preserved only to integrator
     order.  Default is to monitor the constraint rather than enforce it.
+    Asking for it with the conjugation stepper is a ConfigError.
     """
     if h <= 0:
         raise ConfigError(f"step size must be positive, got {h}")
@@ -247,9 +248,11 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
     if project_residue_sum:
         if model.genus != 0:
             raise ConfigError("residue-sum projection is a genus-0 option")
+        if method != "rk4":
+            raise ConfigError("residue-sum projection evolves orbit matrices, "
+                              f"so it needs method 'rk4', not {method!r}")
         cur = PhaseState(orbit_mats=orbit_elements(model, cur), q=cur.q,
                          p=cur.p, t=cur.t)
-        method = "rk4"
     if cur.t is None:
         cur.t = np.array(curve.waypoints[0], dtype=float)
     arclen = 0.0

@@ -48,7 +48,6 @@ class LieBasis:
     root_gens   : elementary matrices E_ij, i != j, same order as `roots`
     root_pairs  : the (i, j) index pairs in the same order
     root_entries: (rows, cols) index arrays of the root entries, X[root_entries]
-    neg_root    : neg_root[r] is the index of the root -rho_r, i.e. (j, i)
     gram        : rk x rk matrix of Tr(H_mu H_nu)
     """
 
@@ -58,7 +57,6 @@ class LieBasis:
     root_gens: tuple
     root_pairs: tuple
     root_entries: tuple
-    neg_root: np.ndarray
     gram: np.ndarray
     gram_inv: np.ndarray = field(repr=False, default=None)
 
@@ -104,7 +102,6 @@ def build_slm_basis(m: int) -> LieBasis:
         root_gens=tuple(gens),
         root_pairs=tuple(pairs),
         root_entries=tuple(np.array(pairs).T),
-        neg_root=np.array([pairs.index((j, i)) for i, j in pairs]),
         gram=gram,
         gram_inv=np.linalg.inv(gram),
     )

@@ -28,6 +28,13 @@ z = p_alpha is exactly 1; the assembled matrix then satisfies
 Res_{p_alpha} L = L_alpha on the nose, and gamma L gamma^{-1} extends
 holomorphically through z = 0.
 
+Both genera share one assembly: L(z) = sum_alpha L_alpha * W_alpha(z)
+entrywise, plus gram^{-1} p on the Cartan diagonal in genus 1, where the
+kernel weights W_alpha are 1/(z - p_alpha) on the sphere, and on the torus
+the twisted kernel on the root entries and zeta(z - p_alpha) + zeta(p_alpha)
+on the diagonal.  The gradients and the M matrices reuse the same weights;
+the genus enters only through them, the pi constant and dH/dq.
+
 Hamiltonians are H_i = P_i(L(q_i)); their q/p/orbit gradients and the
 companion matrices M_i (simple pole at q_i with residue grad P_i(L(q_i)),
 compensating pole structure at z = 0 in genus 1) are provided in closed
@@ -48,7 +55,6 @@ from .liealg import (
     cartan_components,
     matrix_exponential,
     random_traceless,
-    traceless_part,
 )
 # kernel_phi is not called in this module; it stays bound here because
 # perfbench/tests/test_perfbench.py expects models to bind it (ROADMAP item 1
@@ -56,7 +62,6 @@ from .liealg import (
 from .weierstrass import (  # noqa: F401
     POLE_TOL,
     EllipticCache,
-    KernelTable,
     build_cache,
     kernel_phi,
     kernel_table,
@@ -71,14 +76,10 @@ __all__ = [
     "make_gaudin_model",
     "orbit_elements",
     "residue_sum",
-    "rational_lax",
-    "elliptic_lax",
     "lax_matrix",
     "transition_gamma",
     "hamiltonian",
     "grad_hamiltonian",
-    "m_matrix_rational",
-    "m_matrix_elliptic",
     "m_matrix",
     "retrivialize",
     "retrivialization_factor",
@@ -103,7 +104,7 @@ class GaudinModel:
     genus: int
     basis: LieBasis
     marked_points: np.ndarray          # (N,) complex
-    orbit_seeds: tuple                 # N traceless matrices Lambda_alpha
+    orbit_seeds: np.ndarray            # (N, m, m) traceless Lambda_alpha
     ham_points: np.ndarray             # (n,) complex
     polys: tuple                       # n InvariantPolynomial
     cache: EllipticCache = None        # genus 1 only
@@ -163,6 +164,8 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
         if abs(np.trace(L)) > 1e-10 * max(np.linalg.norm(L), 1.0):
             raise ConfigError("orbit seeds must be traceless")
         seeds.append(L)
+    if len(pts) == 0:
+        raise ConfigError("need at least one marked point")
     if len(seeds) != len(pts):
         raise ConfigError("need one orbit seed per marked point")
     polys = tuple(InvariantPolynomial(int(k)) for k in degrees)
@@ -198,7 +201,7 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
         zp = np.asarray(zeta_eval(cache, pts))
         zh = np.asarray(zeta_eval(cache, hpts))
     return GaudinModel(genus=genus, basis=basis, marked_points=pts,
-                       orbit_seeds=tuple(seeds), ham_points=hpts, polys=polys,
+                       orbit_seeds=np.array(seeds), ham_points=hpts, polys=polys,
                        cache=cache, zeta_poles=zp, zeta_hampts=zh)
 
 
@@ -206,14 +209,13 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
 # state access
 # ---------------------------------------------------------------------------
 
-def orbit_elements(model: GaudinModel, state: PhaseState) -> list:
-    """Residues L_alpha = -phi Lambda phi^{-1} (or the stored matrices)."""
+def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
+    """Residues L_alpha = -phi Lambda phi^{-1} stacked (N, m, m), or the
+    stored matrices."""
     if state.orbit_mats is not None:
-        return [np.asarray(L, dtype=complex) for L in state.orbit_mats]
-    out = []
-    for phi, seed in zip(state.phis, model.orbit_seeds):
-        out.append(-(phi @ seed @ np.linalg.inv(phi)))
-    return out
+        return np.asarray(state.orbit_mats, dtype=complex)
+    phis = np.asarray(state.phis)
+    return -(phis @ model.orbit_seeds @ np.linalg.inv(phis))
 
 
 def residue_sum(model: GaudinModel, state: PhaseState) -> np.ndarray:
@@ -227,93 +229,75 @@ def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
     return float(np.min(lattice_distance(model.cache, model.basis.roots @ state.q)))
 
 
-def _guarded_residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
-    """Residues L_alpha of a genus-1 state, stacked (N, m, m), after the
-    per-evaluation guard: q, p and every residue must be finite before any
-    kernel work starts."""
+def _residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
+    """Stacked residues L_alpha.  In genus 1 this is also the per-evaluation
+    guard: q, p and every residue must be finite before any kernel work."""
+    if model.genus == 0:
+        return orbit_elements(model, state)
     if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
         raise ValueError("non-finite Cartan coordinates q or momenta p")
-    Ls = np.array(orbit_elements(model, state))
+    Ls = orbit_elements(model, state)
     if not np.all(np.isfinite(Ls)):
         raise ValueError("non-finite residue L_alpha")
     return Ls
 
 
-def _root_table(model: GaudinModel, q, z: complex, ham=None) -> KernelTable:
-    """Kernel data of one state at one point z, from one kernel_table call
-    (so one lattice and resonance guard over every argument): for every
-    root r, with u_r = rho_r(Q), and every pole p_a, the twisted kernel
-    Phi(u_r, z; p_a) e^{u_r zeta(p_a)} (residue exactly 1 at p_a) with its
-    log-derivatives, plus zeta(z) and zeta(z - p_a).  The poles are the
-    marked points, or the single point q_ham (the M matrices).  Roots come
-    in +/- pairs, so Phi(-u_r) is the row basis.neg_root[r]."""
-    if ham is None:
-        poles, zeta_poles = model.marked_points, model.zeta_poles
-    else:
-        poles, zeta_poles = model.ham_points[ham:ham + 1], model.zeta_hampts[ham:ham + 1]
-    u = model.basis.roots @ q
+def _kernel_weights(model: GaudinModel, q, z: complex, ham=None):
+    """Entrywise kernel weights W at z, one matrix per pole, so that
+    sum_a X_a * W[a] has a simple pole at each pole p_a with residue X_a.
+    The poles are the marked points (Lax weights) or q_ham (M weights).
+
+    Genus 0: 1 / (z - p_a) in every entry, shape (P, 1, 1).
+    Genus 1: shape (P, m, m); the root entry of rho_r holds the twisted
+    kernel Phi(u_r, z; p_a) e^{u_r zeta(p_a)}, u_r = rho_r(Q), of residue 1;
+    the diagonal holds zeta(z - p_a) + zeta(p_a) for L (the zeta(p_a) part
+    of pi^mu at fixed momenta) or zeta(z - q_ham) - zeta(z) for M.
+
+    Also returns the (P, n_roots) u-derivatives of the root weights (None in
+    genus 0).  PoleError at a pole and, in genus 1, at z = 0; genus 1 runs
+    one kernel_table call, so one lattice and resonance guard."""
+    poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
+    if model.genus == 0:
+        d = z - poles
+        near = np.abs(d) < POLE_TOL
+        if near.any():
+            raise PoleError(f"z = {z} is at the pole {poles[np.argmax(near)]}")
+        return (1.0 / d)[:, None, None], None
+    zeta_poles = model.zeta_poles if ham is None else model.zeta_hampts[ham:ham + 1]
+    basis = model.basis
+    u = basis.roots @ q
     kt = kernel_table(model.cache, u, z, poles)
-    return kt._replace(value=kt.value * np.exp(u[:, None] * zeta_poles),
-                       dlog_du=kt.dlog_du + zeta_poles)
+    value = (kt.value * np.exp(u[:, None] * zeta_poles)).T
+    cartan = kt.zeta_zp + zeta_poles if ham is None else kt.zeta_zp - kt.zeta_z
+    W = np.empty((len(poles), model.m, model.m), dtype=complex)
+    W[:, basis.root_entries[0], basis.root_entries[1]] = value
+    W[:, np.arange(model.m), np.arange(model.m)] = cartan[:, None]
+    return W, value * (kt.dlog_du.T + zeta_poles[:, None])
+
+
+def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
+    """L = sum_a L_a * W[a] (entrywise), plus in genus 1 the constant Cartan
+    part pi^mu H_mu, pi = gram^{-1} p from p_mu = Tr(L(0) H_mu)."""
+    L = np.sum(Ls * W, axis=0)
+    if model.genus == 1:
+        L += np.tensordot(model.basis.gram_inv @ p, model.basis.cartan, axes=1)
+    return L
 
 
 # ---------------------------------------------------------------------------
 # Lax matrices
 # ---------------------------------------------------------------------------
 
-def rational_lax(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
-    """sum_alpha L_alpha / (z - p_alpha); O(1/z^2) at infinity on the
-    constraint surface sum L_alpha = 0."""
-    if model.genus != 0:
-        raise ConfigError("rational_lax needs a genus-0 model")
-    z = complex(z)
-    Ls = orbit_elements(model, state)
-    out = np.zeros((model.m, model.m), dtype=complex)
-    for L, p in zip(Ls, model.marked_points):
-        if abs(z - p) < POLE_TOL:
-            raise PoleError(f"Lax evaluation at marked point {p}")
-        out += L / (z - p)
-    return out
-
-
-def _cartan_residues(model, Ls):
-    return np.array([cartan_components(model.basis, L) for L in Ls])
-
-
-def _pi_from_momenta(model, lmu, p):
-    """Invert p_mu = Tr(L(0) H_mu) for the constant Cartan part pi^mu;
-    zeta(-p_a) = -zeta(p_a) comes from the cached values."""
-    return model.basis.gram_inv @ np.asarray(p, dtype=complex) \
-        + lmu.T @ model.zeta_poles
-
-
-def _assemble_lax(model: GaudinModel, Ls: np.ndarray, p, table: KernelTable) -> np.ndarray:
-    """Genus-1 L(z) from the stacked residues, the momenta and the root
-    table at z."""
-    basis = model.basis
-    lmu = _cartan_residues(model, Ls)
-    Lmu = _pi_from_momenta(model, lmu, p) + lmu.T @ table.zeta_zp
-    out = np.zeros((model.m, model.m), dtype=complex)
-    for mu in range(basis.rank):
-        out += Lmu[mu] * basis.cartan[mu]
-    rows, cols = basis.root_entries
-    out[rows, cols] += np.sum(Ls[:, rows, cols].T * table.value, axis=1)
-    return out
-
-
-def elliptic_lax(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
-    """Genus-1 Lax matrix; doubly periodic with Res_{p_alpha} L = L_alpha.
-    Raises PoleError at z = 0 and at the marked points, ResonanceError when
-    rho(Q) is on the lattice for some root."""
-    if model.genus != 1:
-        raise ConfigError("elliptic_lax needs a genus-1 model")
-    Ls = _guarded_residues(model, state)
-    return _assemble_lax(model, Ls, state.p, _root_table(model, state.q, complex(z)))
-
-
 def lax_matrix(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
-    return rational_lax(model, state, z) if model.genus == 0 \
-        else elliptic_lax(model, state, z)
+    """L(z) = sum_alpha L_alpha * W_alpha(z) (+ pi in genus 1): on the sphere
+    sum_alpha L_alpha / (z - p_alpha), O(1/z^2) at infinity on the
+    constraint surface; on the torus doubly periodic with
+    Res_{p_alpha} L = L_alpha.  Raises PoleError at the marked points (and
+    at z = 0 in genus 1), ResonanceError when rho(Q) is on the lattice for
+    some root."""
+    z = complex(z)
+    Ls = _residues(model, state)
+    return _lax(model, Ls, state.p, _kernel_weights(model, state.q, z)[0])
 
 
 def transition_gamma(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
@@ -344,82 +328,40 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i: int):
     dH = sum_alpha Tr(dH_dL[alpha] dL_alpha) for unconstrained variations of
     the residues; dH_dq[mu] = dH/dq^mu and dH_dp[mu] = dH/dp_mu (empty in
     genus 0).
+
+    With G = grad P_i(L(q_i)), which is traceless, dH_dL[alpha] is
+    G * W_alpha(q_i)^T entrywise, and so traceless itself.
     """
-    basis = model.basis
-    w = model.ham_points[i]
+    # one residue pass and one set of weights at q_i serve L(q_i) and every
+    # partial derivative
+    Ls = _residues(model, state)
+    W, dW_du = _kernel_weights(model, state.q, model.ham_points[i])
+    G = model.polys[i].gradient(_lax(model, Ls, state.p, W))
+    dH_dL = G * W.transpose(0, 2, 1)
     if model.genus == 0:
-        G = model.polys[i].gradient(lax_matrix(model, state, w))
-        dH_dL = [G / (w - pa) for pa in model.marked_points]
         empty = np.zeros(0, dtype=complex)
         return dH_dL, empty, empty
-    # one residue pass and one root table at q_i serve L(q_i) and every
-    # partial derivative
-    Ls = _guarded_residues(model, state)
-    table = _root_table(model, state.q, w)
-    G = model.polys[i].gradient(_assemble_lax(model, Ls, state.p, table))
-
-    Gmu = cartan_components(basis, G)
+    basis = model.basis
     rows, cols = basis.root_entries
-    # Cartan channel: zeta(w - p_a) from the explicit sum, +zeta(p_a) from
-    # the dependence of pi^mu on the residues at fixed momenta.
-    coef = table.zeta_zp + model.zeta_poles
-    D = np.zeros((model.n_sites, model.m, model.m), dtype=complex)
-    for mu in range(basis.rank):
-        D += np.multiply.outer(Gmu[mu] * coef, basis.cartan[mu])
-    # root channel: Phi(-u_r) is the row of the root -rho_r
-    D[:, rows, cols] = G[rows, cols] * table.value[basis.neg_root].T
-    dH_dL = [traceless_part(Da) for Da in D]
-    s = np.sum(Ls[:, rows, cols].T * table.value * table.dlog_du, axis=1)
+    s = np.sum(Ls[:, rows, cols] * dW_du, axis=0)
     dH_dq = (G[cols, rows] * s) @ basis.roots
-    return dH_dL, dH_dq, np.array(Gmu, dtype=complex)
+    return dH_dL, dH_dq, cartan_components(basis, G)
 
 
 # ---------------------------------------------------------------------------
 # M matrices
 # ---------------------------------------------------------------------------
 
-def m_matrix_rational(model: GaudinModel, state: PhaseState, i: int,
-                      z: complex) -> np.ndarray:
-    """grad P_i(L(q_i)) / (z - q_i); the admissible constant is set to 0."""
-    if model.genus != 0:
-        raise ConfigError("m_matrix_rational needs a genus-0 model")
-    z = complex(z)
-    w = model.ham_points[i]
-    if abs(z - w) < POLE_TOL:
-        raise PoleError(f"M_{i} evaluated at its own pole q_{i} = {w}")
-    L = rational_lax(model, state, w)
-    return model.polys[i].gradient(L) / (z - w)
-
-
-def m_matrix_elliptic(model: GaudinModel, state: PhaseState, i: int,
-                      z: complex) -> np.ndarray:
-    """Elliptic companion matrix: Cartan part grad^mu (zeta(z - q_i) - zeta(z)),
-    root part through the twisted kernel anchored at q_i.  Has residue
-    grad P_i(L(q_i)) at q_i and the compensating Cartan pole -grad^mu at
-    z = 0 that matches d/dt gamma gamma^{-1}."""
-    if model.genus != 1:
-        raise ConfigError("m_matrix_elliptic needs a genus-1 model")
-    basis = model.basis
-    Ls = _guarded_residues(model, state)
-    # the table at z has the single pole q_i; it raises PoleError at q_i
-    # and at the gluing point z = 0
-    table = _root_table(model, state.q, complex(z), ham=i)
-    L = _assemble_lax(model, Ls, state.p,
-                      _root_table(model, state.q, model.ham_points[i]))
-    G = model.polys[i].gradient(L)
-    Gmu = cartan_components(basis, G)
-    coef = table.zeta_zp[0] - table.zeta_z
-    out = np.zeros((model.m, model.m), dtype=complex)
-    for mu in range(basis.rank):
-        out += Gmu[mu] * coef * basis.cartan[mu]
-    rows, cols = basis.root_entries
-    out[rows, cols] += G[rows, cols] * table.value[:, 0]
-    return out
-
-
 def m_matrix(model: GaudinModel, state: PhaseState, i: int, z: complex) -> np.ndarray:
-    return m_matrix_rational(model, state, i, z) if model.genus == 0 \
-        else m_matrix_elliptic(model, state, i, z)
+    """M_i(z) = grad P_i(L(q_i)) * W_{q_i}(z) entrywise: simple pole at q_i
+    with residue grad P_i(L(q_i)).  On the sphere that is all (the
+    admissible constant is set to 0); on the torus the Cartan part
+    grad^mu (zeta(z - q_i) - zeta(z)) carries the compensating pole
+    -grad^mu at z = 0 that matches d/dt gamma gamma^{-1}."""
+    G = model.polys[i].gradient(lax_matrix(model, state, model.ham_points[i]))
+    # the weights at z have the single pole q_i; they raise PoleError at
+    # q_i and, in genus 1, at the gluing point z = 0
+    return G * _kernel_weights(model, state.q, complex(z), ham=i)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +409,8 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
     cache, basis = model.cache, model.basis
     tau = cache.tau
 
-    Ls = _guarded_residues(model, state)
-    L = _assemble_lax(model, Ls, state.p, _root_table(model, state.q, z))
+    Ls = _residues(model, state)
+    L = _lax(model, Ls, state.p, _kernel_weights(model, state.q, z)[0])
 
     def f1(at):
         return retrivialization_factor(model, state, at)
@@ -476,10 +418,13 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
     F = f1(z)
     conjugated = F @ L @ np.linalg.inv(F)
 
-    # direct assembly from sigma and zeta, not from the kernel table
+    # direct assembly from sigma and zeta, not from the kernel weights:
+    # Gram-projected Cartan residues, pi^mu from the Gram system of the
+    # momenta (zeta(-p_a) = -zeta(p_a))
     pa = model.marked_points
-    lmu = _cartan_residues(model, Ls)
-    Lmu = _pi_from_momenta(model, lmu, state.p) + lmu.T @ zeta_eval(cache, z - pa)
+    lmu = np.array([cartan_components(basis, La) for La in Ls])
+    Lmu = basis.gram_inv @ np.asarray(state.p, dtype=complex) \
+        + lmu.T @ model.zeta_poles + lmu.T @ zeta_eval(cache, z - pa)
     direct = np.zeros((model.m, model.m), dtype=complex)
     for mu in range(basis.rank):
         direct += Lmu[mu] * basis.cartan[mu]
@@ -665,6 +610,9 @@ def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
+    if state.t.shape != (model.n_hams,) or not np.all(np.isfinite(state.t)):
+        raise ConfigError(f"state t must be {model.n_hams} finite times, one per "
+                          f"Hamiltonian, got {d.get('t')!r}")
     if state.phis is None and state.orbit_mats is None:
         raise ConfigError("state needs either phis or orbit_mats")
     mats = state.phis if state.phis is not None else state.orbit_mats

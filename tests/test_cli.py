@@ -128,9 +128,20 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: (cfg["initial_state"]["phis"].pop(),
                                               cfg.update(projection="project"))),
         ("elliptic_cm_sl2.json", lambda cfg: cfg["initial_state"]["q"].append([0.1, 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(t=[0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(t=[[0.0, 0.0]])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(t=[0.0, 0.0, 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(
+            t=[0.0, float("nan")])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(projection="project",
+                                                        method="conjugation")),
+        ("rational_sl2_n3.json", lambda cfg: (cfg["model"].update(marked_points=[],
+                                                                  orbit_seeds=[]),
+                                              cfg["initial_state"].update(phis=[]))),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
-            "q_too_long"])
+            "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
+            "project_conjugation", "no_marked_points"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, _ = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err
@@ -190,6 +201,11 @@ class TestVerify:
         assert report["all_passed"]
         for row in report["checks"]:
             assert set(row) >= {"name", "law", "tolerance", "measured", "passed"}
+
+    def test_rational_suite_skips_ill_conditioned_probes(self, tmp_path):
+        # seed 13 draws a drift-probe candidate whose group points reach
+        # cond 1e16; it is rejected before any residue is formed from them
+        assert main(["verify", "rational", "--seed", "13", "--out", str(tmp_path)]) == 0
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "qcd"]) == 2

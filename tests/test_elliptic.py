@@ -6,14 +6,14 @@ from gaudinlab.errors import PoleError, ResonanceError
 from gaudinlab.liealg import random_traceless
 from gaudinlab.models import (
     PhaseState,
-    elliptic_lax,
     grad_hamiltonian,
     hamiltonian,
     lax_matrix,
-    m_matrix_elliptic,
+    m_matrix,
     make_gaudin_model,
     orbit_elements,
     random_elliptic_ensemble,
+    random_rational_ensemble,
     retrivialization_factor,
     retrivialize,
     transition_gamma,
@@ -51,9 +51,9 @@ class TestLaxStructure:
         model, state = ensembles[key]
         rng = np.random.default_rng(5)
         for z in cell_points(rng, model, 5):
-            L0 = elliptic_lax(model, state, z)
+            L0 = lax_matrix(model, state, z)
             for shift in (1.0, model.cache.tau):
-                L1 = elliptic_lax(model, state, z + shift)
+                L1 = lax_matrix(model, state, z + shift)
                 assert np.linalg.norm(L1 - L0) < 1e-9 * np.linalg.norm(L0)
 
     @pytest.mark.parametrize("key", [(2, 2), (3, 2)])
@@ -62,8 +62,8 @@ class TestLaxStructure:
         Ls = orbit_elements(model, state)
         eps = 1e-4
         for a, pa in enumerate(model.marked_points):
-            sym = lambda e: 0.5 * (elliptic_lax(model, state, pa + e) * e
-                                   + elliptic_lax(model, state, pa - e) * (-e))
+            sym = lambda e: 0.5 * (lax_matrix(model, state, pa + e) * e
+                                   + lax_matrix(model, state, pa - e) * (-e))
             lim = (4.0 * sym(eps / 2) - sym(eps)) / 3.0
             assert np.linalg.norm(lim - Ls[a]) < 1e-7
 
@@ -74,8 +74,8 @@ class TestLaxStructure:
         res = orbit_elements(model, state)[0]
         assert np.max(np.abs(np.diag(res))) < 1e-12
         z1, z2 = 0.05 + 0.4j, -0.31 + 0.22j
-        L1 = elliptic_lax(model, state, z1)
-        L2 = elliptic_lax(model, state, z2)
+        L1 = lax_matrix(model, state, z1)
+        L2 = lax_matrix(model, state, z2)
         np.testing.assert_allclose(np.diag(L1), np.diag(L2), atol=1e-12)
         # and that constant equals the Gram solve of the momenta
         pi = model.basis.gram_inv @ state.p
@@ -84,16 +84,16 @@ class TestLaxStructure:
     def test_pole_guards(self, ensembles):
         model, state = ensembles[(2, 2)]
         with pytest.raises(PoleError):
-            elliptic_lax(model, state, 0.0)
+            lax_matrix(model, state, 0.0)
         with pytest.raises(PoleError):
-            elliptic_lax(model, state, model.marked_points[0])
+            lax_matrix(model, state, model.marked_points[0])
 
     def test_resonance_guard(self, ensembles):
         model, state = ensembles[(2, 2)]
         bad = PhaseState(phis=state.phis, q=np.array([0.5 * model.cache.tau]),
                          p=state.p, t=state.t)   # rho(Q) = tau, a lattice point
         with pytest.raises(ResonanceError):
-            elliptic_lax(model, bad, 0.05 + 0.4j)
+            lax_matrix(model, bad, 0.05 + 0.4j)
 
     def test_gluing_bounded(self, ensembles):
         model, state = ensembles[(2, 2)]
@@ -103,7 +103,7 @@ class TestLaxStructure:
             for theta in np.linspace(0, 2 * np.pi, 8, endpoint=False):
                 z = r * np.exp(1j * theta)
                 g = transition_gamma(model, state, z)
-                vals.append(np.linalg.norm(g @ elliptic_lax(model, state, z)
+                vals.append(np.linalg.norm(g @ lax_matrix(model, state, z)
                                            @ np.linalg.inv(g)))
             maxima.append(max(vals))
         assert maxima[2] < 2.0 * maxima[0]
@@ -228,10 +228,10 @@ class TestMMatrix:
     def test_residue_at_ham_point(self, ensembles):
         model, state = ensembles[(2, 2)]
         w = model.ham_points[0]
-        G = model.polys[0].gradient(elliptic_lax(model, state, w))
+        G = model.polys[0].gradient(lax_matrix(model, state, w))
         eps = 1e-4
-        sym = lambda e: 0.5 * (m_matrix_elliptic(model, state, 0, w + e) * e
-                               + m_matrix_elliptic(model, state, 0, w - e) * (-e))
+        sym = lambda e: 0.5 * (m_matrix(model, state, 0, w + e) * e
+                               + m_matrix(model, state, 0, w - e) * (-e))
         lim = (4.0 * sym(eps / 2) - sym(eps)) / 3.0
         assert np.linalg.norm(lim - G) < 1e-7 * max(1.0, np.linalg.norm(G))
 
@@ -242,8 +242,8 @@ class TestMMatrix:
         u0 = model.basis.root_value(0, state.q)
         dirc = 1j * u0 / abs(u0)
         eps = 1e-4
-        sym = lambda e: 0.5 * (m_matrix_elliptic(model, state, 0, e * dirc) * (e * dirc)
-                               + m_matrix_elliptic(model, state, 0, -e * dirc) * (-e * dirc))
+        sym = lambda e: 0.5 * (m_matrix(model, state, 0, e * dirc) * (e * dirc)
+                               + m_matrix(model, state, 0, -e * dirc) * (-e * dirc))
         lim = (4.0 * sym(eps / 2) - sym(eps)) / 3.0
         H1 = model.basis.cartan[0]
         np.testing.assert_allclose(np.diag(lim), -dH_dp[0] * np.diag(H1), atol=1e-7)
@@ -255,13 +255,13 @@ class TestMMatrix:
         state = PhaseState(phis=[np.eye(2, dtype=complex)] * 2,
                            q=np.array([0.19 + 0.04j]),
                            p=np.array([0.3 - 0.2j]), t=np.zeros(1))
-        M = m_matrix_elliptic(model, state, 0, 0.11 + 0.52j)
+        M = m_matrix(model, state, 0, 0.11 + 0.52j)
         assert abs(M[0, 1]) < 1e-14 and abs(M[1, 0]) < 1e-14
 
     def test_own_pole_guard(self, ensembles):
         model, state = ensembles[(2, 2)]
         with pytest.raises(PoleError):
-            m_matrix_elliptic(model, state, 0, model.ham_points[0])
+            m_matrix(model, state, 0, model.ham_points[0])
 
 
 class TestInvolutivity:
@@ -299,7 +299,7 @@ class TestRetrivialization:
         model, state = ensembles[(2, 2)]
         z = 0.04 + 0.47j
         A, _ = retrivialize(model, state, z)
-        L = elliptic_lax(model, state, z)
+        L = lax_matrix(model, state, z)
         np.testing.assert_allclose(np.diag(A), np.diag(L), atol=1e-12)
 
     def test_result_is_periodic(self, ensembles):
@@ -348,15 +348,28 @@ class TestKernelTableReuse:
         self.count(monkeypatch, models, "orbit_elements", counts)
         self.count(monkeypatch, np.linalg, "inv", counts)
         grad_hamiltonian(model, state, 1)
-        assert counts == {"_core": 1, "orbit_elements": 1, "inv": n_sites}
+        # the residues come from one batched inverse of the (N, m, m) stack
+        assert counts == {"_core": 1, "orbit_elements": 1, "inv": 1}
+
+    def test_grad_hamiltonian_counts_genus0(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
+        state = PhaseState(phis=[np.eye(3, dtype=complex) + 0.05 * random_traceless(rng, 3)
+                                 for _ in range(3)], t=state.t)
+        counts = {}
+        self.count(monkeypatch, weierstrass, "_core", counts)
+        self.count(monkeypatch, models, "orbit_elements", counts)
+        self.count(monkeypatch, np.linalg, "inv", counts)
+        grad_hamiltonian(model, state, 1)
+        assert counts == {"orbit_elements": 1, "inv": 1}
 
     def test_elliptic_lax_builds_one_table(self, monkeypatch, ensembles):
         model, state = ensembles[(3, 2)]
         counts = {}
-        self.count(monkeypatch, models, "_root_table", counts)
+        self.count(monkeypatch, models, "_kernel_weights", counts)
         self.count(monkeypatch, weierstrass, "_core", counts)
-        elliptic_lax(model, state, 0.11 + 0.31j)
-        assert counts == {"_root_table": 1, "_core": 1}
+        lax_matrix(model, state, 0.11 + 0.31j)
+        assert counts == {"_kernel_weights": 1, "_core": 1}
 
     @pytest.mark.parametrize("field", ["q", "p", "phis"])
     def test_non_finite_state_stops_before_the_kernel(self, monkeypatch, ensembles, field):
@@ -368,9 +381,49 @@ class TestKernelTableReuse:
             getattr(bad, field)[0] = np.inf
         counts = {}
         self.count(monkeypatch, weierstrass, "_core", counts)
-        for call in (lambda: elliptic_lax(model, bad, 0.11 + 0.31j),
+        for call in (lambda: lax_matrix(model, bad, 0.11 + 0.31j),
                      lambda: grad_hamiltonian(model, bad, 0),
-                     lambda: m_matrix_elliptic(model, bad, 0, 0.11 + 0.31j)):
+                     lambda: m_matrix(model, bad, 0, 0.11 + 0.31j)):
             with pytest.raises(ValueError):
                 call()
         assert counts == {}
+
+
+class TestSharedAssembly:
+    """Both genera assemble L, dH/dL_a and M_i from the same kernel weights;
+    the gradient of an invariant polynomial is traceless, and so is every
+    entrywise product of it with the weights."""
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_gradients_and_m_matrices_are_traceless(self, genus):
+        rng = np.random.default_rng(43)
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
+            zs = (1.7 + 0.4j, -0.6 - 1.9j)
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3), max_gradient=1e3)
+            zs = (0.11 + 0.31j, -0.29 + 0.07j)
+        state = state.copy()
+        state.phis = [np.eye(3, dtype=complex) + 0.1 * random_traceless(rng, 3)
+                      for _ in range(3)]
+        for i in range(model.n_hams):
+            dH_dL, _, _ = grad_hamiltonian(model, state, i)
+            for D in dH_dL:
+                assert abs(np.trace(D)) < 1e-13
+            for z in zs:
+                assert abs(np.trace(m_matrix(model, state, i, z))) < 1e-13
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_orbit_elements_match_the_per_site_product(self, genus):
+        # one batched expression over the (N, m, m) stack, same arithmetic
+        rng = np.random.default_rng(47)
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 4, 4, (2,))
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 3, (2,), max_gradient=1e3)
+        phis = [np.eye(model.m) + 0.3 * random_traceless(rng, model.m)
+                for _ in range(model.n_sites)]
+        Ls = orbit_elements(model, PhaseState(phis=phis, q=state.q, p=state.p, t=state.t))
+        assert Ls.shape == (model.n_sites, model.m, model.m)
+        for L, phi, seed in zip(Ls, phis, model.orbit_seeds):
+            np.testing.assert_array_equal(L, -(phi @ seed @ np.linalg.inv(phi)))

@@ -25,7 +25,6 @@ from gaudinlab.models import (
     orbit_elements,
     random_elliptic_ensemble,
     random_rational_ensemble,
-    rational_lax,
 )
 
 
@@ -64,7 +63,7 @@ class TestVectorField:
         model, state = rational
         dLs = orbit_tangent(model, state, 0)
         w = model.ham_points[0]
-        Lw = rational_lax(model, state, w)
+        Lw = lax_matrix(model, state, w)
         Ls = orbit_elements(model, state)
         for dL, L, pa in zip(dLs, Ls, model.marked_points):
             B = Lw / (pa - w)
@@ -213,6 +212,14 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             evolve(model, state, FlowCurve([[0.0, 0.0], [0.1, 0.0]]), 0.01,
                    project_residue_sum=True)
+
+    def test_projection_rejected_for_conjugation(self, rng):
+        # projection evolves orbit matrices, which the conjugation stepper
+        # cannot move; it must not fall back to rk4 silently
+        model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
+        with pytest.raises(ConfigError, match="rk4"):
+            evolve(model, state, FlowCurve([[0.0, 0.0], [0.1, 0.0]]), 0.01,
+                   method="conjugation", project_residue_sum=True)
 
     def test_resonance_abort(self, rng):
         # aim the Cartan coordinate at the lattice: u = 2 q^1 hits zero when

@@ -9,13 +9,13 @@ from gaudinlab.models import (
     PhaseState,
     grad_hamiltonian,
     hamiltonian,
-    m_matrix_rational,
+    lax_matrix,
+    m_matrix,
     make_gaudin_model,
     model_from_dict,
     model_to_dict,
     orbit_elements,
     random_rational_ensemble,
-    rational_lax,
     state_from_dict,
     state_to_dict,
 )
@@ -39,27 +39,27 @@ class TestLax:
     def test_single_site_vanishes(self):
         model = make_gaudin_model(0, 2, [0.0], [np.zeros((2, 2))], [2.0], [2])
         state = PhaseState(phis=[np.eye(2, dtype=complex)], t=np.zeros(1))
-        assert np.linalg.norm(rational_lax(model, state, 1.3 + 0.4j)) == 0.0
+        assert np.linalg.norm(lax_matrix(model, state, 1.3 + 0.4j)) == 0.0
         assert hamiltonian(model, state, 0) == 0.0
 
     def test_two_site_closed_form(self):
         model, state, X = two_site_model()
         z = 3.0 - 2.0j
         expected = X * (1.0 / z - 1.0 / (z - 1.0))
-        np.testing.assert_allclose(rational_lax(model, state, z), expected, atol=1e-14)
+        np.testing.assert_allclose(lax_matrix(model, state, z), expected, atol=1e-14)
 
     def test_far_field_decay(self, rng):
         model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
         total = sum(np.linalg.norm(L) for L in orbit_elements(model, state))
         for z in (1e3, 1e3 * 1j, 1e3 * (0.6 + 0.8j)):
             # with sum L_a = 0 the leading 1/z term cancels: |L| ~ C/|z|^2
-            norm = np.linalg.norm(rational_lax(model, state, z))
+            norm = np.linalg.norm(lax_matrix(model, state, z))
             assert norm < 10.0 * total / abs(z) ** 2
 
     def test_pole_error(self):
         model, state, _ = two_site_model()
         with pytest.raises(PoleError):
-            rational_lax(model, state, 1.0)
+            lax_matrix(model, state, 1.0)
 
     def test_residue_sum_constraint(self, rng):
         model, state = random_rational_ensemble(rng, 3, 3, (2,))
@@ -90,7 +90,7 @@ class TestHamiltonian:
         dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, 0)
         assert dH_dq.size == 0 and dH_dp.size == 0
         w = model.ham_points[0]
-        Lw = rational_lax(model, state, w)
+        Lw = lax_matrix(model, state, w)
         for D, pa in zip(dH_dL, model.marked_points):
             np.testing.assert_allclose(D, Lw / (w - pa), atol=1e-13)
 
@@ -116,20 +116,20 @@ class TestMMatrix:
     def test_residue(self, rng):
         model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
         w = model.ham_points[0]
-        G = model.polys[0].gradient(rational_lax(model, state, w))
+        G = model.polys[0].gradient(lax_matrix(model, state, w))
         z = w + 0.37j
-        np.testing.assert_allclose(m_matrix_rational(model, state, 0, z) * (z - w),
+        np.testing.assert_allclose(m_matrix(model, state, 0, z) * (z - w),
                                    G, atol=1e-13)
 
     def test_regular_at_other_points(self, rng):
         model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
-        M = m_matrix_rational(model, state, 0, model.ham_points[1])
+        M = m_matrix(model, state, 0, model.ham_points[1])
         assert np.all(np.isfinite(M.view(float)))
 
     def test_own_pole_guard(self, rng):
         model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
         with pytest.raises(PoleError):
-            m_matrix_rational(model, state, 0, model.ham_points[0])
+            m_matrix(model, state, 0, model.ham_points[0])
 
     def test_lax_equation_along_flow(self, rng):
         from gaudinlab.flows import FlowCurve, evolve
@@ -183,8 +183,8 @@ class TestSerialization:
         np.testing.assert_allclose(model2.marked_points, model.marked_points)
         assert [P.degree for P in model2.polys] == [P.degree for P in model.polys]
         z = 2.4 + 0.9j
-        np.testing.assert_allclose(rational_lax(model2, state2, z),
-                                   rational_lax(model, state, z), atol=1e-14)
+        np.testing.assert_allclose(lax_matrix(model2, state2, z),
+                                   lax_matrix(model, state, z), atol=1e-14)
 
     def test_state_requires_group_points_or_matrices(self, rng):
         model, _ = random_rational_ensemble(rng, 2, 2, (2,))
