@@ -27,6 +27,7 @@ from .models import (
     state_from_dict,
 )
 from .verify import SUITES, run_suite
+from .weierstrass import POLE_TOL, lattice_distance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -97,6 +98,17 @@ def _build_run(cfg):
     if not isinstance(z_cfg, list):
         raise ConfigError("z_samples must be a list of [re, im] pairs")
     z_samples = [_complex_pair(z, f"z_samples[{k}]") for k, z in enumerate(z_cfg)]
+    # L(z) has poles at the marked points, M_i(z) at the Hamiltonian points,
+    # and in genus 1 both are singular on the lattice
+    poles = np.concatenate((model.marked_points, model.ham_points))
+    for k, z in enumerate(z_samples):
+        if model.genus == 0:
+            near = np.min(np.abs(z - poles)) < POLE_TOL
+        else:
+            near = np.min(lattice_distance(model.cache, np.append(z - poles, z))) < POLE_TOL
+        if near:
+            raise ConfigError(f"z_samples[{k}] = {z} is at a marked point, a "
+                              "Hamiltonian point or (genus 1) the lattice")
     projection = cfg.get("projection", "monitor")
     if projection not in ("monitor", "project"):
         raise ConfigError("projection must be 'monitor' or 'project'")

@@ -23,7 +23,7 @@ curve only through its endpoints, which the tests exercise directly.
 
 from __future__ import annotations
 
-import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +33,12 @@ from .liealg import matrix_exponential
 from .models import (
     GaudinModel,
     PhaseState,
+    _kernel_weights,
+    _lax,
+    _residues,
     grad_hamiltonian,
     hamiltonian,
-    lax_matrix,
+    lax_matrix,  # noqa: F401  (unused; perfbench/tests expects flows to bind it)
     m_matrix,
     orbit_elements,
     resonance_margin,
@@ -139,18 +142,17 @@ def _advance_t(state, i, h):
 
 
 def _step_conjugation(model, state, i, h):
-    # explicit midpoint; the group points move by a single exponential, so
-    # orbit spectra are exact regardless of h
+    # explicit midpoint; the group points move by one stacked exponential,
+    # so orbit spectra are exact regardless of h
     dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
     half = PhaseState(
-        phis=[matrix_exponential(-(h / 2.0) * D) @ f
-              for D, f in zip(dH_dL, state.phis)],
+        phis=matrix_exponential(-(h / 2.0) * dH_dL) @ state.phis,
         q=None if state.q is None else state.q + (h / 2.0) * dH_dp,
         p=None if state.p is None else state.p - (h / 2.0) * dH_dq,
         t=state.t)
     dH_dL2, dH_dq2, dH_dp2 = grad_hamiltonian(model, half, i)
     return PhaseState(
-        phis=[matrix_exponential(-h * D) @ f for D, f in zip(dH_dL2, state.phis)],
+        phis=matrix_exponential(-h * dH_dL2) @ state.phis,
         q=None if state.q is None else state.q + h * dH_dp2,
         p=None if state.p is None else state.p - h * dH_dq2,
         t=_advance_t(state, i, h))
@@ -160,24 +162,17 @@ def _rhs_tuple(model, state, i):
     """Raw right-hand side on the flat coordinates used by RK4."""
     dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
     if state.phis is not None:
-        dmats = [-(D @ f) for D, f in zip(dH_dL, state.phis)]   # left-trivialised
+        dmats = -(dH_dL @ state.phis)   # left-trivialised
     else:
         Ls = state.orbit_mats
-        dmats = [L @ D - D @ L for L, D in zip(Ls, dH_dL)]
-    return (dmats,
-            None if state.q is None else np.array(dH_dp),
-            None if state.p is None else -np.array(dH_dq))
+        dmats = Ls @ dH_dL - dH_dL @ Ls
+    return dmats, dH_dp, -dH_dq
 
 
 def _shifted(state, k, c):
-    mats = state.phis if state.phis is not None else state.orbit_mats
-    new = [M + c * dM for M, dM in zip(mats, k[0])]
-    return PhaseState(
-        phis=new if state.phis is not None else None,
-        orbit_mats=new if state.phis is None else None,
-        q=None if state.q is None else state.q + c * k[1],
-        p=None if state.p is None else state.p + c * k[2],
-        t=state.t)
+    return state.moved(state.mats + c * k[0],
+                       None if state.q is None else state.q + c * k[1],
+                       None if state.p is None else state.p + c * k[2], state.t)
 
 
 def _step_rk4(model, state, i, h):
@@ -185,17 +180,9 @@ def _step_rk4(model, state, i, h):
     k2 = _rhs_tuple(model, _shifted(state, k1, h / 2.0), i)
     k3 = _rhs_tuple(model, _shifted(state, k2, h / 2.0), i)
     k4 = _rhs_tuple(model, _shifted(state, k3, h), i)
-    mats = state.phis if state.phis is not None else state.orbit_mats
-    new_mats = [M + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                for M, a, b, c, d in zip(mats, k1[0], k2[0], k3[0], k4[0])]
-    q = p = None
-    if state.q is not None:
-        q = state.q + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        p = state.p + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    return PhaseState(
-        phis=new_mats if state.phis is not None else None,
-        orbit_mats=new_mats if state.phis is None else None,
-        q=q, p=p, t=_advance_t(state, i, h))
+    new = [None if x is None else x + (h / 6.0) * (a + 2 * b + 2 * c + d)
+           for x, a, b, c, d in zip((state.mats, state.q, state.p), k1, k2, k3, k4)]
+    return state.moved(*new, _advance_t(state, i, h))
 
 
 def step(model, state, i, h, method="rk4"):
@@ -217,12 +204,8 @@ def _signed_step(model, state, i, h, method):
 
 def _guard(model, state, t_scalar, margin):
     # finiteness first: the resonance margin of a non-finite q is undefined
-    mats = state.phis if state.phis is not None else state.orbit_mats
-    finite = all(np.all(np.isfinite(M.view(float))) for M in mats)
-    if state.q is not None:
-        finite = finite and np.all(np.isfinite(state.q.view(float))) \
-            and np.all(np.isfinite(state.p.view(float)))
-    if not finite:
+    if not all(np.isfinite(x).all() for x in (state.mats, state.q, state.p)
+               if x is not None):
         raise NumericalAbort("state left the finite regime", t_scalar)
     if model.genus == 1 and resonance_margin(model, state) < margin:
         raise NumericalAbort(
@@ -257,7 +240,7 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
         cur.t = np.array(curve.waypoints[0], dtype=float)
     arclen = 0.0
     times = [np.array(cur.t)]
-    states = [cur.copy()]
+    states = [cur]
     seg_ids = [0]
     for seg_no, (axis, _start, delta) in enumerate(curve.segments()):
         n_steps = max(1, int(round(abs(delta) / h)))
@@ -272,13 +255,12 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
                 # a stage hit a pole or a resonance, went non-finite, or met
                 # a singular matrix (LinAlgError is a ValueError)
                 raise NumericalAbort(f"step failed: {exc}", arclen) from exc
-            if project_residue_sum:
-                mean = sum(cur.orbit_mats) / len(cur.orbit_mats)
-                cur = PhaseState(orbit_mats=[L - mean for L in cur.orbit_mats],
-                                 q=cur.q, p=cur.p, t=cur.t)
+            if project_residue_sum:     # cur is new, so it may be changed
+                cur.orbit_mats -= np.sum(cur.orbit_mats, axis=0) / model.n_sites
             arclen += abs(dt)
+            # a step builds a new state and never writes into the old one
             times.append(np.array(cur.t))
-            states.append(cur.copy())
+            states.append(cur)
             seg_ids.append(seg_no)
     _guard(model, cur, arclen, resonance_margin_min)
     return Trajectory(model=model, times=times, states=states,
@@ -294,18 +276,16 @@ def action_along_curve(model, traj: Trajectory) -> complex:
         raise ConfigError("the action needs group points (not projection mode)")
     total = 0j
     n = len(traj.states)
-    H_cache = {}
+    H = functools.cache(lambda k, i: hamiltonian(model, traj.states[k], i))
 
-    def H(k, i):
-        if (k, i) not in H_cache:
-            H_cache[(k, i)] = hamiltonian(model, traj.states[k], i)
-        return H_cache[(k, i)]
-
+    # each state's group points are inverted once, as one stack
+    inv1 = np.linalg.inv(traj.states[0].phis)
     for k in range(n - 1):
         s0, s1 = traj.states[k], traj.states[k + 1]
+        inv0, inv1 = inv1, np.linalg.inv(s1.phis)
         dt_vec = traj.times[k + 1] - traj.times[k]
         for a, seed in enumerate(model.orbit_seeds):
-            inv_avg = 0.5 * (np.linalg.inv(s0.phis[a]) + np.linalg.inv(s1.phis[a]))
+            inv_avg = 0.5 * (inv0[a] + inv1[a])
             total += np.trace(seed @ inv_avg @ (s1.phis[a] - s0.phis[a]))
         if model.genus == 1:
             total += 0.5 * np.sum((s0.p + s1.p) * (s1.q - s0.q))
@@ -341,30 +321,21 @@ def plaquette_residual(model, state, i, j, h, z_samples, method="rk4") -> float:
     diagonal of the defect projected out; what remains estimates the
     gauge-invariant curvature.
     """
+    if len(z_samples) == 0:
+        return 0.0
     after_i = _signed_step(model, state, i, h, method)
     after_j = _signed_step(model, state, j, h, method)
+    # M_i, M_j at the corner, M_j after the i step and M_i after the j step:
+    # one gradient per (state, flow) and one exponential for all of them
+    E = matrix_exponential(h * np.array([
+        m_matrix(model, s, k, z_samples)
+        for s, k in ((state, i), (state, j), (after_i, j), (after_j, i))]))
     worst = 0.0
-    for z in z_samples:
-        Mi0 = m_matrix(model, state, i, z)
-        Mj0 = m_matrix(model, state, j, z)
-        Mj1 = m_matrix(model, after_i, j, z)
-        Mi1 = m_matrix(model, after_j, i, z)
-        U_ij = matrix_exponential(h * Mj1) @ matrix_exponential(h * Mi0)
-        U_ji = matrix_exponential(h * Mi1) @ matrix_exponential(h * Mj0)
-        gap = U_ij - U_ji
+    for gap in E[2] @ E[0] - E[3] @ E[1]:      # U_ij - U_ji per z sample
         if model.genus == 1:
             gap = gap - np.diag(np.diag(gap))
         worst = max(worst, np.linalg.norm(gap) / h ** 2)
     return worst
-
-
-def _constrained_residue_sum(model, Ls):
-    """The conserved part of sum_a L_a: the full matrix on the sphere, its
-    Cartan (diagonal) part on the torus."""
-    total = sum(Ls)
-    if model.genus == 1:
-        total = np.diag(np.diag(total))
-    return total
 
 
 @dataclass
@@ -379,9 +350,16 @@ class _Observables:
     charpoly: np.ndarray        # (K, Z, m+1) coefficients of det(x - L(z_s))
 
 
+# states per batch of the observables pass: enough to spread numpy's per-call
+# cost, few enough that a batch's temporaries stay small beside the trajectory
+_CHUNK = 128
+
+
 def _observables(model, traj: Trajectory, z_samples) -> _Observables:
-    """Build the table once per trajectory and z-sample list.  The residues
-    are formed once per state and H_i and L(z_s) are evaluated from them."""
+    """Build the table once per trajectory and z-sample list, _CHUNK states
+    at a time: one residue pass, one eigvals call per kind of spectrum, and
+    L at the Hamiltonian points and the z samples from one assembly (one
+    weight table in genus 0, one kernel table per state and point in genus 1)."""
     if not traj.states:
         raise ConfigError("empty trajectory")
     z_samples = tuple(complex(z) for z in z_samples)
@@ -390,25 +368,41 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
         if cached_model is model and cached_z == z_samples:
             return table
     K, n = len(traj.states), model.n_hams
+    points = np.concatenate((model.ham_points, np.array(z_samples, dtype=complex)))
+    if model.genus == 0:
+        W = np.array([_kernel_weights(model, None, z)[0] for z in points])
     table = _Observables(
-        H=np.zeros((K, n), dtype=complex),
-        casimir_drift=np.zeros((K, model.n_sites)),
-        residue_norm=np.zeros(K),
-        residue_drift=np.zeros(K),
+        H=np.empty((K, n), dtype=complex),
+        casimir_drift=np.empty((K, model.n_sites)),
+        residue_norm=np.empty(K),
+        residue_drift=np.empty(K),
         charpoly=np.zeros((K, len(z_samples), model.m + 1), dtype=complex))
-    for k, s in enumerate(traj.states):
-        Ls = orbit_elements(model, s)
-        on_residues = PhaseState(orbit_mats=Ls, q=s.q, p=s.p, t=s.t)
-        eigs = [np.sort_complex(np.linalg.eigvals(L)) for L in Ls]
-        res = _constrained_residue_sum(model, Ls)
-        if k == 0:
-            eig0, res0 = eigs, res
-        table.H[k] = [hamiltonian(model, on_residues, i) for i in range(n)]
-        table.casimir_drift[k] = [np.max(np.abs(e - e0)) for e, e0 in zip(eigs, eig0)]
-        table.residue_norm[k] = np.linalg.norm(res)
-        table.residue_drift[k] = np.linalg.norm(res - res0)
-        for c, z in enumerate(z_samples):
-            table.charpoly[k, c] = np.poly(lax_matrix(model, on_residues, z))
+    table.charpoly[..., 0] = 1.0
+    for lo in range(0, K, _CHUNK):
+        chunk = traj.states[lo:lo + _CHUNK]
+        q = p = None
+        if model.genus == 1:
+            q, p = np.array([s.q for s in chunk]), np.array([s.p for s in chunk])
+            W = np.array([[_kernel_weights(model, qk, z)[0] for z in points] for qk in q])
+        Ls = _residues(model, chunk[0].moved(np.array([s.mats for s in chunk]), q, p, None))
+        L = _lax(model, Ls[:, None], None if p is None else p[:, None], W)  # (C, n+Z, m, m)
+        eigs = np.sort_complex(np.linalg.eigvals(Ls))
+        res = np.sum(Ls, axis=1)        # conserved: all of sum_a L_a on the
+        if model.genus == 1:            # sphere, its Cartan part on the torus
+            res = res * np.eye(model.m)
+        if lo == 0:
+            eig0, res0 = eigs[0], res[0]
+        rows = slice(lo, lo + len(chunk))
+        for i, P in enumerate(model.polys):
+            table.H[rows, i] = P.evaluate(L[:, i])
+        table.casimir_drift[rows] = np.max(np.abs(eigs - eig0), axis=-1)
+        table.residue_norm[rows] = np.linalg.norm(res, axis=(-2, -1))
+        table.residue_drift[rows] = np.linalg.norm(res - res0, axis=(-2, -1))
+        # det(x - L(z_s)) from its roots by the Vieta recursion of np.poly
+        roots = np.linalg.eigvals(L[:, n:])
+        c = table.charpoly[rows]
+        for k in range(model.m):
+            c[..., 1:k + 2] -= roots[..., k:k + 1] * c[..., :k + 1]
     traj.observables = (model, z_samples, table)
     return table
 
@@ -430,12 +424,8 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
     zc = 0.0
     if not traj.projection_used:
         seg = traj.segment_ids
-        axes = {}
-        for k in range(1, len(states)):
-            dt = traj.times[k] - traj.times[k - 1]
-            moved = np.nonzero(np.abs(dt) > 0)[0]
-            if len(moved):
-                axes[seg[k]] = int(moved[0])
+        moved = np.abs(np.diff(np.array(traj.times), axis=0)) > 0
+        axes = {seg[k + 1]: int(np.argmax(row)) for k, row in enumerate(moved) if row.any()}
         boundaries = [k for k in range(1, len(states)) if seg[k] != seg[k - 1]]
         for k in boundaries:
             i, j = axes.get(seg[k - 1]), axes.get(seg[k])
@@ -456,28 +446,21 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
 def write_trajectory_csv(path, model, traj: Trajectory, z_samples, seed=None):
     """Time series export: one row per sample with the conserved quantities."""
     obs = _observables(model, traj, z_samples)
-    n = model.n_hams
-    header = ["step", "segment"]
-    header += [f"t{i + 1}" for i in range(n)]
-    header += [x for i in range(n) for x in (f"H{i + 1}_re", f"H{i + 1}_im")]
-    header += ["casimir_drift", "residue_sum_norm"]
-    for k in range(obs.charpoly.shape[1]):
-        for c in range(model.m + 1):
-            header += [f"z{k}_c{c}_re", f"z{k}_c{c}_im"]
-
-    def pairs(values):
-        return [f"{x:.17g}" for v in values for x in (v.real, v.imag)]
-
+    n, K = model.n_hams, len(traj.times)
+    header = ["step", "segment", *(f"t{i + 1}" for i in range(n)),
+              *(f"H{i + 1}_{x}" for i in range(n) for x in ("re", "im")),
+              "casimir_drift", "residue_sum_norm",
+              *(f"z{k}_c{c}_{x}" for k in range(obs.charpoly.shape[1])
+                for c in range(model.m + 1) for x in ("re", "im"))]
+    # the float columns in header order; a complex array viewed as float
+    # holds its (re, im) pairs
+    values = np.column_stack((np.array(traj.times, dtype=float), obs.H.view(float),
+                              np.max(obs.casimir_drift, axis=1), obs.residue_norm,
+                              obs.charpoly.reshape(K, -1).view(float)))
+    row = "%d,%d," + ",".join(["%.17g"] * values.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k, t in enumerate(traj.times):
-            row = [k, traj.segment_ids[k]]
-            row += [f"{x:.17g}" for x in t]
-            row += pairs(obs.H[k])
-            row += [f"{np.max(obs.casimir_drift[k]):.17g}",
-                    f"{obs.residue_norm[k]:.17g}"]
-            row += pairs(obs.charpoly[k].ravel())
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for k, segment in enumerate(traj.segment_ids):
+            fh.write(row % (k, segment, *values[k].tolist()))

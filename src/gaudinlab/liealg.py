@@ -133,17 +133,18 @@ _THETA13 = 5.371920351148152
 
 
 def matrix_exponential(X) -> np.ndarray:
-    """exp(X) by Pade-13 with scaling and squaring."""
+    """exp(X) by Pade-13 with scaling and squaring, for one matrix or a
+    (..., m, m) stack.  Each matrix keeps its own scaling power, and only
+    the matrices that still need squaring are squared."""
     X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise DimensionError(f"square matrix required, got shape {X.shape}")
     if not np.all(np.isfinite(X.view(float))):
         raise ValueError("matrix_exponential: non-finite entries")
-    nrm = np.linalg.norm(X, 1)
-    s = max(0, int(np.ceil(np.log2(nrm / _THETA13)))) if nrm > _THETA13 else 0
-    A = X / (2.0 ** s)
-    m = A.shape[0]
-    I = np.eye(m, dtype=complex)
+    nrm = np.abs(X).sum(axis=-2).max(axis=-1)        # the 1-norm of each matrix
+    s = np.ceil(np.log2(np.maximum(nrm / _THETA13, 1.0))).astype(int)
+    A = X / (2.0 ** s)[..., None, None]
+    I = np.eye(X.shape[-1], dtype=complex)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
@@ -153,8 +154,9 @@ def matrix_exponential(X) -> np.ndarray:
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
+    for k in range(int(s.max(initial=0))):
+        todo = s > k    # boolean index over the leading axes (0-d for one matrix)
+        E[todo] = E[todo] @ E[todo]
     return E
 
 
@@ -168,9 +170,11 @@ class InvariantPolynomial:
         if self.degree < 2:
             raise DimensionError(f"invariant polynomial degree must be >= 2, got {self.degree}")
 
-    def evaluate(self, X) -> complex:
+    def evaluate(self, X):
+        """P(X) for one matrix (a complex) or a (..., m, m) stack (an array)."""
         X = np.asarray(X, dtype=complex)
-        return complex(np.trace(np.linalg.matrix_power(X, self.degree)) / self.degree)
+        P = np.trace(np.linalg.matrix_power(X, self.degree), axis1=-2, axis2=-1) / self.degree
+        return complex(P) if X.ndim == 2 else P
 
     def gradient(self, X) -> np.ndarray:
         """Trace-form gradient: P(X + eps Y) = P(X) + eps Tr(Y grad) + O(eps^2).

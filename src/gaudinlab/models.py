@@ -128,23 +128,36 @@ class GaudinModel:
 class PhaseState:
     """Dynamical variables.  Either group points (phis) or raw orbit
     matrices (orbit_mats; used by the optional genus-0 projection mode)
-    must be present.  q/p are the genus-1 cotangent coordinates."""
+    must be present, each one complex (N, m, m) stack (a list is stacked);
+    leading axes before N hold several states, over which orbit_elements
+    and the Lax assembly broadcast.  q/p are the genus-1 cotangent
+    coordinates."""
 
-    phis: list = None
+    phis: np.ndarray = None
     q: np.ndarray = None
     p: np.ndarray = None
     t: np.ndarray = None
-    orbit_mats: list = None
+    orbit_mats: np.ndarray = None
+
+    def __post_init__(self):
+        if self.phis is not None:
+            self.phis = np.asarray(self.phis, dtype=complex)
+        if self.orbit_mats is not None:
+            self.orbit_mats = np.asarray(self.orbit_mats, dtype=complex)
+
+    @property
+    def mats(self) -> np.ndarray:
+        """The evolved stack: group points, or residues in projection mode."""
+        return self.phis if self.phis is not None else self.orbit_mats
+
+    def moved(self, mats, q, p, t) -> "PhaseState":
+        """A state of the same kind carrying the stack mats."""
+        kind = "phis" if self.phis is not None else "orbit_mats"
+        return PhaseState(**{kind: mats}, q=q, p=p, t=t)
 
     def copy(self) -> "PhaseState":
-        return PhaseState(
-            phis=None if self.phis is None else [f.copy() for f in self.phis],
-            q=None if self.q is None else np.array(self.q),
-            p=None if self.p is None else np.array(self.p),
-            t=None if self.t is None else np.array(self.t),
-            orbit_mats=None if self.orbit_mats is None
-            else [L.copy() for L in self.orbit_mats],
-        )
+        return PhaseState(**{k: None if v is None else np.array(v)
+                             for k, v in vars(self).items()})
 
 
 def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
@@ -213,9 +226,8 @@ def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
     """Residues L_alpha = -phi Lambda phi^{-1} stacked (N, m, m), or the
     stored matrices."""
     if state.orbit_mats is not None:
-        return np.asarray(state.orbit_mats, dtype=complex)
-    phis = np.asarray(state.phis)
-    return -(phis @ model.orbit_seeds @ np.linalg.inv(phis))
+        return state.orbit_mats
+    return -(state.phis @ model.orbit_seeds @ np.linalg.inv(state.phis))
 
 
 def residue_sum(model: GaudinModel, state: PhaseState) -> np.ndarray:
@@ -277,10 +289,11 @@ def _kernel_weights(model: GaudinModel, q, z: complex, ham=None):
 
 def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
     """L = sum_a L_a * W[a] (entrywise), plus in genus 1 the constant Cartan
-    part pi^mu H_mu, pi = gram^{-1} p from p_mu = Tr(L(0) H_mu)."""
-    L = np.sum(Ls * W, axis=0)
+    part pi^mu H_mu, pi = gram^{-1} p from p_mu = Tr(L(0) H_mu).  Leading
+    axes of Ls (..., N, m, m), p (..., rk) and W broadcast."""
+    L = np.sum(Ls * W, axis=-3)
     if model.genus == 1:
-        L += np.tensordot(model.basis.gram_inv @ p, model.basis.cartan, axes=1)
+        L = L + np.tensordot(p @ model.basis.gram_inv.T, model.basis.cartan, axes=1)
     return L
 
 
@@ -305,10 +318,8 @@ def transition_gamma(model: GaudinModel, state: PhaseState, z: complex) -> np.nd
     z = complex(z)
     if z == 0:
         raise PoleError("transition function is singular at z = 0")
-    Q = np.zeros((model.m, model.m), dtype=complex)
-    for mu in range(model.basis.rank):
-        Q += state.q[mu] * model.basis.cartan[mu]
-    return np.diag(np.exp(np.diag(Q) / z))
+    Qdiag = state.q @ np.diagonal(model.basis.cartan, axis1=1, axis2=2)
+    return np.diag(np.exp(Qdiag / z))
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +363,18 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i: int):
 # M matrices
 # ---------------------------------------------------------------------------
 
-def m_matrix(model: GaudinModel, state: PhaseState, i: int, z: complex) -> np.ndarray:
+def m_matrix(model: GaudinModel, state: PhaseState, i: int, z) -> np.ndarray:
     """M_i(z) = grad P_i(L(q_i)) * W_{q_i}(z) entrywise: simple pole at q_i
     with residue grad P_i(L(q_i)).  On the sphere that is all (the
     admissible constant is set to 0); on the torus the Cartan part
     grad^mu (zeta(z - q_i) - zeta(z)) carries the compensating pole
-    -grad^mu at z = 0 that matches d/dt gamma gamma^{-1}."""
+    -grad^mu at z = 0 that matches d/dt gamma gamma^{-1}.  For a sequence
+    of points z the result is the (Z, m, m) stack, from one gradient."""
     G = model.polys[i].gradient(lax_matrix(model, state, model.ham_points[i]))
     # the weights at z have the single pole q_i; they raise PoleError at
     # q_i and, in genus 1, at the gluing point z = 0
-    return G * _kernel_weights(model, state.q, complex(z), ham=i)[0][0]
+    W = [_kernel_weights(model, state.q, complex(w), ham=i)[0][0] for w in np.ravel(z)]
+    return G * (np.array(W) if np.ndim(z) else W[0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +399,7 @@ def retrivialization_factor(model: GaudinModel, state: PhaseState,
     Q = 0."""
     if model.genus != 1:
         raise ConfigError("retrivialization_factor needs a genus-1 model")
-    Qdiag = np.zeros(model.m, dtype=complex)
-    for mu in range(model.basis.rank):
-        Qdiag += state.q[mu] * np.diag(model.basis.cartan[mu])
+    Qdiag = state.q @ np.diagonal(model.basis.cartan, axis1=1, axis2=2)
     return np.diag(np.exp(_f1_exponent(model, complex(z)) * Qdiag))
 
 
@@ -615,15 +626,15 @@ def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
                           f"Hamiltonian, got {d.get('t')!r}")
     if state.phis is None and state.orbit_mats is None:
         raise ConfigError("state needs either phis or orbit_mats")
-    mats = state.phis if state.phis is not None else state.orbit_mats
-    if len(mats) != model.n_sites:
-        raise ConfigError(f"state has {len(mats)} orbit matrices for {model.n_sites} sites")
-    for a, M in enumerate(mats):
-        if M.shape != (model.m, model.m) or not np.all(np.isfinite(M.view(float))):
-            raise ConfigError(f"orbit matrix {a} must be a finite {model.m}x{model.m} matrix")
-        # cond with p = 1 goes through inv, not an SVD, and is inf when singular
-        if state.phis is not None and not np.linalg.cond(M, 1) * np.finfo(float).eps < 1.0:
-            raise ConfigError(f"group point phi_{a} is singular")
+    mats, N, m = state.mats, model.n_sites, model.m
+    if mats.shape != (N, m, m) or not np.all(np.isfinite(mats)):
+        raise ConfigError(f"the state needs {N} finite {m}x{m} orbit matrices, one per "
+                          f"site; got an array of shape {mats.shape}")
+    # cond with p = 1 goes through inv, not an SVD, and is inf when singular
+    if state.phis is not None:
+        singular = ~(np.linalg.cond(mats, 1) * np.finfo(float).eps < 1.0)
+        if singular.any():
+            raise ConfigError(f"group point phi_{np.argmax(singular)} is singular")
     if model.genus == 1:
         rk = (model.basis.rank,)
         if state.q is None or state.p is None or state.q.shape != rk \

@@ -138,16 +138,23 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: (cfg["model"].update(marked_points=[],
                                                                   orbit_seeds=[]),
                                               cfg["initial_state"].update(phis=[]))),
+        # a z sample at a pole of L or of M_i, or on the lattice, is rejected
+        # at load, before any step is taken
+        ("rational_sl2_n3.json", lambda cfg: cfg["z_samples"].append([2.0, 1.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["z_samples"].append([-1.0, 0.0])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["z_samples"].append([0.0, 0.0])),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
-            "project_conjugation", "no_marked_points"])
+            "project_conjugation", "no_marked_points", "z_at_hamiltonian_point",
+            "z_at_marked_point", "z_on_lattice"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
-        code, _ = run_config(tmp_path, name, mutate=mutate)
+        code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert not (out / "traj.csv").exists() and not (out / "diag.json").exists()
 
     def test_failed_step_aborts(self, tmp_path, capsys):
         # an rk4 stage of this sl3 torus run goes non-finite at h = 0.005

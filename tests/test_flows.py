@@ -126,6 +126,33 @@ class TestStepper:
                     for L, e0 in zip(orbit_elements(model, cur), eig0))
         assert drift < 1e-12
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_conjugation_stack_equals_the_per_site_step(self, rng, genus):
+        # one stacked exponential per stage gives the bits of N separate ones
+        from gaudinlab.liealg import matrix_exponential
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 4, (2, 3))
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3))
+        for _ in range(3):
+            state = step(model, state, 1, 0.01, method="conjugation")
+        h = 0.02
+        dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, 0)
+        half = PhaseState(
+            phis=[matrix_exponential(-(h / 2.0) * D) @ f
+                  for D, f in zip(dH_dL, state.phis)],
+            q=None if genus == 0 else state.q + (h / 2.0) * dH_dp,
+            p=None if genus == 0 else state.p - (h / 2.0) * dH_dq,
+            t=state.t)
+        dH_dL2, dH_dq2, dH_dp2 = grad_hamiltonian(model, half, 0)
+        ref = [matrix_exponential(-h * D) @ f for D, f in zip(dH_dL2, state.phis)]
+        new = step(model, state, 0, h, method="conjugation")
+        assert isinstance(new.phis, np.ndarray) and new.phis.shape == (model.n_sites, 3, 3)
+        assert np.array_equal(new.phis, np.array(ref))
+        if genus == 1:
+            assert np.array_equal(new.q, state.q + h * dH_dp2)
+            assert np.array_equal(new.p, state.p - h * dH_dq2)
+
     def test_convergence_orders(self, rational):
         # step-halving study against a fine rk4 reference
         model, state = rational
@@ -422,7 +449,9 @@ class TestObservables:
         traj = evolve(model, state, curve, h,
                       project_residue_sum=(kind == "projected"))
 
-        counts = {"hamiltonian": 0, "lax_matrix": 0, "orbit_elements": 0}
+        # the table is built in chunks of states: one residue pass and one
+        # Lax assembly per chunk, and no per-state H, L(z) or residue call
+        counts = {"hamiltonian": 0, "orbit_elements": 0, "_residues": 0, "_lax": 0}
         for name in counts:
             def counted(*args, _fn=getattr(flows, name), _name=name):
                 counts[_name] += 1
@@ -434,8 +463,9 @@ class TestObservables:
         write_trajectory_csv(path, model, traj, zs, seed=1)
         rep = diagnostics(model, traj, zs)
         K, n = len(traj.states), model.n_hams
-        assert counts == {"hamiltonian": K * n, "lax_matrix": K * len(zs),
-                          "orbit_elements": K}
+        chunks = -(-K // flows._CHUNK)
+        assert counts == {"hamiltonian": 0, "orbit_elements": 0,
+                          "_residues": chunks, "_lax": chunks}
 
         with open(path) as fh:
             assert fh.readline() == "# seed=1\n"
@@ -458,3 +488,42 @@ class TestObservables:
                            for k in range(len(zs)) for c in range(model.m + 1)],
                           axis=1)
         assert np.max(np.abs(coeffs - coeffs[0])) == rep.isospectral_drift
+
+    @pytest.mark.parametrize("kind", ["genus0", "genus1", "projected"])
+    def test_table_matches_a_per_state_reference(self, rng, monkeypatch, kind):
+        # K = 26 states in chunks of 7: three full chunks and a short one
+        monkeypatch.setattr(flows, "_CHUNK", 7)
+        if kind == "genus1":
+            model, state = random_elliptic_ensemble(rng, 3, 2, (2, 3))
+            zs = [0.05 + 0.44j, -0.33 + 0.21j, 0.4 - 0.1j]
+            curve, h = FlowCurve([[0.0, 0.0], [0.05, 0.0], [0.05, 0.075]]), 0.005
+        else:
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
+            zs = [2.2 + 1.4j, -1.9 + 0.7j]
+            curve, h = FlowCurve([[0.0, 0.0], [0.1, 0.0], [0.1, 0.15]]), 0.01
+        traj = evolve(model, state, curve, h,
+                      project_residue_sum=(kind == "projected"))
+        K = len(traj.states)
+        assert K == 26 and K % flows._CHUNK
+        obs = flows._observables(model, traj, zs)
+
+        H = np.array([[hamiltonian(model, s, i) for i in range(model.n_hams)]
+                      for s in traj.states])
+        charpoly = np.array([[np.poly(lax_matrix(model, s, z)) for z in zs]
+                             for s in traj.states])
+        Ls = [orbit_elements(model, s) for s in traj.states]
+        eigs = [[np.sort_complex(np.linalg.eigvals(L)) for L in Lk] for Lk in Ls]
+        casimir = [[np.max(np.abs(e - e0)) for e, e0 in zip(ek, eigs[0])] for ek in eigs]
+        res = [sum(Lk) for Lk in Ls]
+        if kind == "genus1":
+            res = [np.diag(np.diag(r)) for r in res]
+        # the batched route sums and multiplies in the same order except the
+        # norms and the char-poly recursion, which differ at roundoff
+        np.testing.assert_allclose(obs.H, H, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(obs.charpoly, charpoly, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(obs.casimir_drift, casimir, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(obs.residue_norm, [np.linalg.norm(r) for r in res],
+                                   rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(obs.residue_drift,
+                                   [np.linalg.norm(r - res[0]) for r in res],
+                                   rtol=1e-14, atol=1e-15)

@@ -144,6 +144,66 @@ class TestExponential:
             matrix_exponential(X)
 
 
+def _expm_single(X):
+    """The one-matrix Pade-13 scaling and squaring, written without stacks."""
+    from gaudinlab.liealg import _PADE13 as b, _THETA13
+
+    nrm = np.linalg.norm(X, 1)
+    s = max(0, int(np.ceil(np.log2(nrm / _THETA13)))) if nrm > _THETA13 else 0
+    A = X / (2.0 ** s)
+    I = np.eye(A.shape[0], dtype=complex)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+class TestStackedExponential:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("lead", [(1,), (4,), (2, 3)])
+    def test_equals_the_per_matrix_loop(self, rng, m, lead):
+        # 1-norms from 2^5 times theta13 (five squarings) down to far below
+        # it (none), plus a zero matrix, so one stack mixes scaling powers
+        X = rng.standard_normal(lead + (m, m)) + 1j * rng.standard_normal(lead + (m, m))
+        flat = X.reshape(-1, m, m)
+        norms = np.geomspace(170.0, 1e-3, len(flat))
+        flat *= (norms / np.linalg.norm(flat, 1, axis=(-2, -1)))[:, None, None]
+        if len(flat) > 1:
+            flat[len(flat) // 2] = 0.0
+        E = matrix_exponential(X)
+        assert E.shape == X.shape
+        ref = np.array([_expm_single(x) for x in flat]).reshape(X.shape)
+        assert np.array_equal(E, ref)
+        assert all(np.array_equal(matrix_exponential(x), r)
+                   for x, r in zip(flat, ref.reshape(-1, m, m)))
+
+    def test_nonfinite_entry_in_a_stack(self):
+        X = np.zeros((3, 2, 2), dtype=complex)
+        X[2, 1, 0] = np.nan
+        with pytest.raises(ValueError):
+            matrix_exponential(X)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_shape(self, shape):
+        with pytest.raises(DimensionError):
+            matrix_exponential(np.zeros(shape))
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_invariant_polynomial_on_a_stack(self, rng, degree):
+        X = np.array([random_traceless(rng, 3) for _ in range(5)]).reshape(5, 1, 3, 3)
+        P = InvariantPolynomial(degree)
+        values = P.evaluate(X)
+        assert values.shape == (5, 1)
+        assert np.array_equal(values[:, 0], [P.evaluate(x[0]) for x in X])
+
+
 class TestInvariantPolynomials:
     def test_eval_examples(self):
         P2 = InvariantPolynomial(2)
