@@ -56,6 +56,13 @@ def _number(value, what):
     return x
 
 
+def _seed(value, what):
+    """A non-negative integer seed from a config value, or a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _complex_pair(value, what):
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
@@ -79,17 +86,20 @@ def _build_run(cfg):
     for key in ("model", "initial_state", "curve", "step", "outputs"):
         if key not in cfg:
             raise ConfigError(f"config is missing required key {key!r}")
+    # recorded in the outputs and seeds the attached checks; a random
+    # initial state replaces it with its own seed
+    seed = cfg.get("seed")
+    if seed is not None:
+        _seed(seed, "seed")
     model = model_from_dict(cfg["model"])
     st_cfg = cfg["initial_state"]
-    seed = None
     if isinstance(st_cfg, dict) and st_cfg.get("random"):
-        seed = int(_number(st_cfg.get("seed", 0), "initial_state.seed"))
+        seed = _seed(st_cfg.get("seed", 0), "initial_state.seed")
         rng = np.random.default_rng(seed)
         spread = _number(st_cfg.get("spread", 0.4), "initial_state.spread")
         state = random_phase_state(model, rng, spread=spread)
     else:
         state = state_from_dict(st_cfg, model)
-        seed = cfg.get("seed")
     curve = FlowCurve(cfg["curve"])
     h = _number(cfg["step"], "step")
     if h <= 0:
@@ -174,6 +184,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    _seed(args.seed, "--seed")
     try:
         rows = run_suite(args.suite, seed=args.seed)
     except GaudinLabError as exc:

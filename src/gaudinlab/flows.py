@@ -23,7 +23,6 @@ curve only through its endpoints, which the tests exercise directly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,9 @@ from .models import (
     _lax,
     _residues,
     grad_hamiltonian,
-    hamiltonian,
-    lax_matrix,  # noqa: F401  (unused; perfbench/tests expects flows to bind it)
+    # unused; perfbench/tests expects flows to bind them
+    hamiltonian,  # noqa: F401
+    lax_matrix,  # noqa: F401
     m_matrix,
     orbit_elements,
     resonance_margin,
@@ -276,7 +276,7 @@ def action_along_curve(model, traj: Trajectory) -> complex:
         raise ConfigError("the action needs group points (not projection mode)")
     total = 0j
     n = len(traj.states)
-    H = functools.cache(lambda k, i: hamiltonian(model, traj.states[k], i))
+    H = _observables(model, traj, ()).H
 
     # each state's group points are inverted once, as one stack
     inv1 = np.linalg.inv(traj.states[0].phis)
@@ -290,7 +290,7 @@ def action_along_curve(model, traj: Trajectory) -> complex:
         if model.genus == 1:
             total += 0.5 * np.sum((s0.p + s1.p) * (s1.q - s0.q))
         for i in np.nonzero(np.abs(dt_vec) > 0)[0]:
-            total -= 0.5 * (H(k, int(i)) + H(k + 1, int(i))) * dt_vec[i]
+            total -= 0.5 * (H[k, i] + H[k + 1, i]) * dt_vec[i]
     return complex(total)
 
 
@@ -358,8 +358,9 @@ _CHUNK = 128
 def _observables(model, traj: Trajectory, z_samples) -> _Observables:
     """Build the table once per trajectory and z-sample list, _CHUNK states
     at a time: one residue pass, one eigvals call per kind of spectrum, and
-    L at the Hamiltonian points and the z samples from one assembly (one
-    weight table in genus 0, one kernel table per state and point in genus 1)."""
+    L at the Hamiltonian points and the z samples from one assembly, whose
+    weights take one _kernel_weights call per point for the whole chunk (in
+    genus 1, one kernel table over every state's root values)."""
     if not traj.states:
         raise ConfigError("empty trajectory")
     z_samples = tuple(complex(z) for z in z_samples)
@@ -369,8 +370,6 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
             return table
     K, n = len(traj.states), model.n_hams
     points = np.concatenate((model.ham_points, np.array(z_samples, dtype=complex)))
-    if model.genus == 0:
-        W = np.array([_kernel_weights(model, None, z)[0] for z in points])
     table = _Observables(
         H=np.empty((K, n), dtype=complex),
         casimir_drift=np.empty((K, model.n_sites)),
@@ -383,7 +382,7 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
         q = p = None
         if model.genus == 1:
             q, p = np.array([s.q for s in chunk]), np.array([s.p for s in chunk])
-            W = np.array([[_kernel_weights(model, qk, z)[0] for z in points] for qk in q])
+        W = np.stack([_kernel_weights(model, q, z)[0] for z in points], axis=-4)
         Ls = _residues(model, chunk[0].moved(np.array([s.mats for s in chunk]), q, p, None))
         L = _lax(model, Ls[:, None], None if p is None else p[:, None], W)  # (C, n+Z, m, m)
         eigs = np.sort_complex(np.linalg.eigvals(Ls))

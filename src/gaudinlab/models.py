@@ -75,7 +75,6 @@ __all__ = [
     "PhaseState",
     "make_gaudin_model",
     "orbit_elements",
-    "residue_sum",
     "lax_matrix",
     "transition_gamma",
     "hamiltonian",
@@ -230,10 +229,6 @@ def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
     return -(state.phis @ model.orbit_seeds @ np.linalg.inv(state.phis))
 
 
-def residue_sum(model: GaudinModel, state: PhaseState) -> np.ndarray:
-    return sum(orbit_elements(model, state))
-
-
 def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
     """Smallest lattice distance among all root pairings rho(Q); genus 1."""
     if model.genus == 0:
@@ -266,8 +261,10 @@ def _kernel_weights(model: GaudinModel, q, z: complex, ham=None):
     of pi^mu at fixed momenta) or zeta(z - q_ham) - zeta(z) for M.
 
     Also returns the (P, n_roots) u-derivatives of the root weights (None in
-    genus 0).  PoleError at a pole and, in genus 1, at z = 0; genus 1 runs
-    one kernel_table call, so one lattice and resonance guard."""
+    genus 0).  Leading axes of q (..., rk) hold several states and lead both
+    results.  PoleError at a pole and, in genus 1, at z = 0; genus 1 runs
+    one kernel_table call over every state's root values, so one lattice
+    and resonance guard."""
     poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
     if model.genus == 0:
         d = z - poles
@@ -276,15 +273,19 @@ def _kernel_weights(model: GaudinModel, q, z: complex, ham=None):
             raise PoleError(f"z = {z} is at the pole {poles[np.argmax(near)]}")
         return (1.0 / d)[:, None, None], None
     zeta_poles = model.zeta_poles if ham is None else model.zeta_hampts[ham:ham + 1]
-    basis = model.basis
-    u = basis.roots @ q
-    kt = kernel_table(model.cache, u, z, poles)
-    value = (kt.value * np.exp(u[:, None] * zeta_poles)).T
+    basis, m = model.basis, model.m
+    u = (basis.roots @ q[..., None])[..., 0]
+    flat = u.ravel()
+    kt = kernel_table(model.cache, flat, z, poles)
+    # the table rows run over every state's roots; per state, poles lead
+    per_state = (*u.shape, len(poles))
+    value = (kt.value * np.exp(flat[:, None] * zeta_poles)).reshape(per_state).swapaxes(-1, -2)
     cartan = kt.zeta_zp + zeta_poles if ham is None else kt.zeta_zp - kt.zeta_z
-    W = np.empty((len(poles), model.m, model.m), dtype=complex)
-    W[:, basis.root_entries[0], basis.root_entries[1]] = value
-    W[:, np.arange(model.m), np.arange(model.m)] = cartan[:, None]
-    return W, value * (kt.dlog_du.T + zeta_poles[:, None])
+    W = np.empty((*u.shape[:-1], len(poles), m, m), dtype=complex)
+    W[..., basis.root_entries[0], basis.root_entries[1]] = value
+    W[..., np.arange(m), np.arange(m)] = cartan[:, None]
+    dlog_du = kt.dlog_du.reshape(per_state).swapaxes(-1, -2)
+    return W, value * (dlog_du + zeta_poles[:, None])
 
 
 def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:

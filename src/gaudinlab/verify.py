@@ -19,6 +19,7 @@ import numpy as np
 from .errors import GaudinLabError
 from .flows import (
     FlowCurve,
+    _observables,
     action_along_curve,
     evolve,
     plaquette_residual,
@@ -39,7 +40,6 @@ from .models import (
     orbit_elements,
     random_elliptic_ensemble,
     random_rational_ensemble,
-    residue_sum,
     retrivialize,
     transition_gamma,
 )
@@ -276,26 +276,17 @@ def suite_rational(seed=0):
             # rejected anyway; its group points may be too ill-conditioned
             # to invert for the residues of the drift probe
             continue
-        H_probe = np.array([[hamiltonian(model, s, i) for i in range(2)]
-                            for s in probe.states])
+        H_probe = _observables(model, probe, ()).H
         coarse_drift = float(np.max(np.abs(H_probe - H_probe[0])))
         if 1e-11 < coarse_drift < 3e-7:
             break
 
     def drifts(h):
         # T = 1 along each flow: every charge must survive every flow
-        traj = evolve(model, state, both_flows, h, method="rk4")
-        H = np.array([[hamiltonian(model, s, i) for i in range(2)] for s in traj.states])
-        hd = float(np.max(np.abs(H - H[0])))
-        rs = max(np.linalg.norm(residue_sum(model, s) - residue_sum(model, state))
-                 for s in traj.states)
-        iso = 0.0
-        c0 = {z: np.poly(lax_matrix(model, state, z)) for z in zs}
-        stride = max(1, len(traj.states) // 12)
-        for s in traj.states[::stride] + [traj.states[-1]]:
-            for z in zs:
-                iso = max(iso, np.max(np.abs(np.poly(lax_matrix(model, s, z)) - c0[z])))
-        return hd, float(rs), float(iso)
+        obs = _observables(model, evolve(model, state, both_flows, h, method="rk4"), zs)
+        hd = np.max(np.abs(obs.H - obs.H[0]))
+        iso = np.max(np.abs(obs.charpoly - obs.charpoly[0]))
+        return float(hd), float(np.max(obs.residue_drift)), float(iso)
 
     hd, rs, iso = drifts(1e-3)
     rows.append(_residual("rational/drift_hamiltonian",

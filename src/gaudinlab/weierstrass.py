@@ -66,18 +66,12 @@ class EllipticCache:
     tau: complex
     eta1: complex
     eta2: complex
-    truncation: int                      # number of theta series terms
-    coeffs: np.ndarray = field(repr=False)   # (-1)^n q^{(n+1/2)^2}
     odd: np.ndarray = field(repr=False)      # 2n + 1
     theta1_prime0: complex = field(repr=False)
     # rows: the weights of sin, cos, sin in theta1, theta1', theta1''
     weights: np.ndarray = field(repr=False)
     # offsets from a cell-reduced point to the lattice points around the cell
     near: np.ndarray = field(repr=False)
-
-    @property
-    def nome(self) -> complex:
-        return np.exp(1j * np.pi * self.tau)
 
 
 def _theta_terms(tau: complex):
@@ -99,8 +93,7 @@ def build_cache(tau: complex) -> EllipticCache:
     th1p0 = 2.0 * np.sum(coeffs * odd)
     th1ppp0 = -2.0 * np.sum(coeffs * odd ** 3)
     eta1 = -(np.pi ** 2 / 6.0) * th1ppp0 / th1p0
-    cache = EllipticCache(tau=tau, eta1=complex(eta1), eta2=0j,
-                          truncation=len(odd), coeffs=coeffs, odd=odd,
+    cache = EllipticCache(tau=tau, eta1=complex(eta1), eta2=0j, odd=odd,
                           theta1_prime0=complex(th1p0),
                           weights=np.array([2.0 * coeffs, 2.0 * coeffs * odd,
                                             -2.0 * coeffs * odd ** 2]),

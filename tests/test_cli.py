@@ -143,11 +143,24 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: cfg["z_samples"].append([2.0, 1.0])),
         ("rational_sl2_n3.json", lambda cfg: cfg["z_samples"].append([-1.0, 0.0])),
         ("elliptic_cm_sl2.json", lambda cfg: cfg["z_samples"].append([0.0, 0.0])),
+        # seeds are non-negative integers, rejected before anything is evolved
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(seed="x", checks=["univar"])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(seed=1.5, checks=["univar"])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(seed=True)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(seed=-1)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(
+            initial_state={"random": True, "seed": -1})),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(
+            initial_state={"random": True, "seed": 2.7})),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(
+            initial_state={"random": True, "seed": "3"})),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
             "project_conjugation", "no_marked_points", "z_at_hamiltonian_point",
-            "z_at_marked_point", "z_on_lattice"])
+            "z_at_marked_point", "z_on_lattice", "seed_text", "seed_float",
+            "seed_bool", "seed_negative", "state_seed_negative", "state_seed_float",
+            "state_seed_text"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err
@@ -213,6 +226,12 @@ class TestVerify:
         # seed 13 draws a drift-probe candidate whose group points reach
         # cond 1e16; it is rejected before any residue is formed from them
         assert main(["verify", "rational", "--seed", "13", "--out", str(tmp_path)]) == 0
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        assert main(["verify", "weierstrass", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "qcd"]) == 2

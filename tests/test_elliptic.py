@@ -371,6 +371,28 @@ class TestKernelTableReuse:
         lax_matrix(model, state, 0.11 + 0.31j)
         assert counts == {"_kernel_weights": 1, "_core": 1}
 
+    @pytest.mark.parametrize("ham", [None, 0, 1])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_kernel_weights_batch_over_states(self, monkeypatch, m, ham):
+        # a (C, rk) stack of Cartan coordinates takes one kernel table and
+        # gives every state's weights and u-derivatives bit for bit
+        rng = np.random.default_rng(41)
+        model, state = random_elliptic_ensemble(rng, m, 2, (2, 3), max_gradient=1e3)
+        qs = state.q + 0.03 * (rng.standard_normal((5, m - 1))
+                               + 1j * rng.standard_normal((5, m - 1)))
+        z = 0.11 + 0.31j
+        counts = {}
+        self.count(monkeypatch, models, "kernel_table", counts)
+        W, dW_du = models._kernel_weights(model, qs, z, ham)
+        assert counts == {"kernel_table": 1}
+        n_poles = model.n_sites if ham is None else 1
+        assert W.shape == (5, n_poles, m, m)
+        assert dW_du.shape == (5, n_poles, m * (m - 1))
+        for k, q in enumerate(qs):
+            Wk, dWk_du = models._kernel_weights(model, q, z, ham)
+            np.testing.assert_array_equal(W[k], Wk)
+            np.testing.assert_array_equal(dW_du[k], dWk_du)
+
     @pytest.mark.parametrize("field", ["q", "p", "phis"])
     def test_non_finite_state_stops_before_the_kernel(self, monkeypatch, ensembles, field):
         model, state = ensembles[(2, 2)]

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaudinlab import flows
+from gaudinlab import flows, models
 from gaudinlab.errors import ConfigError, NumericalAbort, PoleError, ResonanceError
 from gaudinlab.flows import (
     FlowCurve,
@@ -304,7 +304,37 @@ class TestEvolve:
                    method="verlet")
 
 
+def reference_action(model, traj):
+    """The trapezoidal action with every charge from a per-state call, in the
+    accumulation order of action_along_curve."""
+    total = 0j
+    for k in range(len(traj.states) - 1):
+        s0, s1 = traj.states[k], traj.states[k + 1]
+        inv0, inv1 = np.linalg.inv(s0.phis), np.linalg.inv(s1.phis)
+        dt = traj.times[k + 1] - traj.times[k]
+        for a, seed in enumerate(model.orbit_seeds):
+            total += np.trace(seed @ (0.5 * (inv0[a] + inv1[a])) @ (s1.phis[a] - s0.phis[a]))
+        if model.genus == 1:
+            total += 0.5 * np.sum((s0.p + s1.p) * (s1.q - s0.q))
+        for i in np.nonzero(dt)[0]:
+            total -= 0.5 * (hamiltonian(model, s0, i) + hamiltonian(model, s1, i)) * dt[i]
+    return complex(total)
+
+
 class TestAction:
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_reads_the_charges_from_the_table(self, rng, genus):
+        # the observables table holds the same H_i as per-state calls, so
+        # the action is unchanged to the last bit
+        curve = FlowCurve([[0.0, 0.0], [0.06, 0.0], [0.06, 0.06]])
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
+            traj = evolve(model, state, curve, 0.01, method="conjugation")
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 2, (2, 3))
+            traj = evolve(model, state, curve, 0.01, method="rk4")
+        assert action_along_curve(model, traj) == reference_action(model, traj)
+
     def test_stationary_zero(self, rational):
         model, state = rational
         traj = evolve(model, state, FlowCurve([[0.0, 0.0]]), 0.01)
@@ -451,19 +481,26 @@ class TestObservables:
 
         # the table is built in chunks of states: one residue pass and one
         # Lax assembly per chunk, and no per-state H, L(z) or residue call
-        counts = {"hamiltonian": 0, "orbit_elements": 0, "_residues": 0, "_lax": 0}
+        counts = {"hamiltonian": 0, "orbit_elements": 0, "_residues": 0, "_lax": 0,
+                  "kernel_table": 0}
         for name in counts:
-            def counted(*args, _fn=getattr(flows, name), _name=name):
+            module = models if name == "kernel_table" else flows
+            def counted(*args, _fn=getattr(module, name), _name=name):
                 counts[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(flows, name, counted)
+            monkeypatch.setattr(module, name, counted)
         # leave the closure brackets out of the count
         monkeypatch.setattr(flows, "poisson_bracket", lambda *args: 0j)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, model, traj, zs, seed=1)
+        # genus 1: one kernel table per point (n charges and the z samples)
+        # for a whole chunk; the plaquettes of the diagnostics are not counted
+        tables = counts["kernel_table"]
         rep = diagnostics(model, traj, zs)
         K, n = len(traj.states), model.n_hams
         chunks = -(-K // flows._CHUNK)
+        assert tables == (chunks * (n + len(zs)) if kind == "genus1" else 0)
+        del counts["kernel_table"]
         assert counts == {"hamiltonian": 0, "orbit_elements": 0,
                           "_residues": chunks, "_lax": chunks}
 
