@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GaudinLabError, NumericalAbort
-from .flows import FlowCurve, diagnostics, evolve, write_trajectory_csv
+from .flows import STEPPERS, FlowCurve, diagnostics, evolve, write_trajectory_csv
 from .models import (
     model_from_dict,
     orbit_elements,
@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the most steps one simulate run may take along its whole curve
+MAX_STEPS = 100_000
 
 
 def _load_config(path):
@@ -104,6 +107,11 @@ def _build_run(cfg):
     h = _number(cfg["step"], "step")
     if h <= 0:
         raise ConfigError("step must be positive")
+    # |delta| / h per segment as evolve computes it, before any rounding
+    n_steps = sum(abs(delta) / h for *_, delta in curve.segments())
+    if n_steps > MAX_STEPS:
+        raise ConfigError(f"the curve needs {n_steps:.4g} steps of size {h:g}, "
+                          f"more than MAX_STEPS = {MAX_STEPS}")
     z_cfg = cfg.get("z_samples", [])
     if not isinstance(z_cfg, list):
         raise ConfigError("z_samples must be a list of [re, im] pairs")
@@ -133,6 +141,8 @@ def _build_run(cfg):
                 f"initial state violates sum L_a = 0 (|sum| = {total:.2e}); "
                 "fix the state or set projection = 'project'")
     method = cfg.get("method", "rk4")
+    if method not in STEPPERS:
+        raise ConfigError(f"method must be one of {STEPPERS}, got {method!r}")
     margin = _number(cfg.get("resonance_margin", 1e-3), "resonance_margin")
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):

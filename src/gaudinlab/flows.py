@@ -32,13 +32,10 @@ from .liealg import matrix_exponential
 from .models import (
     GaudinModel,
     PhaseState,
-    _kernel_weights,
-    _lax,
-    _residues,
     grad_hamiltonian,
-    # unused; perfbench/tests expects flows to bind them
+    # unused; perfbench/tests expects flows to bind it
     hamiltonian,  # noqa: F401
-    lax_matrix,  # noqa: F401
+    lax_matrix,
     m_matrix,
     orbit_elements,
     resonance_margin,
@@ -97,7 +94,6 @@ class FlowCurve:
 @dataclass
 class Trajectory:
     model: GaudinModel
-    times: list                 # multi-time points, one (n,) array per sample
     states: list                # PhaseState per sample
     segment_ids: list           # which curve segment produced each sample
     h: float
@@ -105,6 +101,11 @@ class Trajectory:
     projection_used: bool = False
     # (model, z_samples, _Observables) of the last _observables call
     observables: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        """(K, n) multi-time of every sample, stacked from the states' t."""
+        return np.array([s.t for s in self.states], dtype=float)
 
 
 @dataclass
@@ -133,6 +134,9 @@ class DiagnosticsReport:
             d["abort_reason"] = self.abort_reason
             d["last_good_time"] = self.last_good_time
         return d
+
+
+STEPPERS = ("rk4", "conjugation")
 
 
 def _advance_t(state, i, h):
@@ -186,20 +190,16 @@ def _step_rk4(model, state, i, h):
 
 
 def step(model, state, i, h, method="rk4"):
-    """One step of size h along the flow of H_i."""
-    if h <= 0:
-        raise ConfigError(f"step size must be positive, got {h}")
-    return _signed_step(model, state, i, float(h), method)
-
-
-def _signed_step(model, state, i, h, method):
+    """One step of signed, nonzero size h along the flow of H_i."""
+    if h == 0:
+        raise ConfigError("step size must be nonzero")
     if method == "conjugation":
         if state.phis is None:
             raise ConfigError("conjugation stepper needs group points")
         return _step_conjugation(model, state, i, h)
     if method == "rk4":
         return _step_rk4(model, state, i, h)
-    raise ConfigError(f"unknown stepper {method!r}")
+    raise ConfigError(f"unknown stepper {method!r}; choose from {STEPPERS}")
 
 
 def _guard(model, state, t_scalar, margin):
@@ -224,6 +224,8 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
     """
     if h <= 0:
         raise ConfigError(f"step size must be positive, got {h}")
+    if method not in STEPPERS:
+        raise ConfigError(f"unknown stepper {method!r}; choose from {STEPPERS}")
     if curve.n_times != model.n_hams:
         raise ConfigError(
             f"curve lives in R^{curve.n_times} but the model has {model.n_hams} flows")
@@ -239,7 +241,6 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
     if cur.t is None:
         cur.t = np.array(curve.waypoints[0], dtype=float)
     arclen = 0.0
-    times = [np.array(cur.t)]
     states = [cur]
     seg_ids = [0]
     for seg_no, (axis, _start, delta) in enumerate(curve.segments()):
@@ -248,7 +249,7 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
         for _ in range(n_steps):
             _guard(model, cur, arclen, resonance_margin_min)
             try:
-                cur = _signed_step(model, cur, axis, dt, method)
+                cur = step(model, cur, axis, dt, method)
             except ConfigError:
                 raise
             except ValueError as exc:
@@ -259,13 +260,11 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
                 cur.orbit_mats -= np.sum(cur.orbit_mats, axis=0) / model.n_sites
             arclen += abs(dt)
             # a step builds a new state and never writes into the old one
-            times.append(np.array(cur.t))
             states.append(cur)
             seg_ids.append(seg_no)
     _guard(model, cur, arclen, resonance_margin_min)
-    return Trajectory(model=model, times=times, states=states,
-                      segment_ids=seg_ids, h=float(h), method=method,
-                      projection_used=bool(project_residue_sum))
+    return Trajectory(model=model, states=states, segment_ids=seg_ids, h=float(h),
+                      method=method, projection_used=bool(project_residue_sum))
 
 
 def action_along_curve(model, traj: Trajectory) -> complex:
@@ -277,13 +276,14 @@ def action_along_curve(model, traj: Trajectory) -> complex:
     total = 0j
     n = len(traj.states)
     H = _observables(model, traj, ()).H
+    times = traj.times
 
     # each state's group points are inverted once, as one stack
     inv1 = np.linalg.inv(traj.states[0].phis)
     for k in range(n - 1):
         s0, s1 = traj.states[k], traj.states[k + 1]
         inv0, inv1 = inv1, np.linalg.inv(s1.phis)
-        dt_vec = traj.times[k + 1] - traj.times[k]
+        dt_vec = times[k + 1] - times[k]
         for a, seed in enumerate(model.orbit_seeds):
             inv_avg = 0.5 * (inv0[a] + inv1[a])
             total += np.trace(seed @ inv_avg @ (s1.phis[a] - s0.phis[a]))
@@ -323,8 +323,8 @@ def plaquette_residual(model, state, i, j, h, z_samples, method="rk4") -> float:
     """
     if len(z_samples) == 0:
         return 0.0
-    after_i = _signed_step(model, state, i, h, method)
-    after_j = _signed_step(model, state, j, h, method)
+    after_i = step(model, state, i, h, method)
+    after_j = step(model, state, j, h, method)
     # M_i, M_j at the corner, M_j after the i step and M_i after the j step:
     # one gradient per (state, flow) and one exponential for all of them
     E = matrix_exponential(h * np.array([
@@ -358,9 +358,9 @@ _CHUNK = 128
 def _observables(model, traj: Trajectory, z_samples) -> _Observables:
     """Build the table once per trajectory and z-sample list, _CHUNK states
     at a time: one residue pass, one eigvals call per kind of spectrum, and
-    L at the Hamiltonian points and the z samples from one assembly, whose
-    weights take one _kernel_weights call per point for the whole chunk (in
-    genus 1, one kernel table over every state's root values)."""
+    L at the Hamiltonian points and the z samples from one lax_matrix call
+    on the chunk's residues, whose kernel weights serve the whole chunk (in
+    genus 1, one kernel table per point over every state's root values)."""
     if not traj.states:
         raise ConfigError("empty trajectory")
     z_samples = tuple(complex(z) for z in z_samples)
@@ -382,9 +382,9 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
         q = p = None
         if model.genus == 1:
             q, p = np.array([s.q for s in chunk]), np.array([s.p for s in chunk])
-        W = np.stack([_kernel_weights(model, q, z)[0] for z in points], axis=-4)
-        Ls = _residues(model, chunk[0].moved(np.array([s.mats for s in chunk]), q, p, None))
-        L = _lax(model, Ls[:, None], None if p is None else p[:, None], W)  # (C, n+Z, m, m)
+        Ls = orbit_elements(model, chunk[0].moved(np.array([s.mats for s in chunk]),
+                                                  None, None, None))
+        L = lax_matrix(model, PhaseState(orbit_mats=Ls, q=q, p=p), points)  # (C, n+Z, m, m)
         eigs = np.sort_complex(np.linalg.eigvals(Ls))
         res = np.sum(Ls, axis=1)        # conserved: all of sum_a L_a on the
         if model.genus == 1:            # sphere, its Cartan part on the torus
@@ -423,7 +423,7 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
     zc = 0.0
     if not traj.projection_used:
         seg = traj.segment_ids
-        moved = np.abs(np.diff(np.array(traj.times), axis=0)) > 0
+        moved = np.abs(np.diff(traj.times, axis=0)) > 0
         axes = {seg[k + 1]: int(np.argmax(row)) for k, row in enumerate(moved) if row.any()}
         boundaries = [k for k in range(1, len(states)) if seg[k] != seg[k - 1]]
         for k in boundaries:
@@ -445,7 +445,7 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
 def write_trajectory_csv(path, model, traj: Trajectory, z_samples, seed=None):
     """Time series export: one row per sample with the conserved quantities."""
     obs = _observables(model, traj, z_samples)
-    n, K = model.n_hams, len(traj.times)
+    n, K = model.n_hams, len(traj.states)
     header = ["step", "segment", *(f"t{i + 1}" for i in range(n)),
               *(f"H{i + 1}_{x}" for i in range(n) for x in ("re", "im")),
               "casimir_drift", "residue_sum_norm",
@@ -453,7 +453,7 @@ def write_trajectory_csv(path, model, traj: Trajectory, z_samples, seed=None):
                 for c in range(model.m + 1) for x in ("re", "im"))]
     # the float columns in header order; a complex array viewed as float
     # holds its (re, im) pairs
-    values = np.column_stack((np.array(traj.times, dtype=float), obs.H.view(float),
+    values = np.column_stack((traj.times, obs.H.view(float),
                               np.max(obs.casimir_drift, axis=1), obs.residue_norm,
                               obs.charpoly.reshape(K, -1).view(float)))
     row = "%d,%d," + ",".join(["%.17g"] * values.shape[1]) + "\r\n"

@@ -45,17 +45,14 @@ class LieBasis:
 
     cartan      : rk = m-1 traceless diagonal matrices H_mu
     roots       : (m(m-1), rk) integer array, row r holds rho_r(H_mu)
-    root_gens   : elementary matrices E_ij, i != j, same order as `roots`
-    root_pairs  : the (i, j) index pairs in the same order
-    root_entries: (rows, cols) index arrays of the root entries, X[root_entries]
+    root_entries: (rows, cols) index arrays of the root entries E_ij, i != j,
+                  in the order of `roots`; X[root_entries] are their components
     gram        : rk x rk matrix of Tr(H_mu H_nu)
     """
 
     m: int
     cartan: tuple
     roots: np.ndarray
-    root_gens: tuple
-    root_pairs: tuple
     root_entries: tuple
     gram: np.ndarray
     gram_inv: np.ndarray = field(repr=False, default=None)
@@ -83,24 +80,13 @@ def build_slm_basis(m: int) -> LieBasis:
         H[mu, mu] = 1.0
         H[mu + 1, mu + 1] = -1.0
         cartan.append(H)
-    roots, gens, pairs = [], [], []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            E = np.zeros((m, m), dtype=complex)
-            E[i, j] = 1.0
-            gens.append(E)
-            pairs.append((i, j))
-            roots.append([int((cartan[mu][i, i] - cartan[mu][j, j]).real)
-                          for mu in range(m - 1)])
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    roots = [[int((H[i, i] - H[j, j]).real) for H in cartan] for i, j in pairs]
     gram = np.array([[np.trace(A @ B) for B in cartan] for A in cartan]).real
     return LieBasis(
         m=m,
         cartan=tuple(cartan),
         roots=np.array(roots, dtype=float),
-        root_gens=tuple(gens),
-        root_pairs=tuple(pairs),
         root_entries=tuple(np.array(pairs).T),
         gram=gram,
         gram_inv=np.linalg.inv(gram),

@@ -302,16 +302,20 @@ def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
 # Lax matrices
 # ---------------------------------------------------------------------------
 
-def lax_matrix(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
+def lax_matrix(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
     """L(z) = sum_alpha L_alpha * W_alpha(z) (+ pi in genus 1): on the sphere
     sum_alpha L_alpha / (z - p_alpha), O(1/z^2) at infinity on the
     constraint surface; on the torus doubly periodic with
     Res_{p_alpha} L = L_alpha.  Raises PoleError at the marked points (and
     at z = 0 in genus 1), ResonanceError when rho(Q) is on the lattice for
-    some root."""
-    z = complex(z)
+    some root.  For a sequence of points z the result is the (..., Z, m, m)
+    stack, from one residue pass; leading axes of the state lead."""
     Ls = _residues(model, state)
-    return _lax(model, Ls, state.p, _kernel_weights(model, state.q, z)[0])
+    W = np.stack([_kernel_weights(model, state.q, complex(w))[0] for w in np.ravel(z)],
+                 axis=-4)
+    p = None if state.p is None else state.p[..., None, :]
+    L = _lax(model, Ls[..., None, :, :, :], p, W)
+    return L if np.ndim(z) else L[..., 0, :, :]
 
 
 def transition_gamma(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
@@ -557,7 +561,15 @@ def _c2j(z):
 
 
 def _j2c(v):
+    if len(v) != 2 or any(isinstance(x, bool) for x in v) or not np.isfinite(complex(*v)):
+        raise ValueError(f"expected a [re, im] pair of finite numbers, got {v!r}")
     return complex(v[0], v[1])
+
+
+def _j2i(d, key):
+    if isinstance(d[key], bool) or not isinstance(d[key], int):
+        raise ValueError(f"{key} must be an integer, got {d[key]!r}")
+    return d[key]
 
 
 def _mat2j(M):
@@ -583,20 +595,22 @@ def model_to_dict(model: GaudinModel) -> dict:
 
 
 def model_from_dict(d: dict) -> GaudinModel:
+    """The model of a JSON spec; every bad value in it is a ConfigError."""
     try:
         hams = d["hamiltonians"]
-        spec = dict(
-            genus=int(d["genus"]),
-            m=int(d["m"]),
+        return make_gaudin_model(
+            genus=_j2i(d, "genus"),
+            m=_j2i(d, "m"),
             marked_points=[_j2c(p) for p in d["marked_points"]],
             orbit_seeds=[_j2mat(L) for L in d["orbit_seeds"]],
             ham_points=[_j2c(h["point"]) for h in hams],
-            degrees=[int(h["degree"]) for h in hams],
+            degrees=[_j2i(h, "degree") for h in hams],
             tau=_j2c(d["tau"]) if "tau" in d else None,
         )
+    except ConfigError:
+        raise
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
-    return make_gaudin_model(**spec)
 
 
 def state_to_dict(state: PhaseState) -> dict:

@@ -66,7 +66,7 @@ class ToySystem:
 
 
 def make_toy_system(dim, hamiltonians, generators, structure,
-                    check_invariance=True, seed=1234) -> ToySystem:
+                    check_invariance=True) -> ToySystem:
     """Build and validate: generator algebra must close on the given
     structure constants to 1e-12, and each Hamiltonian must be invariant
     under every lifted generator (finite-difference Lie derivative 1e-8)."""
@@ -87,7 +87,7 @@ def make_toy_system(dim, hamiltonians, generators, structure,
     sys = ToySystem(dim=dim, hamiltonians=tuple(hamiltonians),
                     generators=gens, structure=structure)
     if check_invariance:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(1234)
         for _ in range(4):
             p = rng.standard_normal(dim)
             q = rng.standard_normal(dim)
@@ -186,12 +186,11 @@ def check_closure(sys: ToySystem, p, q) -> np.ndarray:
     return out
 
 
-def integrate_toy(sys: ToySystem, p, q, i, T, h, field: GaugeField = None,
-                  t0=None):
-    """RK4 along flow direction i for time T; returns (ps, qs, ts) samples."""
+def integrate_toy(sys: ToySystem, p, q, i, T, h, field: GaugeField = None):
+    """RK4 along flow direction i for time T from t = 0; returns (ps, qs, ts)."""
     p = np.array(p, dtype=float)
     q = np.array(q, dtype=float)
-    t = np.zeros(sys.n_flows) if t0 is None else np.array(t0, dtype=float)
+    t = np.zeros(sys.n_flows)
     n_steps = max(1, int(round(abs(T) / h)))
     dt = T / n_steps
     ps, qs, ts = [p.copy()], [q.copy()], [t.copy()]

@@ -53,7 +53,7 @@ from .weierstrass import (
     zeta_eval,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "run_suites"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
 @dataclass
@@ -405,7 +405,7 @@ def _oracle_lax(model, state, z, oracle):
     out = np.zeros((model.m, model.m), dtype=complex)
     for mu in range(basis.rank):
         out += Lmu[mu] * basis.cartan[mu]
-    for r, (i, j) in enumerate(basis.root_pairs):
+    for r, (i, j) in enumerate(zip(*basis.root_entries)):
         u = basis.root_value(r, state.q)
         coef = 0j
         for a, pa in enumerate(model.marked_points):
@@ -838,15 +838,8 @@ SUITES = {
 
 def run_suite(name, seed=0):
     if name == "all":
-        return run_suites(list(SUITES), seed)
+        return [row for suite in SUITES.values() for row in suite(seed)]
     if name not in SUITES:
         raise GaudinLabError(f"unknown suite {name!r}; choose from "
                              f"{', '.join([*SUITES, 'all'])}")
     return SUITES[name](seed)
-
-
-def run_suites(names, seed=0):
-    rows = []
-    for name in names:
-        rows.extend(run_suite(name, seed))
-    return rows

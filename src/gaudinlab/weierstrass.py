@@ -44,7 +44,6 @@ __all__ = [
     "weierstrass_eval",
     "sigma_eval",
     "zeta_eval",
-    "reduce_to_cell",
     "lattice_distance",
     "quasi_periodicity_check",
     "kernel_phi",
@@ -151,12 +150,6 @@ def _core(cache: EllipticCache, z):
     with np.errstate(over="ignore", invalid="ignore"):
         sig = sign * sig * np.exp(eta * (z0 + omega / 2.0))
     return wp, ze, sig, dist
-
-
-def reduce_to_cell(cache: EllipticCache, z):
-    """Write z = z0 + n1 + n2*tau with z0 in the centred fundamental cell."""
-    z0, n1, n2, _ = _cell(cache, z)
-    return z0[()], n1.astype(int)[()], n2.astype(int)[()]
 
 
 def lattice_distance(cache: EllipticCache, z):
@@ -306,13 +299,12 @@ class LatticeSumOracle:
     to k = 4, which leaves an error of order |z/R|^8 per point.
     """
 
-    def __init__(self, tau: complex, radius: float | None = None):
+    def __init__(self, tau: complex):
         self.tau = complex(tau)
         if np.imag(self.tau) <= 0:
             raise PoleError("Im(tau) must be positive")
-        cellrad = abs(0.5 + self.tau / 2.0) + 0.5
-        R = float(radius) if radius else max(40.0, 30.0 * cellrad)
-        self.radius = R
+        # 30 radii of the fundamental cell, and at least 40
+        R = max(40.0, 30.0 * (abs(0.5 + self.tau / 2.0) + 0.5))
         nmax = int(np.ceil(R / np.imag(self.tau))) + 1
         mmax = int(np.ceil(R + nmax * abs(np.real(self.tau)))) + 1
         mm, nn = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1))

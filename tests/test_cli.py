@@ -154,13 +154,49 @@ class TestSimulate:
             initial_state={"random": True, "seed": 2.7})),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(
             initial_state={"random": True, "seed": "3"})),
+        # every complex pair of the model and the state is two finite numbers
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["model"]["marked_points"].__setitem__(
+            0, [float("inf"), 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["marked_points"].__setitem__(
+            0, [float("inf"), 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["marked_points"].__setitem__(
+            0, [float("nan"), 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][0].update(
+            point=[float("nan"), 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["orbit_seeds"][0][0].__setitem__(
+            1, [float("inf"), 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["marked_points"].__setitem__(
+            0, [-1.0, 0.0, 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["marked_points"].__setitem__(
+            0, [True, 0.0])),
+        # genus, m and the degrees are integers
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"].update(m=2.5)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][0].update(
+            degree=2.7)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"].update(genus="0")),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][0].update(
+            degree=True)),
+        # values that make_gaudin_model rejects
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][0].update(
+            degree=1)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"].update(m=1)),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["model"].update(tau=[0.0, -1.0])),
+        # the step count is bounded, and the method is checked before any step
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step=1e-9)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step=1e-320)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(curve=[[0.0, 0.0]],
+                                                        method="verlet")),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
             "project_conjugation", "no_marked_points", "z_at_hamiltonian_point",
             "z_at_marked_point", "z_on_lattice", "seed_text", "seed_float",
             "seed_bool", "seed_negative", "state_seed_negative", "state_seed_float",
-            "state_seed_text"])
+            "state_seed_text", "elliptic_point_inf", "point_inf", "point_nan",
+            "ham_point_nan", "orbit_seed_inf", "pair_too_long", "pair_bool",
+            "m_float", "degree_float", "genus_text", "degree_bool", "degree_one",
+            "m_one", "tau_lower_half_plane", "step_count_1e9", "step_denormal",
+            "method_unknown_on_still_curve"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err

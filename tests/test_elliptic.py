@@ -132,7 +132,9 @@ class TestTransition:
         z = 0.41 + 0.3j
         g = transition_gamma(model, state, z)
         gi = np.linalg.inv(g)
-        for r, E in enumerate(model.basis.root_gens):
+        for r, (i, j) in enumerate(zip(*model.basis.root_entries)):
+            E = np.zeros((model.m, model.m))
+            E[i, j] = 1.0
             u = model.basis.root_value(r, state.q)
             np.testing.assert_allclose(g @ E @ gi, np.exp(u / z) * E, rtol=1e-12)
 
@@ -156,7 +158,7 @@ class TestHamiltonian:
                 - lmu.T @ np.array([oracle.zeta(-p) for p in model.marked_points])
             Lmu = pi + lmu.T @ np.array([oracle.zeta(w - p) for p in model.marked_points])
             L = sum(Lmu[mu] * basis.cartan[mu] for mu in range(basis.rank))
-            for r, (i_, j_) in enumerate(basis.root_pairs):
+            for r, (i_, j_) in enumerate(zip(*basis.root_entries)):
                 u = basis.root_value(r, state.q)
                 coef = 0j
                 for a, pa in enumerate(model.marked_points):
@@ -164,7 +166,7 @@ class TestHamiltonian:
                            / (oracle.sigma(u) * oracle.sigma(w - pa))
                            * np.exp(-u * (oracle.zeta(w) - oracle.zeta(pa))))
                     coef += Ls[a][i_, j_] * phi
-                L = L + coef * basis.root_gens[r]
+                L[i_, j_] += coef
             H_oracle = model.polys[i].evaluate(L)
             assert abs(H_oracle - hamiltonian(model, state, i)) < 1e-8
 

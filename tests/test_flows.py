@@ -96,6 +96,24 @@ class TestStepper:
         with pytest.raises(ConfigError):
             step(model, state, 0, 0.1, method="verlet")
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_negative_step_retraces_a_positive_one(self, rng, genus):
+        # step takes a signed h: rk4 forth and back returns to the start
+        # within the error of the two steps (their h^5 terms cancel, so the
+        # round trip is O(h^6), while one step moves the state by O(h))
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
+        else:
+            model, state = random_elliptic_ensemble(rng, 2, 2, (2, 2))
+
+        there = step(model, state, 1, 0.005)
+        back = step(model, there, 1, -0.005)
+        assert np.max(np.abs(there.phis - state.phis)) > 5e-4
+        for x, x0 in ((back.phis, state.phis), (back.q, state.q), (back.p, state.p)):
+            if x0 is not None:
+                assert np.max(np.abs(x - x0)) < 1e-9
+        np.testing.assert_array_equal(back.t, state.t)
+
     def test_identity_on_uncoupled_variables(self):
         # diagonal residues: the Hamiltonian does not couple to the root
         # sector or to q, so the orbit variables and p freeze while q drifts
@@ -183,6 +201,18 @@ class TestEvolve:
         traj = evolve(model, state, FlowCurve([[0.0, 0.0]]), 0.01)
         assert len(traj.states) == 1
         assert np.linalg.norm(traj.states[0].phis[0] - state.phis[0]) == 0.0
+        # the method is checked before the first step, even with none to take
+        with pytest.raises(ConfigError):
+            evolve(model, state, FlowCurve([[0.0, 0.0]]), 0.01, method="verlet")
+
+    def test_times_are_the_states_multi_times(self, rational):
+        model, state = rational
+        traj = evolve(model, state, FlowCurve([[0.0, 0.0], [0.05, 0.0], [0.05, -0.03]]),
+                      0.01)
+        times = traj.times
+        assert times.shape == (len(traj.states), model.n_hams)
+        np.testing.assert_array_equal(times, np.stack([s.t for s in traj.states]))
+        np.testing.assert_array_equal(times[-1], [0.05, -0.03])
 
     def test_order_exchange_gap_is_integrator_error(self, rational):
         model, state = rational
@@ -311,7 +341,7 @@ def reference_action(model, traj):
     for k in range(len(traj.states) - 1):
         s0, s1 = traj.states[k], traj.states[k + 1]
         inv0, inv1 = np.linalg.inv(s0.phis), np.linalg.inv(s1.phis)
-        dt = traj.times[k + 1] - traj.times[k]
+        dt = s1.t - s0.t
         for a, seed in enumerate(model.orbit_seeds):
             total += np.trace(seed @ (0.5 * (inv0[a] + inv1[a])) @ (s1.phis[a] - s0.phis[a]))
         if model.genus == 1:
@@ -480,8 +510,8 @@ class TestObservables:
                       project_residue_sum=(kind == "projected"))
 
         # the table is built in chunks of states: one residue pass and one
-        # Lax assembly per chunk, and no per-state H, L(z) or residue call
-        counts = {"hamiltonian": 0, "orbit_elements": 0, "_residues": 0, "_lax": 0,
+        # lax_matrix call per chunk, and no per-state H, L(z) or residue call
+        counts = {"hamiltonian": 0, "orbit_elements": 0, "lax_matrix": 0,
                   "kernel_table": 0}
         for name in counts:
             module = models if name == "kernel_table" else flows
@@ -501,8 +531,8 @@ class TestObservables:
         chunks = -(-K // flows._CHUNK)
         assert tables == (chunks * (n + len(zs)) if kind == "genus1" else 0)
         del counts["kernel_table"]
-        assert counts == {"hamiltonian": 0, "orbit_elements": 0,
-                          "_residues": chunks, "_lax": chunks}
+        assert counts == {"hamiltonian": 0, "orbit_elements": chunks,
+                          "lax_matrix": chunks}
 
         with open(path) as fh:
             assert fh.readline() == "# seed=1\n"

@@ -17,6 +17,16 @@ def rng():
     return np.random.default_rng(42)
 
 
+def root_gens(b):
+    """The elementary matrices E_ij of the roots, in the order of b.roots."""
+    gens = []
+    for i, j in zip(*b.root_entries):
+        E = np.zeros((b.m, b.m), dtype=complex)
+        E[i, j] = 1.0
+        gens.append(E)
+    return gens
+
+
 class TestBasis:
     def test_sl2_structure(self):
         b = build_slm_basis(2)
@@ -28,7 +38,7 @@ class TestBasis:
     def test_sl3_counts(self):
         b = build_slm_basis(3)
         assert b.rank == 2 and b.n_roots == 6
-        assert len(b.cartan) + len(b.root_gens) == 8   # dim sl3 = m^2 - 1
+        assert len(b.cartan) + len(root_gens(b)) == 8   # dim sl3 = m^2 - 1
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_invariants(self, m):
@@ -36,10 +46,10 @@ class TestBasis:
         for H in b.cartan:
             assert abs(np.trace(H)) == 0
         for H in b.cartan:
-            for E in b.root_gens:
+            for E in root_gens(b):
                 assert abs(np.trace(H @ E)) == 0
         # root property [H_mu, E_rho] = rho(H_mu) E_rho
-        for r, E in enumerate(b.root_gens):
+        for r, E in enumerate(root_gens(b)):
             for mu, H in enumerate(b.cartan):
                 comm = H @ E - E @ H
                 np.testing.assert_allclose(comm, b.roots[r][mu] * E, atol=1e-15)
@@ -49,8 +59,10 @@ class TestBasis:
     def test_sl2_commutator_example(self):
         b = build_slm_basis(2)
         H = b.cartan[0]
-        E12 = next(E for E, (i, j) in zip(b.root_gens, b.root_pairs) if (i, j) == (0, 1))
+        r = list(zip(*b.root_entries)).index((0, 1))
+        E12 = root_gens(b)[r]
         np.testing.assert_allclose(H @ E12 - E12 @ H, 2.0 * E12)
+        assert b.roots[r][0] == 2.0
 
     def test_bad_dimension(self):
         with pytest.raises(DimensionError):
@@ -90,7 +102,7 @@ class TestDecomposition:
 
     def test_root_direction(self):
         b = build_slm_basis(2)
-        E12 = b.root_gens[b.root_pairs.index((0, 1))]
+        E12 = root_gens(b)[list(zip(*b.root_entries)).index((0, 1))]
         np.testing.assert_allclose(cartan_components(b, E12), 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("m", [2, 3, 5])

@@ -11,7 +11,6 @@ from gaudinlab.weierstrass import (
     kernel_table,
     lattice_distance,
     quasi_periodicity_check,
-    reduce_to_cell,
     sigma_eval,
     weierstrass_eval,
     zeta_eval,
@@ -237,8 +236,9 @@ class TestArrayCore:
         np.testing.assert_allclose(zeta_eval(cache, zs), ze, rtol=1e-15)
         np.testing.assert_allclose(sigma_eval(cache, zs), sig, rtol=1e-15)
         np.testing.assert_allclose(lattice_distance(cache, zs), dist, rtol=1e-15)
-        z0, n1, n2 = reduce_to_cell(cache, zs)
+        z0, n1, n2, _ = weierstrass._cell(cache, zs)
         np.testing.assert_allclose(z0 + n1 + n2 * TAU, zs, rtol=1e-14)
+        assert np.all(np.abs(z0.real) <= 0.5) and np.all(np.abs(z0.imag) <= 0.5 * TAU.imag)
         for k, z in enumerate(zs):
             one = weierstrass_eval(cache, z)
             assert np.shape(one[0]) == ()
@@ -247,8 +247,6 @@ class TestArrayCore:
             assert zeta_eval(cache, z) == pytest.approx(ze[k], rel=1e-14)
             assert sigma_eval(cache, z) == pytest.approx(sig[k], rel=1e-14)
             assert lattice_distance(cache, z) == pytest.approx(dist[k], rel=1e-14)
-            z0k, n1k, n2k = reduce_to_cell(cache, z)
-            assert (z0k, n1k, n2k) == (pytest.approx(z0[k], abs=1e-15), n1[k], n2[k])
         u, pole, z = 0.21 + 0.13j, 0.17 + 0.31j, -0.31 + 0.52j
         table = kernel_table(cache, [u], z, [pole])
         assert kernel_phi(cache, u, z, pole) == pytest.approx(
@@ -279,7 +277,6 @@ class TestArrayCore:
         for call in (lambda: weierstrass_eval(cache, np.array([0.3 + 0.1j, bad])),
                      lambda: sigma_eval(cache, bad),
                      lambda: lattice_distance(cache, bad),
-                     lambda: reduce_to_cell(cache, bad),
                      lambda: kernel_table(cache, [0.2 + 0.1j], bad, [0.1])):
             with pytest.raises(ValueError, match="non-finite"):
                 call()
