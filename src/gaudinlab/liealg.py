@@ -61,10 +61,6 @@ class LieBasis:
     def rank(self) -> int:
         return self.m - 1
 
-    @property
-    def n_roots(self) -> int:
-        return self.m * (self.m - 1)
-
     def root_value(self, r: int, q) -> complex:
         """rho_r(Q) for Q = q^mu H_mu given by its coordinates q."""
         return complex(self.roots[r] @ np.asarray(q, dtype=complex))

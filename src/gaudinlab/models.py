@@ -483,18 +483,18 @@ def random_rational_ensemble(rng, m, n_sites, ham_degrees, spread=0.5):
     return model, state
 
 
-def random_elliptic_ensemble(rng, m, n_sites, ham_degrees, tau=1.1j, spread=0.15,
-                             max_gradient=None):
+def random_elliptic_ensemble(rng, m, n_sites, ham_degrees, tau=1.1j, max_gradient=None):
     """Fresh genus-1 model + state: residues with vanishing Cartan sum,
-    non-resonant Cartan coordinates, random momenta.  Configurations are
-    re-drawn until the Hamiltonian gradients are below max_gradient, so
-    the flows are integrable at the step sizes the suites use."""
+    non-resonant Cartan coordinates, random momenta; residues and momenta
+    have scale 0.15.  Configurations are re-drawn until the Hamiltonian
+    gradients are below max_gradient, so the flows are integrable at the
+    step sizes the suites use."""
     if max_gradient is None:
         # higher rank means more root channels and larger twisted kernels
         max_gradient = 10.0 if m == 2 else 80.0
     cell = np.imag(tau)
     for _ in range(200):
-        Ls = [random_traceless(rng, m, spread) for _ in range(n_sites)]
+        Ls = [random_traceless(rng, m, 0.15) for _ in range(n_sites)]
         dmean = sum(np.diag(np.diag(L)) for L in Ls) / n_sites
         Ls = [L - dmean for L in Ls]
         pts = []
@@ -515,7 +515,7 @@ def random_elliptic_ensemble(rng, m, n_sites, ham_degrees, tau=1.1j, spread=0.15
         state = PhaseState(
             phis=[np.eye(m, dtype=complex) for _ in range(n_sites)],
             q=q,
-            p=(rng.standard_normal(rk) + 1j * rng.standard_normal(rk)) * spread,
+            p=(rng.standard_normal(rk) + 1j * rng.standard_normal(rk)) * 0.15,
             t=np.zeros(len(ham_degrees)))
         if resonance_margin(model, state) < 0.15:
             continue

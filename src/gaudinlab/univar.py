@@ -101,9 +101,11 @@ def make_toy_system(dim, hamiltonians, generators, structure,
     return sys
 
 
-def _lie_derivative(H, X, p, q, eps=1e-6):
-    """Finite-difference derivative of H along the lifted generator flow
-    q -> e^{sX} q, p -> e^{-sX^T} p."""
+def _lie_derivative(H, X, p, q):
+    """Central-difference derivative (step 1e-6) of H along the lifted
+    generator flow q -> e^{sX} q, p -> e^{-sX^T} p."""
+    eps = 1e-6
+
     def at(s):
         E = matrix_exponential(s * X).real
         return H.value(np.linalg.solve(E.T, p), E @ q)
@@ -151,8 +153,10 @@ def gauged_rhs(sys: ToySystem, p, q, t, field: GaugeField = None):
     return dq, dp
 
 
-def check_flatness(field: GaugeField, t, structure, fd_step=1e-5) -> np.ndarray:
-    """Curvature F^a_ij by central differences of the field components."""
+def check_flatness(field: GaugeField, t, structure) -> np.ndarray:
+    """Curvature F^a_ij by central differences (step 1e-5) of the field
+    components."""
+    fd_step = 1e-5
     t = np.asarray(t, dtype=float)
     n = len(field.components)
     d = len(field.components[0])
@@ -213,11 +217,12 @@ def integrate_toy(sys: ToySystem, p, q, i, T, h, field: GaugeField = None):
     return np.array(ps), np.array(qs), np.array(ts)
 
 
-def pure_gauge_field(g_func, generators, n, cs_step=1e-100) -> GaugeField:
+def pure_gauge_field(g_func, generators, n) -> GaugeField:
     """A~_i = -(d_i g) g^{-1} for a smooth group-valued g(t), projected onto
     the generator basis by least squares.  The derivative of g uses a complex
-    step, so it is exact to roundoff and survives the outer differencing that
-    the flatness check applies on top."""
+    step (1e-100), so it is exact to roundoff and survives the outer
+    differencing that the flatness check applies on top."""
+    cs_step = 1e-100
     gens = [np.asarray(X, dtype=float) for X in generators]
     basis = np.stack([X.ravel() for X in gens], axis=1)
 
@@ -263,13 +268,13 @@ def rotation_invariant_pair() -> ToySystem:
         np.zeros((1, 1, 1)))
 
 
-def canonical_noncommuting_pair(dim=2) -> ToySystem:
-    """H1 = p_1, H2 = q_1: the textbook non-closing pair, trivial action."""
+def canonical_noncommuting_pair() -> ToySystem:
+    """m = 2, H1 = p_1, H2 = q_1: the textbook non-closing pair, trivial action."""
     H1 = ToyHamiltonian(lambda p, q: p[0],
-                        lambda p, q: (np.eye(dim)[0], np.zeros(dim)))
+                        lambda p, q: (np.eye(2)[0], np.zeros(2)))
     H2 = ToyHamiltonian(lambda p, q: q[0],
-                        lambda p, q: (np.zeros(dim), np.eye(dim)[0]))
-    return make_toy_system(dim, [H1, H2], [np.zeros((dim, dim))],
+                        lambda p, q: (np.zeros(2), np.eye(2)[0]))
+    return make_toy_system(2, [H1, H2], [np.zeros((2, 2))],
                            np.zeros((1, 1, 1)), check_invariance=False)
 
 

@@ -101,15 +101,18 @@ def _fit_order(values, ratio=2.0):
     return float((x @ (y - y.mean())) / (x @ x))
 
 
-def _five_point(f, x, h=1e-4):
-    """f'(x) by the five-point central stencil: truncation O(h^4) and
-    roundoff about eps |f| / h, which is 2e-12 relative at h = 1e-4."""
+def _five_point(f, x):
+    """f'(x) by the five-point central stencil at h = 1e-4: truncation O(h^4)
+    and roundoff about eps |f| / h, which is 2e-12 relative."""
+    h = 1e-4
     return (f(x - 2 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2 * h)) / (12.0 * h)
 
 
-def _numeric_residue(f, pole, eps=1e-4, direction=1.0):
+def _numeric_residue(f, pole, direction=1.0):
     """Residue of a meromorphic matrix function by symmetric two-point limits
-    at distances eps and eps/2, Richardson-combined to kill the O(eps^2) term."""
+    at eps = 1e-4 and eps/2, Richardson-combined to kill the O(eps^2) term."""
+    eps = 1e-4
+
     def sym(e):
         d = e * direction
         return 0.5 * (f(pole + d) * d + f(pole - d) * (-d))
@@ -281,14 +284,15 @@ def suite_rational(seed=0):
         if 1e-11 < coarse_drift < 3e-7:
             break
 
-    def drifts(h):
+    def drifts(traj):
         # T = 1 along each flow: every charge must survive every flow
-        obs = _observables(model, evolve(model, state, both_flows, h, method="rk4"), zs)
+        obs = _observables(model, traj, zs)
         hd = np.max(np.abs(obs.H - obs.H[0]))
         iso = np.max(np.abs(obs.charpoly - obs.charpoly[0]))
         return float(hd), float(np.max(obs.residue_drift)), float(iso)
 
-    hd, rs, iso = drifts(1e-3)
+    contract = evolve(model, state, both_flows, 1e-3)
+    hd, rs, iso = drifts(contract)
     rows.append(_residual("rational/drift_hamiltonian",
                           "H_j conserved along every flow (T = 1, h = 1e-3, rk4)",
                           1e-8, hd))
@@ -296,8 +300,8 @@ def suite_rational(seed=0):
                           "sum_a L_a conserved along every flow", 1e-8, rs))
     rows.append(_residual("rational/drift_isospectral",
                           "char-poly coefficients of L(z_s) conserved", 1e-8, iso))
-    coarse = drifts(8e-2)
-    fine = drifts(4e-2)
+    coarse = drifts(evolve(model, state, both_flows, 8e-2))
+    fine = drifts(probe)
     # residue-sum drift contracts at the rk4 order (16x); the Hamiltonian and
     # spectral drifts accumulate without a secular term here and contract at
     # ~32x, so the 16x expectation is enforced as a floor
@@ -327,8 +331,8 @@ def suite_rational(seed=0):
                   for L, a, b, c, d in zip(Ls, k1, k2, k3, k4)]
         return Ls
 
-    traj = evolve(model, state, FlowCurve([[0.0, 0.0], [1.0, 0.0]]), 1e-3)
-    L_evolved = orbit_elements(model, traj.states[-1])
+    # the contract run's first leg is the flow of H_1 over T = 1
+    L_evolved = orbit_elements(model, contract.states[contract.segment_ids.index(1) - 1])
     L_oracle = oracle_ode(2.5e-4)
     worst = max(np.linalg.norm(A - B) for A, B in zip(L_evolved, L_oracle))
     rows.append(_residual("rational/ode_oracle",
@@ -457,7 +461,7 @@ def suite_elliptic(seed=0):
                           "Res_{p_a} L = -phi_a Lambda_a phi_a^{-1}", 1e-7, worst))
 
     # gluing: gamma L gamma^{-1} stays bounded on shrinking circles around 0
-    radii = (0.1, 0.05, 0.025)
+    radii = (0.1, 0.025)
     maxima = []
     for r in radii:
         vals = []
@@ -472,12 +476,10 @@ def suite_elliptic(seed=0):
 
     # retrivialisation cross-check
     worst = 0.0
-    for z in rand_cell_z(model, 5):
-        A, B = retrivialize(model, state, z)
-        worst = max(worst, np.linalg.norm(A - B) / max(1.0, np.linalg.norm(A)))
-    for z in rand_cell_z(model3, 5):
-        A, B = retrivialize(model3, state3, z)
-        worst = max(worst, np.linalg.norm(A - B) / max(1.0, np.linalg.norm(A)))
+    for mdl, st in ((model, state), (model3, state3)):
+        for z in rand_cell_z(mdl, 5):
+            A, B = retrivialize(mdl, st, z)
+            worst = max(worst, np.linalg.norm(A - B) / max(1.0, np.linalg.norm(A)))
     rows.append(_residual("elliptic/retrivialize",
                           "conjugation by f_1 == direct assembly in the constant-"
                           "connection trivialisation", 1e-8, worst))
@@ -523,9 +525,9 @@ def suite_elliptic(seed=0):
                           "dq^mu/dt = dH/dp", 1e-7,
                           np.linalg.norm(np.diag(lim0) + Gmu_diag)))
     maxima = []
+    dq = grad_hamiltonian(model, state, i)[2]
     for r in radii:
         vals = []
-        dq = grad_hamiltonian(model, state, i)[2]
         for theta in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
             z = r * np.exp(1j * theta)
             g = transition_gamma(model, state, z)
@@ -586,24 +588,21 @@ def suite_elliptic(seed=0):
                           "commuting flows: invariant-data gap at h = 0.002 "
                           "stays small", 1e-6, gaps[-1]))
 
-    # Lax equation along the flow (Richardson derivative in time)
+    # Lax equation: Richardson time derivative, one trajectory per (flow, shift)
     worst = 0.0
     dt = 1e-3
-    for zs in rand_cell_z(model, 3):
-        for i in range(model.n_hams):
-            def L_at(t_shift):
-                if abs(t_shift) < 1e-14:
-                    return lax_matrix(model, state, zs)
-                curve = FlowCurve([[0.0, 0.0],
-                                   [t_shift if i == 0 else 0.0,
-                                    t_shift if i == 1 else 0.0]])
-                traj = evolve(model, state, curve, abs(t_shift) / 2.0)
-                return lax_matrix(model, traj.states[-1], zs)
+    zs = rand_cell_z(model, 3)
+    L0 = lax_matrix(model, state, zs)
+    for i in range(model.n_hams):
+        def L_at(t_shift):
+            curve = FlowCurve([[0.0, 0.0], t_shift * np.eye(2)[i]])
+            traj = evolve(model, state, curve, abs(t_shift) / 2.0)
+            return lax_matrix(model, traj.states[-1], zs)
 
-            dL = (8 * (L_at(dt) - L_at(-dt)) - (L_at(2 * dt) - L_at(-2 * dt))) / (12 * dt)
-            M = m_matrix(model, state, i, zs)
-            L0 = lax_matrix(model, state, zs)
-            worst = max(worst, np.linalg.norm(dL - (M @ L0 - L0 @ M)))
+        dL = (8 * (L_at(dt) - L_at(-dt)) - (L_at(2 * dt) - L_at(-2 * dt))) / (12 * dt)
+        M = m_matrix(model, state, i, zs)
+        for dLz, Mz, L0z in zip(dL, M, L0):
+            worst = max(worst, np.linalg.norm(dLz - (Mz @ L0z - L0z @ Mz)))
     rows.append(_residual("elliptic/lax_residual",
                           "dL/dt^i = [M_i, L] for the elliptic companion ansatz",
                           1e-5, worst))

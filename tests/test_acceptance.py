@@ -3,14 +3,21 @@ engine as `gaudin-lab verify all` and prints one PASS/FAIL line.
 
 Criteria are grouped by the suite that produces their rows; each criterion
 asserts that all of its rows passed at the stated tolerances and that the
-producing suite stayed inside the runtime budget.
+producing suite stayed inside the runtime budget.  The suites run once, with
+every `evolve` call recorded, so that one more test can check that no suite
+evolves a trajectory twice.
 """
 
+import inspect
+import itertools
+import json
 import time
 
 import numpy as np
 import pytest
 
+from gaudinlab import verify
+from gaudinlab.models import model_to_dict, state_to_dict
 from gaudinlab.verify import SUITES
 
 SEED = 0
@@ -24,21 +31,43 @@ BUDGETS = {
 }
 
 
+def _recording(evolve, calls):
+    """evolve that also logs each call as (start, curve): the start is every
+    other argument, the model and the state by value, as one JSON string."""
+    signature = inspect.signature(evolve)
+
+    def recorded(*args, **kwargs):
+        start = signature.bind(*args, **kwargs)
+        start.apply_defaults()
+        start = dict(start.arguments)
+        curve = start.pop("curve")
+        start["model"] = model_to_dict(start["model"])
+        start["state"] = state_to_dict(start["state"])
+        calls.append((json.dumps(start, sort_keys=True), curve))
+        return evolve(*args, **kwargs)
+    return recorded
+
+
 @pytest.fixture(scope="module")
 def results():
+    """suite -> (rows, seconds, the suite's evolve calls)"""
     out = {}
-    for name, fn in SUITES.items():
-        t0 = time.perf_counter()
-        rows = fn(SEED)
-        out[name] = (rows, time.perf_counter() - t0)
+    evolve = verify.evolve
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in SUITES.items():
+            calls = []
+            mp.setattr(verify, "evolve", _recording(evolve, calls))
+            t0 = time.perf_counter()
+            rows = fn(SEED)
+            out[name] = (rows, time.perf_counter() - t0, calls)
     return out
 
 
 def _gate(results, criterion, suite, prefixes, extra_suites=()):
-    rows, seconds = results[suite]
+    rows, seconds, _ = results[suite]
     picked = [r for r in rows if any(r.name.startswith(p) for p in prefixes)]
     for other in extra_suites:
-        orows, osec = results[other]
+        orows, osec, _ = results[other]
         seconds += osec
         picked += [r for r in orows if any(r.name.startswith(p) for p in prefixes)]
     assert picked, f"criterion {criterion}: no checks matched {prefixes}"
@@ -119,9 +148,27 @@ def test_criterion_9_gradients(results):
     _gate(results, 9, "rational", ("grad/",), extra_suites=("elliptic",))
 
 
+@pytest.mark.parametrize("suite", ["rational", "elliptic", "multiform"])
+def test_each_trajectory_is_evolved_once(results, suite):
+    """From one start (model, initial state, step, method) a suite evolves
+    no curve twice, and no curve of at least one segment that begins
+    another curve it evolves: that run already holds the trajectory."""
+    calls = results[suite][2]
+    assert calls
+    repeats = []
+    for (start_a, a), (start_b, b) in itertools.permutations(calls, 2):
+        n = len(a.waypoints)
+        if start_a != start_b or n > len(b.waypoints):
+            continue
+        if np.array_equal(a.waypoints, b.waypoints[:n]) \
+                and (n == len(b.waypoints) or any(a.segments())):
+            repeats.append((a.waypoints.tolist(), b.waypoints.tolist()))
+    assert not repeats, f"{suite}: trajectories evolved again: {repeats}"
+
+
 def test_all_rows_green(results):
     total = failed = 0
-    for name, (rows, _) in results.items():
+    for name, (rows, _, _) in results.items():
         total += len(rows)
         failed += sum(not r.passed for r in rows)
     print(f"\nacceptance total: {total - failed}/{total} checks passed")

@@ -1,5 +1,4 @@
 import json
-import shutil
 import warnings
 from pathlib import Path
 
@@ -186,6 +185,16 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: cfg.update(step=1e-320)),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(curve=[[0.0, 0.0]],
                                                         method="verlet")),
+        # run-level numbers are JSON ints or floats: no strings, no bools, and
+        # no integer beyond the float range
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step="0.002")),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step=True)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step=10 ** 400)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(resonance_margin="0.001")),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(z_samples=[["3", "2"]])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(z_samples=[[True, 1.0]])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(
+            initial_state={"random": True, "seed": 5, "spread": "0.3"})),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
@@ -196,7 +205,9 @@ class TestSimulate:
             "ham_point_nan", "orbit_seed_inf", "pair_too_long", "pair_bool",
             "m_float", "degree_float", "genus_text", "degree_bool", "degree_one",
             "m_one", "tau_lower_half_plane", "step_count_1e9", "step_denormal",
-            "method_unknown_on_still_curve"])
+            "method_unknown_on_still_curve", "step_numeric_text", "step_bool",
+            "step_int_overflow", "margin_text", "z_sample_text", "z_sample_bool",
+            "spread_text"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err

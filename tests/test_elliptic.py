@@ -19,7 +19,6 @@ from gaudinlab.models import (
     transition_gamma,
 )
 from gaudinlab.flows import poisson_bracket
-from gaudinlab.weierstrass import LatticeSumOracle, zeta_eval
 
 TAU = 1.1j
 
@@ -95,19 +94,6 @@ class TestLaxStructure:
         with pytest.raises(ResonanceError):
             lax_matrix(model, bad, 0.05 + 0.4j)
 
-    def test_gluing_bounded(self, ensembles):
-        model, state = ensembles[(2, 2)]
-        maxima = []
-        for r in (0.1, 0.05, 0.025):
-            vals = []
-            for theta in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-                z = r * np.exp(1j * theta)
-                g = transition_gamma(model, state, z)
-                vals.append(np.linalg.norm(g @ lax_matrix(model, state, z)
-                                           @ np.linalg.inv(g)))
-            maxima.append(max(vals))
-        assert maxima[2] < 2.0 * maxima[0]
-
 
 class TestTransition:
     def test_identity_at_zero_Q(self, ensembles):
@@ -145,31 +131,6 @@ class TestTransition:
 
 
 class TestHamiltonian:
-    def test_oracle_assembly(self, ensembles):
-        # assemble L(q_i) entrywise from the lattice-sum backend and compare
-        model, state = ensembles[(2, 2)]
-        oracle = LatticeSumOracle(model.cache.tau)
-        basis = model.basis
-        Ls = orbit_elements(model, state)
-        for i, w in enumerate(model.ham_points):
-            lmu = np.array([basis.gram_inv @ [np.trace(L @ H) for H in basis.cartan]
-                            for L in Ls])
-            pi = basis.gram_inv @ state.p \
-                - lmu.T @ np.array([oracle.zeta(-p) for p in model.marked_points])
-            Lmu = pi + lmu.T @ np.array([oracle.zeta(w - p) for p in model.marked_points])
-            L = sum(Lmu[mu] * basis.cartan[mu] for mu in range(basis.rank))
-            for r, (i_, j_) in enumerate(zip(*basis.root_entries)):
-                u = basis.root_value(r, state.q)
-                coef = 0j
-                for a, pa in enumerate(model.marked_points):
-                    phi = (oracle.sigma(u + w - pa)
-                           / (oracle.sigma(u) * oracle.sigma(w - pa))
-                           * np.exp(-u * (oracle.zeta(w) - oracle.zeta(pa))))
-                    coef += Ls[a][i_, j_] * phi
-                L[i_, j_] += coef
-            H_oracle = model.polys[i].evaluate(L)
-            assert abs(H_oracle - hamiltonian(model, state, i)) < 1e-8
-
     @pytest.mark.parametrize("key", [(2, 2), (3, 2), (2, 1)])
     def test_gradients_against_finite_differences(self, ensembles, key):
         model, state = ensembles[key]
@@ -227,29 +188,6 @@ class TestHamiltonian:
 
 
 class TestMMatrix:
-    def test_residue_at_ham_point(self, ensembles):
-        model, state = ensembles[(2, 2)]
-        w = model.ham_points[0]
-        G = model.polys[0].gradient(lax_matrix(model, state, w))
-        eps = 1e-4
-        sym = lambda e: 0.5 * (m_matrix(model, state, 0, w + e) * e
-                               + m_matrix(model, state, 0, w - e) * (-e))
-        lim = (4.0 * sym(eps / 2) - sym(eps)) / 3.0
-        assert np.linalg.norm(lim - G) < 1e-7 * max(1.0, np.linalg.norm(G))
-
-    def test_cartan_residue_matches_q_velocity(self, ensembles):
-        model, state = ensembles[(2, 2)]
-        _, _, dH_dp = grad_hamiltonian(model, state, 0)
-        # Cartan residue at 0 equals -(grad)^mu = -dH/dp (velocity of q)
-        u0 = model.basis.root_value(0, state.q)
-        dirc = 1j * u0 / abs(u0)
-        eps = 1e-4
-        sym = lambda e: 0.5 * (m_matrix(model, state, 0, e * dirc) * (e * dirc)
-                               + m_matrix(model, state, 0, -e * dirc) * (-e * dirc))
-        lim = (4.0 * sym(eps / 2) - sym(eps)) / 3.0
-        H1 = model.basis.cartan[0]
-        np.testing.assert_allclose(np.diag(lim), -dH_dp[0] * np.diag(H1), atol=1e-7)
-
     def test_diagonal_state_kills_root_part(self):
         X = np.diag([0.4, -0.4]).astype(complex)
         model = make_gaudin_model(1, 2, [0.3 + 0.2j, -0.25 - 0.3j], [-X, X],

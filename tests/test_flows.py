@@ -228,30 +228,6 @@ class TestEvolve:
         assert g2 < 1e-8
         assert 3.0 < np.log2(g1 / g2) < 5.2   # integrator order, not dynamics
 
-    def test_matches_dense_ode_oracle(self, rational):
-        model, state = rational
-        traj = evolve(model, state, FlowCurve([[0.0, 0.0], [1.0, 0.0]]), 1e-3)
-        # independent integration of the raw matrix ODE
-        Ls = orbit_elements(model, state)
-        w = model.ham_points[0]
-        ps = model.marked_points
-        h = 2.5e-4
-
-        def rhs(Ls):
-            Lw = sum(L / (w - p) for L, p in zip(Ls, ps))
-            return [(Lw / (p - w)) @ L - L @ (Lw / (p - w)) for L, p in zip(Ls, ps)]
-
-        for _ in range(4000):
-            k1 = rhs(Ls)
-            k2 = rhs([L + h / 2 * K for L, K in zip(Ls, k1)])
-            k3 = rhs([L + h / 2 * K for L, K in zip(Ls, k2)])
-            k4 = rhs([L + h * K for L, K in zip(Ls, k3)])
-            Ls = [L + h / 6 * (a + 2 * b + 2 * c + d)
-                  for L, a, b, c, d in zip(Ls, k1, k2, k3, k4)]
-        worst = max(np.linalg.norm(A - B)
-                    for A, B in zip(orbit_elements(model, traj.states[-1]), Ls))
-        assert worst < 1e-6
-
     def test_projection_mode(self, rng):
         model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
         # knock the state slightly off the constraint surface

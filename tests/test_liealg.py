@@ -30,14 +30,14 @@ def root_gens(b):
 class TestBasis:
     def test_sl2_structure(self):
         b = build_slm_basis(2)
-        assert b.rank == 1 and b.n_roots == 2
+        assert b.rank == 1 and len(b.roots) == 2
         np.testing.assert_allclose(b.cartan[0], np.diag([1.0, -1.0]))
         # roots are +-2 on the single Cartan coordinate
         assert sorted(r[0] for r in b.roots) == [-2.0, 2.0]
 
     def test_sl3_counts(self):
         b = build_slm_basis(3)
-        assert b.rank == 2 and b.n_roots == 6
+        assert b.rank == 2 and len(b.roots) == 6
         assert len(b.cartan) + len(root_gens(b)) == 8   # dim sl3 = m^2 - 1
 
     @pytest.mark.parametrize("m", [2, 3, 4])

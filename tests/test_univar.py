@@ -6,14 +6,10 @@ from gaudinlab.liealg import matrix_exponential
 from gaudinlab.univar import (
     GaugeField,
     ToyHamiltonian,
-    canonical_noncommuting_pair,
     check_closure,
-    check_flatness,
-    gauged_rhs,
     integrate_toy,
     make_toy_system,
     noether_moment,
-    pure_gauge_field,
     rotation_invariant_pair,
     so3_generators,
     so3_invariant_system,
@@ -46,29 +42,8 @@ class TestMoment:
             mus = np.array([noether_moment(sys, p, q) for p, q in zip(ps, qs)])
             assert np.max(np.abs(mus - mus[0])) < 1e-9
 
-    def test_noether_drift_is_fourth_order(self):
-        sys = rotation_invariant_pair()
-        p0, q0 = np.array([0.7, -0.4]), np.array([0.5, 0.9])
-
-        def drift(h):
-            ps, qs, _ = integrate_toy(sys, p0, q0, 0, 1.0, h)
-            mus = np.array([noether_moment(sys, p, q) for p, q in zip(ps, qs)])
-            return np.max(np.abs(mus - mus[0]))
-
-        order = np.log2(drift(0.02) / drift(0.01))
-        assert 3.0 < order < 5.5
-
 
 class TestGaugedFlow:
-    def test_zero_field_reduction(self):
-        sys = rotation_invariant_pair()
-        p, q = np.array([0.3, -0.7]), np.array([1.1, 0.4])
-        dq, dp = gauged_rhs(sys, p, q, np.zeros(2), None)
-        for i, H in enumerate(sys.hamiltonians):
-            dHdp, dHdq = H.grad(p, q)
-            np.testing.assert_allclose(dq[i], dHdp)
-            np.testing.assert_allclose(dp[i], -np.asarray(dHdq))
-
     def test_pure_gauge_linear_orbit(self):
         zeroH = ToyHamiltonian(lambda p, q: 0.0,
                                lambda p, q: (np.zeros(2), np.zeros(2)))
@@ -81,46 +56,6 @@ class TestGaugedFlow:
         # the fibre transforms with the inverse transpose
         np.testing.assert_allclose(ps[-1], np.linalg.solve(E.T, p0), atol=1e-9)
 
-    def test_constraint_surface_preserved(self):
-        sys = rotation_invariant_pair()
-        field = GaugeField(((lambda t: 0.35,), (lambda t: -0.2,)))
-        q0 = np.array([0.5, 0.9])
-        p0 = 0.8 * q0          # parallel => mu = 0
-
-        def drift(h):
-            ps, qs, _ = integrate_toy(sys, p0, q0, 0, 1.0, h, field=field)
-            mus = np.array([noether_moment(sys, p, q) for p, q in zip(ps, qs)])
-            return np.max(np.abs(mus))
-
-        assert drift(0.01) < 1e-9
-        assert 3.0 < np.log2(drift(0.02) / drift(0.01)) < 5.5
-
-
-class TestFlatness:
-    def test_constant_abelian(self):
-        field = GaugeField(((lambda t: 0.3,), (lambda t: -0.4,)))
-        F = check_flatness(field, np.array([0.2, 0.7]), np.zeros((1, 1, 1)))
-        assert np.max(np.abs(F)) < 1e-9
-
-    def test_pure_gauge_is_flat(self):
-        gens, eps = so3_generators()
-
-        def g_of_t(t):
-            a = np.sin(t[0] + 0.3 * t[1])
-            b = np.cos(0.7 * t[0] * t[1])
-            return matrix_exponential(a * gens[0]) @ matrix_exponential(b * gens[1])
-
-        field = pure_gauge_field(g_of_t, gens, 2)
-        F = check_flatness(field, np.array([0.31, -0.17]), eps)
-        assert np.max(np.abs(F)) < 1e-6
-
-    def test_nonabelian_curvature_detected(self):
-        _, eps = so3_generators()
-        field = GaugeField(((lambda t: t[1], lambda t: 0.0, lambda t: 0.0),
-                            (lambda t: 0.0, lambda t: t[0], lambda t: 0.0)))
-        F = check_flatness(field, np.array([1.0, 1.0]), eps)
-        assert np.max(np.abs(F)) > 1e-3
-
 
 class TestClosure:
     def test_single_hamiltonian(self):
@@ -130,16 +65,6 @@ class TestClosure:
                               np.zeros((1, 1, 1)), check_invariance=False)
         F = check_closure(sys, np.array([0.1, 0.2]), np.array([0.3, 0.4]))
         assert F.shape == (1, 1) and F[0, 0] == 0.0
-
-    def test_invariant_pair_commutes(self):
-        sys = rotation_invariant_pair()
-        F = check_closure(sys, np.array([0.7, -0.4]), np.array([0.5, 0.9]))
-        assert F[0, 1] < 1e-10
-
-    def test_canonical_pair_reports_one(self):
-        sys = canonical_noncommuting_pair()
-        F = check_closure(sys, np.array([0.1, 0.2]), np.array([0.3, 0.4]))
-        assert F[0, 1] == pytest.approx(1.0)
 
     def test_bracket_agrees_with_finite_differences(self):
         sys = rotation_invariant_pair()
@@ -173,11 +98,3 @@ class TestValidation:
                              lambda p, q: (np.zeros(2), np.eye(2)[0]))
         with pytest.raises(ConfigError, match="invariant"):
             make_toy_system(2, [bad], [ROT], np.zeros((1, 1, 1)))
-
-    def test_so3_charges_conserved(self):
-        sys = so3_invariant_system()
-        p0 = np.array([0.2, -0.4, 0.6])
-        q0 = np.array([0.8, 0.1, -0.5])
-        ps, qs, _ = integrate_toy(sys, p0, q0, 0, 1.0, 0.01)
-        mus = np.array([noether_moment(sys, p, q) for p, q in zip(ps, qs)])
-        assert np.max(np.abs(mus - mus[0])) < 1e-9

@@ -10,7 +10,6 @@ from gaudinlab.weierstrass import (
     kernel_phi,
     kernel_table,
     lattice_distance,
-    quasi_periodicity_check,
     sigma_eval,
     weierstrass_eval,
     zeta_eval,
@@ -54,51 +53,13 @@ class TestCache:
         # independent Eisenstein-sum value for eta1
         assert abs(c.eta1 - oracle.eta1()) < 1e-11
 
-    def test_legendre_at_15i(self):
-        c = build_cache(1.5j)
-        assert abs(c.tau * c.eta1 - c.eta2 - 1j * np.pi) < 1e-10
-
-    def test_legendre_random_moduli(self, rng):
-        for _ in range(10):
-            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 3.0))
-            c = build_cache(tau)
-            assert abs(tau * c.eta1 - c.eta2 - 1j * np.pi) < 1e-10
-
 
 class TestEvaluation:
-    def test_origin_normalisation(self, cache):
-        z = 1e-4
-        _, ze, sig = weierstrass_eval(cache, z)
-        assert abs(ze - 1.0 / z) < 1e-6
-        assert abs(sig / z - 1.0) < 1e-6
-
-    def test_parity(self, cache, rng):
-        for z in random_cell_points(rng, TAU, 10):
-            wp1, ze1, s1 = weierstrass_eval(cache, z)
-            wp2, ze2, s2 = weierstrass_eval(cache, -z)
-            assert wp1 == pytest.approx(wp2)
-            assert ze1 == pytest.approx(-ze2)
-            assert s1 == pytest.approx(-s2)
-
     def test_wp_double_periodicity(self, cache, rng):
         for z in random_cell_points(rng, TAU, 5):
             base = weierstrass_eval(cache, z)[0]
             for shift in (1.0, TAU, 3.0 - 2.0 * TAU):
                 assert weierstrass_eval(cache, z + shift)[0] == pytest.approx(base, rel=1e-11)
-
-    def test_derivative_structure(self, cache, rng):
-        h = 1e-6
-        for z in random_cell_points(rng, TAU, 50):
-            wp, ze, sig = weierstrass_eval(cache, z)
-            dz = (zeta_eval(cache, z + h) - zeta_eval(cache, z - h)) / (2 * h)
-            assert abs(dz + wp) < 1e-7 * max(1.0, abs(wp))
-            ds = (sigma_eval(cache, z + h) - sigma_eval(cache, z - h)) / (2 * h)
-            assert abs(ds / sig - ze) < 1e-7 * max(1.0, abs(ze))
-
-    @pytest.mark.parametrize("l", [1, 2])
-    def test_quasi_periodicity(self, cache, rng, l):
-        for z in random_cell_points(rng, TAU, 10):
-            assert quasi_periodicity_check(cache, z, l) < 1e-9
 
     @pytest.mark.parametrize("point", [0.0, 1.0, 1.2j, 3.0 + 2.4j])
     def test_pole_error(self, cache, point):
@@ -131,15 +92,8 @@ class TestEvaluation:
 
 
 class TestDualAlgorithm:
-    def test_spot_value(self, cache):
-        oracle = LatticeSumOracle(TAU)
-        z = 0.3 + 0.1j
-        wp, ze, sig = weierstrass_eval(cache, z)
-        assert abs(wp - oracle.wp(z)) < 1e-10 * max(1.0, abs(wp))
-        assert abs(ze - oracle.zeta(z)) < 1e-10 * max(1.0, abs(ze))
-        assert abs(sig - oracle.sigma(z)) < 1e-10 * max(1.0, abs(sig))
-
-    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.5j, 2.5j])
+    # tau = 1.2i and 0.3 + 1.5i are the grid of the weier/dual_algorithm row
+    @pytest.mark.parametrize("tau", [2.5j])
     def test_grid_agreement(self, tau):
         c = build_cache(tau)
         oracle = LatticeSumOracle(tau)
@@ -156,28 +110,6 @@ class TestDualAlgorithm:
 
 
 class TestKernel:
-    def test_residue_limit(self, cache):
-        u, pole = 0.21 + 0.13j, 0.17 + 0.31j
-        eps = 1e-4
-        plus = kernel_phi(cache, u, pole + eps, pole)[0] * eps
-        minus = kernel_phi(cache, u, pole - eps, pole)[0] * (-eps)
-        expected = np.exp(-u * zeta_eval(cache, pole))
-        assert abs(0.5 * (plus + minus) - expected) < 1e-7
-
-    def test_log_derivatives(self, cache, rng):
-        u, pole = 0.26 - 0.09j, -0.22 + 0.4j
-        h = 1e-6
-        for z in random_cell_points(rng, TAU, 8):
-            if abs(z - pole) < 0.15 or abs(u + z - pole) < 0.15:
-                continue
-            _, dlu, dlz = kernel_phi(cache, u, z, pole)
-            fdu = (np.log(kernel_phi(cache, u + h, z, pole)[0])
-                   - np.log(kernel_phi(cache, u - h, z, pole)[0])) / (2 * h)
-            fdz = (np.log(kernel_phi(cache, u, z + h, pole)[0])
-                   - np.log(kernel_phi(cache, u, z - h, pole)[0])) / (2 * h)
-            assert abs(fdu - dlu) < 1e-7
-            assert abs(fdz - dlz) < 1e-7
-
     def test_double_periodicity_in_z(self, cache):
         u, pole = 0.21 + 0.13j, 0.17 + 0.31j
         z = -0.31 + 0.52j
