@@ -107,6 +107,22 @@ class Trajectory:
         """(K, n) multi-time of every sample, stacked from the states' t."""
         return np.array([s.t for s in self.states], dtype=float)
 
+    @property
+    def lockstep(self) -> bool:
+        """Whether the states carry the member axis of a lockstep evolve."""
+        return np.ndim(self.states[0].t) == 2
+
+    def member(self, b: int) -> "Trajectory":
+        """The trajectory of curve b of a lockstep evolve: views of its
+        slice of every state."""
+        if not self.lockstep:
+            raise ConfigError("only a lockstep trajectory has members")
+        states = [PhaseState(**{k: None if v is None else v[b] for k, v in vars(s).items()})
+                  for s in self.states]
+        return Trajectory(model=self.model, states=states, segment_ids=self.segment_ids,
+                          h=self.h, method=self.method,
+                          projection_used=self.projection_used)
+
 
 @dataclass
 class DiagnosticsReport:
@@ -141,8 +157,18 @@ STEPPERS = ("rk4", "conjugation")
 
 def _advance_t(state, i, h):
     t = np.array(state.t, dtype=float)
-    t[i] += h
+    if isinstance(i, np.ndarray):
+        t[np.arange(len(t)), i] += h
+    else:
+        t[i] += h
     return t
+
+
+def _times(c, x):
+    """c * x for a scalar c, or for one c per member along x's leading axis."""
+    if isinstance(c, np.ndarray):
+        c = c.reshape((-1,) + (1,) * (x.ndim - 1))
+    return c * x
 
 
 def _step_conjugation(model, state, i, h):
@@ -150,15 +176,15 @@ def _step_conjugation(model, state, i, h):
     # so orbit spectra are exact regardless of h
     dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
     half = PhaseState(
-        phis=matrix_exponential(-(h / 2.0) * dH_dL) @ state.phis,
-        q=None if state.q is None else state.q + (h / 2.0) * dH_dp,
-        p=None if state.p is None else state.p - (h / 2.0) * dH_dq,
+        phis=matrix_exponential(_times(-(h / 2.0), dH_dL)) @ state.phis,
+        q=None if state.q is None else state.q + _times(h / 2.0, dH_dp),
+        p=None if state.p is None else state.p - _times(h / 2.0, dH_dq),
         t=state.t)
     dH_dL2, dH_dq2, dH_dp2 = grad_hamiltonian(model, half, i)
     return PhaseState(
-        phis=matrix_exponential(-h * dH_dL2) @ state.phis,
-        q=None if state.q is None else state.q + h * dH_dp2,
-        p=None if state.p is None else state.p - h * dH_dq2,
+        phis=matrix_exponential(_times(-h, dH_dL2)) @ state.phis,
+        q=None if state.q is None else state.q + _times(h, dH_dp2),
+        p=None if state.p is None else state.p - _times(h, dH_dq2),
         t=_advance_t(state, i, h))
 
 
@@ -174,9 +200,9 @@ def _rhs_tuple(model, state, i):
 
 
 def _shifted(state, k, c):
-    return state.moved(state.mats + c * k[0],
-                       None if state.q is None else state.q + c * k[1],
-                       None if state.p is None else state.p + c * k[2], state.t)
+    return state.moved(state.mats + _times(c, k[0]),
+                       None if state.q is None else state.q + _times(c, k[1]),
+                       None if state.p is None else state.p + _times(c, k[2]), state.t)
 
 
 def _step_rk4(model, state, i, h):
@@ -184,14 +210,18 @@ def _step_rk4(model, state, i, h):
     k2 = _rhs_tuple(model, _shifted(state, k1, h / 2.0), i)
     k3 = _rhs_tuple(model, _shifted(state, k2, h / 2.0), i)
     k4 = _rhs_tuple(model, _shifted(state, k3, h), i)
-    new = [None if x is None else x + (h / 6.0) * (a + 2 * b + 2 * c + d)
+    new = [None if x is None else x + _times(h / 6.0, a + 2 * b + 2 * c + d)
            for x, a, b, c, d in zip((state.mats, state.q, state.p), k1, k2, k3, k4)]
     return state.moved(*new, _advance_t(state, i, h))
 
 
 def step(model, state, i, h, method="rk4"):
-    """One step of signed, nonzero size h along the flow of H_i."""
-    if h == 0:
+    """One step of signed, nonzero size h along the flow of H_i.
+
+    On a state whose arrays carry a leading member axis, i and h may be
+    arrays of one flow index and one step per member (a lockstep evolve);
+    every member's result equals its own single step bit for bit."""
+    if (h == 0).any() if isinstance(h, np.ndarray) else h == 0:
         raise ConfigError("step size must be nonzero")
     if method == "conjugation":
         if state.phis is None:
@@ -203,7 +233,8 @@ def step(model, state, i, h, method="rk4"):
 
 
 def _guard(model, state, t_scalar, margin):
-    # finiteness first: the resonance margin of a non-finite q is undefined
+    # finiteness first: the resonance margin of a non-finite q is undefined;
+    # on a lockstep state both checks cover every member
     if not all(np.isfinite(x).all() for x in (state.mats, state.q, state.p)
                if x is not None):
         raise NumericalAbort("state left the finite regime", t_scalar)
@@ -212,9 +243,17 @@ def _guard(model, state, t_scalar, margin):
             "rho(Q) approached a lattice point (root resonance)", t_scalar)
 
 
-def evolve(model, state, curve: FlowCurve, h, method="rk4",
+def evolve(model, state, curve, h, method="rk4",
            project_residue_sum=False, resonance_margin_min=1e-3) -> Trajectory:
     """Integrate along an axis-aligned curve, one Hamiltonian per segment.
+
+    curve may also be a sequence of curves with the same segment lengths
+    (their axes and directions may differ).  They are evolved in lockstep
+    from the one start with the one h: each time step is one `step` on a
+    state whose arrays carry a leading member axis, so the returned states
+    carry it too, and `Trajectory.member(b)` is curve b's trajectory, equal
+    bit for bit to evolving curve b alone.  A numerical abort in any member
+    aborts the call.
 
     project_residue_sum (genus 0, rk4 only): after every step subtract the
     mean residue from the orbit matrices; the state then evolves in the
@@ -226,9 +265,18 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
         raise ConfigError(f"step size must be positive, got {h}")
     if method not in STEPPERS:
         raise ConfigError(f"unknown stepper {method!r}; choose from {STEPPERS}")
-    if curve.n_times != model.n_hams:
-        raise ConfigError(
-            f"curve lives in R^{curve.n_times} but the model has {model.n_hams} flows")
+    lockstep = not isinstance(curve, FlowCurve)
+    curves = list(curve) if lockstep else [curve]
+    if not curves:
+        raise ConfigError("a lockstep evolve needs at least one curve")
+    for c in curves:
+        if c.n_times != model.n_hams:
+            raise ConfigError(
+                f"curve lives in R^{c.n_times} but the model has {model.n_hams} flows")
+    legs = [list(c.segments()) for c in curves]
+    lengths = [[abs(delta) for _, _, delta in segs] for segs in legs]
+    if any(other != lengths[0] for other in lengths[1:]):
+        raise ConfigError(f"lockstep curves need the same segment lengths, got {lengths}")
     cur = state.copy()
     if project_residue_sum:
         if model.genus != 0:
@@ -238,14 +286,21 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
                               f"so it needs method 'rk4', not {method!r}")
         cur = PhaseState(orbit_mats=orbit_elements(model, cur), q=cur.q,
                          p=cur.p, t=cur.t)
+    if lockstep:
+        cur = PhaseState(**{k: None if v is None else np.stack([v] * len(curves))
+                            for k, v in vars(cur).items()})
     if cur.t is None:
-        cur.t = np.array(curve.waypoints[0], dtype=float)
+        starts = np.array([c.waypoints[0] for c in curves], dtype=float)
+        cur.t = starts if lockstep else starts[0]
     arclen = 0.0
     states = [cur]
     seg_ids = [0]
-    for seg_no, (axis, _start, delta) in enumerate(curve.segments()):
-        n_steps = max(1, int(round(abs(delta) / h)))
-        dt = delta / n_steps
+    for seg_no, seg in enumerate(zip(*legs)):
+        n_steps = max(1, int(round(lengths[0][seg_no] / h)))
+        axis, dt = seg[0][0], seg[0][2] / n_steps
+        if lockstep:
+            axis = np.array([a for a, _, _ in seg])
+            dt = np.array([delta for _, _, delta in seg]) / n_steps
         for _ in range(n_steps):
             _guard(model, cur, arclen, resonance_margin_min)
             try:
@@ -257,8 +312,8 @@ def evolve(model, state, curve: FlowCurve, h, method="rk4",
                 # a singular matrix (LinAlgError is a ValueError)
                 raise NumericalAbort(f"step failed: {exc}", arclen) from exc
             if project_residue_sum:     # cur is new, so it may be changed
-                cur.orbit_mats -= np.sum(cur.orbit_mats, axis=0) / model.n_sites
-            arclen += abs(dt)
+                cur.orbit_mats -= np.sum(cur.orbit_mats, axis=-3, keepdims=True) / model.n_sites
+            arclen += lengths[0][seg_no] / n_steps
             # a step builds a new state and never writes into the old one
             states.append(cur)
             seg_ids.append(seg_no)
@@ -363,6 +418,8 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
     genus 1, one kernel table per point over every state's root values)."""
     if not traj.states:
         raise ConfigError("empty trajectory")
+    if traj.lockstep:
+        raise ConfigError("a lockstep trajectory is read one member at a time")
     z_samples = tuple(complex(z) for z in z_samples)
     if traj.observables is not None:
         cached_model, cached_z, table = traj.observables

@@ -34,9 +34,10 @@ __all__ = [
 
 
 def traceless_part(X):
+    """X minus its trace part, for one matrix or a (..., m, m) stack."""
     X = np.asarray(X, dtype=complex)
-    m = X.shape[0]
-    return X - (np.trace(X) / m) * np.eye(m)
+    m = X.shape[-1]
+    return X - (np.trace(X, axis1=-2, axis2=-1) / m)[..., None, None] * np.eye(m)
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,7 @@ class LieBasis:
     root_entries: (rows, cols) index arrays of the root entries E_ij, i != j,
                   in the order of `roots`; X[root_entries] are their components
     gram        : rk x rk matrix of Tr(H_mu H_nu)
+    cartan_diag : (rk, m) array, row mu the diagonal of H_mu
     """
 
     m: int
@@ -56,6 +58,7 @@ class LieBasis:
     root_entries: tuple
     gram: np.ndarray
     gram_inv: np.ndarray = field(repr=False, default=None)
+    cartan_diag: np.ndarray = field(repr=False, default=None)
 
     @property
     def rank(self) -> int:
@@ -86,6 +89,7 @@ def build_slm_basis(m: int) -> LieBasis:
         root_entries=tuple(np.array(pairs).T),
         gram=gram,
         gram_inv=np.linalg.inv(gram),
+        cartan_diag=np.array([np.diag(H) for H in cartan]),
     )
 
 
@@ -159,7 +163,8 @@ class InvariantPolynomial:
         return complex(P) if X.ndim == 2 else P
 
     def gradient(self, X) -> np.ndarray:
-        """Trace-form gradient: P(X + eps Y) = P(X) + eps Tr(Y grad) + O(eps^2).
+        """Trace-form gradient: P(X + eps Y) = P(X) + eps Tr(Y grad) + O(eps^2),
+        for one matrix or a (..., m, m) stack.
 
         The naive gradient X^{k-1} is projected back into sl_m; the projection
         does not change Tr(Y grad) for traceless Y.

@@ -230,10 +230,12 @@ def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
 
 
 def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
-    """Smallest lattice distance among all root pairings rho(Q); genus 1."""
+    """Smallest lattice distance among all root pairings rho(Q); genus 1.
+    Leading axes of q hold several states, and the minimum runs over all."""
     if model.genus == 0:
         return np.inf
-    return float(np.min(lattice_distance(model.cache, model.basis.roots @ state.q)))
+    u = (model.basis.roots @ state.q[..., None])[..., 0]
+    return float(np.min(lattice_distance(model.cache, u)))
 
 
 def _residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
@@ -249,7 +251,7 @@ def _residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
     return Ls
 
 
-def _kernel_weights(model: GaudinModel, q, z: complex, ham=None):
+def _kernel_weights(model: GaudinModel, q, z, ham=None):
     """Entrywise kernel weights W at z, one matrix per pole, so that
     sum_a X_a * W[a] has a simple pole at each pole p_a with residue X_a.
     The poles are the marked points (Lax weights) or q_ham (M weights).
@@ -262,39 +264,53 @@ def _kernel_weights(model: GaudinModel, q, z: complex, ham=None):
 
     Also returns the (P, n_roots) u-derivatives of the root weights (None in
     genus 0).  Leading axes of q (..., rk) hold several states and lead both
-    results.  PoleError at a pole and, in genus 1, at z = 0; genus 1 runs
-    one kernel_table call over every state's root values, so one lattice
-    and resonance guard."""
+    results; z is one point, or one point per state (an array of q's
+    leading shape, which in genus 0, where q is None, leads instead).
+    PoleError at a pole and, in genus 1, at z = 0; genus 1 runs one
+    kernel_table call over every state's root values, so one lattice and
+    resonance guard."""
     poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
+    per_z = isinstance(z, np.ndarray)   # one point per state
     if model.genus == 0:
-        d = z - poles
+        d = (z[..., None] if per_z else z) - poles
         near = np.abs(d) < POLE_TOL
         if near.any():
-            raise PoleError(f"z = {z} is at the pole {poles[np.argmax(near)]}")
-        return (1.0 / d)[:, None, None], None
+            k, a = divmod(int(np.argmax(near)), len(poles))
+            raise PoleError(f"z = {z.ravel()[k] if per_z else z} "
+                            f"is at the pole {poles[a]}")
+        return (1.0 / d)[..., None, None], None
     zeta_poles = model.zeta_poles if ham is None else model.zeta_hampts[ham:ham + 1]
     basis, m = model.basis, model.m
     u = (basis.roots @ q[..., None])[..., 0]
     flat = u.ravel()
-    kt = kernel_table(model.cache, flat, z, poles)
+    # one z per row of the table when each state has its own
+    kt = kernel_table(model.cache, flat, np.repeat(z.ravel(), u.shape[-1]) if per_z else z,
+                      poles)
     # the table rows run over every state's roots; per state, poles lead
     per_state = (*u.shape, len(poles))
     value = (kt.value * np.exp(flat[:, None] * zeta_poles)).reshape(per_state).swapaxes(-1, -2)
-    cartan = kt.zeta_zp + zeta_poles if ham is None else kt.zeta_zp - kt.zeta_z
+    zeta_zp, zeta_z = kt.zeta_zp, kt.zeta_z
+    if per_z:           # the rows of one state share z: keep its first
+        zeta_zp = zeta_zp.reshape(per_state)[..., 0, :]
+        zeta_z = zeta_z.reshape(u.shape)[..., :1]
+    cartan = zeta_zp + zeta_poles if ham is None else zeta_zp - zeta_z
     W = np.empty((*u.shape[:-1], len(poles), m, m), dtype=complex)
     W[..., basis.root_entries[0], basis.root_entries[1]] = value
-    W[..., np.arange(m), np.arange(m)] = cartan[:, None]
+    W[..., np.arange(m), np.arange(m)] = cartan[..., None]
     dlog_du = kt.dlog_du.reshape(per_state).swapaxes(-1, -2)
     return W, value * (dlog_du + zeta_poles[:, None])
 
 
 def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
     """L = sum_a L_a * W[a] (entrywise), plus in genus 1 the constant Cartan
-    part pi^mu H_mu, pi = gram^{-1} p from p_mu = Tr(L(0) H_mu).  Leading
-    axes of Ls (..., N, m, m), p (..., rk) and W broadcast."""
+    part pi^mu H_mu, pi = gram^{-1} p from p_mu = Tr(L(0) H_mu), added to
+    the diagonal.  Leading axes of Ls (..., N, m, m), p (..., rk) and W
+    broadcast; each state's products have one state's shapes, so a stack
+    of states gives each one's own bits."""
     L = np.sum(Ls * W, axis=-3)
     if model.genus == 1:
-        L = L + np.tensordot(p @ model.basis.gram_inv.T, model.basis.cartan, axes=1)
+        basis, diag = model.basis, np.arange(model.m)
+        L[..., diag, diag] += (p[..., None, :] @ basis.gram_inv.T @ basis.cartan_diag)[..., 0, :]
     return L
 
 
@@ -337,7 +353,7 @@ def hamiltonian(model: GaudinModel, state: PhaseState, i: int) -> complex:
     return model.polys[i].evaluate(L)
 
 
-def grad_hamiltonian(model: GaudinModel, state: PhaseState, i: int):
+def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
     """Closed-form partials of H_i.
 
     Returns (dH_dL, dH_dq, dH_dp): dH_dL[alpha] is the traceless matrix with
@@ -347,21 +363,39 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i: int):
 
     With G = grad P_i(L(q_i)), which is traceless, dH_dL[alpha] is
     G * W_alpha(q_i)^T entrywise, and so traceless itself.
+
+    i may also be an array of flow indices, one per state along the leading
+    axis of a state stack (the members of a lockstep evolve); the partials
+    then carry that axis, and each member's equal its own single call bit
+    for bit.  Members whose polynomials differ in degree take one gradient
+    call per degree.
     """
     # one residue pass and one set of weights at q_i serve L(q_i) and every
     # partial derivative
     Ls = _residues(model, state)
     W, dW_du = _kernel_weights(model, state.q, model.ham_points[i])
-    G = model.polys[i].gradient(_lax(model, Ls, state.p, W))
-    dH_dL = G * W.transpose(0, 2, 1)
+    L = _lax(model, Ls, state.p, W)
+    if not isinstance(i, np.ndarray):
+        G = model.polys[i].gradient(L)
+    else:
+        members = {}     # polynomial -> the members that flow by it
+        for b, k in enumerate(i):
+            members.setdefault(model.polys[k], []).append(b)
+        G = np.empty_like(L)
+        for poly, rows in members.items():
+            G[rows] = poly.gradient(L[rows])
+    dH_dL = G[..., None, :, :] * W.swapaxes(-1, -2)
     if model.genus == 0:
         empty = np.zeros(0, dtype=complex)
         return dH_dL, empty, empty
     basis = model.basis
     rows, cols = basis.root_entries
-    s = np.sum(Ls[:, rows, cols] * dW_du, axis=0)
-    dH_dq = (G[cols, rows] * s) @ basis.roots
-    return dH_dL, dH_dq, cartan_components(basis, G)
+    s = np.sum(Ls[..., rows, cols] * dW_du, axis=-2)
+    # row-vector products, one per state, so a stack keeps each state's bits
+    dH_dq = ((G[..., cols, rows] * s)[..., None, :] @ basis.roots)[..., 0, :]
+    # Tr(G H_mu) from diag(G): each H_mu has two nonzero entries
+    t = basis.cartan_diag @ np.diagonal(G, axis1=-2, axis2=-1)[..., None]
+    return dH_dL, dH_dq, (basis.gram_inv @ t)[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,8 @@ def quasi_periodicity_check(cache: EllipticCache, z: complex, l: int) -> float:
 class KernelTable(NamedTuple):
     """The twisted kernel over arguments u (R,) and poles (P,) at one z:
     (R, P) arrays value, dlog_du and dlog_dz, plus zeta(z) and the (P,)
-    array zeta(z - pole) from the same evaluation."""
+    array zeta(z - pole) from the same evaluation.  With one z per row,
+    zeta(z) is (R,) and zeta(z - pole) is (R, P)."""
 
     value: np.ndarray
     dlog_du: np.ndarray
@@ -206,9 +207,9 @@ class KernelTable(NamedTuple):
     zeta_zp: np.ndarray
 
 
-def kernel_table(cache: EllipticCache, us, z: complex, poles) -> KernelTable:
+def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
     """Twisted sigma-quotient kernel and its two log-derivatives for every
-    u in `us` and every pole in `poles` at one point z:
+    u in `us` and every pole in `poles` at the point z:
 
     value    = sigma(u + z - pole) / (sigma(u) sigma(z - pole)) * exp(-u zeta(z))
     dlog_du  = zeta(u + z - pole) - zeta(u) - zeta(z)
@@ -218,41 +219,60 @@ def kernel_table(cache: EllipticCache, us, z: complex, poles) -> KernelTable:
     genus-one transition function removes; simple pole at z = pole with
     residue exp(-u zeta(pole)).
 
-    All R + P + R*P + 1 arguments go through one evaluation of the array
-    core and one lattice guard: PoleError when z, z - pole or u + z - pole
-    is within POLE_TOL of the lattice, ResonanceError (a PoleError) when u
-    is.  A sigma quotient that is not representable raises ValueError.
+    z is one point, or an (R,) array holding the point of each row of `us`.
+    The rows that share a z then equal that z's one-point table over those
+    rows bit for bit, unless that table has one entry: numpy rounds a
+    one-element complex product its own way.  All arguments go through one
+    evaluation of the array core and one lattice guard: PoleError when z,
+    z - pole or u + z - pole is within POLE_TOL of the lattice,
+    ResonanceError (a PoleError) when u is, each naming the offending row's
+    arguments.  A sigma quotient that is not representable raises
+    ValueError.
     """
     us = np.asarray(us, dtype=complex)
     poles = np.asarray(poles, dtype=complex)
-    z = complex(z)
     R, P = len(us), len(poles)
-    shifted = (us[:, None] + z) - poles
-    wp, ze, sig, dist = _core(cache, np.concatenate(([z], z - poles, us, shifted.ravel())))
+    one = np.ndim(z) == 0           # one z for every row
+    z = complex(z) if one else np.asarray(z, dtype=complex)
+    Z, zcol = (1, z) if one else (R, z[:, None])
+    zp = zcol - poles               # (P,) or (R, P)
+    shifted = (us[:, None] + zcol) - poles
+    wp, ze, sig, dist = _core(cache, np.concatenate(
+        ([z] if one else z, zp.ravel(), us, shifted.ravel())))
     on_lattice = dist < POLE_TOL
     if on_lattice.any():
         k = int(np.argmax(on_lattice))
-        if k == 0:
-            raise PoleError(f"kernel: z = {z} is on the lattice")
-        if k <= P:
-            raise PoleError(f"kernel: z = {z} is at the pole {poles[k - 1]}")
-        if k <= P + R:
-            raise ResonanceError(f"kernel: u = {us[k - 1 - P]} is on the lattice")
-        r, a = divmod(k - 1 - P - R, P)
+        if k < Z:
+            raise PoleError(f"kernel: z = {_row(z, k)} is on the lattice")
+        if k < Z + Z * P:
+            r, a = divmod(k - Z, P)
+            raise PoleError(f"kernel: z = {_row(z, r)} is at the pole {poles[a]}")
+        if k < Z + Z * P + R:
+            raise ResonanceError(f"kernel: u = {us[k - Z - Z * P]} is on the lattice")
+        r, a = divmod(k - Z - Z * P - R, P)
         raise PoleError(f"kernel: u + z - pole is on the lattice "
-                        f"(u = {us[r]}, z = {z}, pole = {poles[a]})")
-    zeta_zp, zeta_u = ze[1:P + 1], ze[P + 1:P + 1 + R]
-    zeta_s = ze[P + 1 + R:].reshape(R, P)
+                        f"(u = {us[r]}, z = {_row(z, r)}, pole = {poles[a]})")
+    # the z blocks keep a scalar z's shapes (per row: one row each); numpy
+    # rounds a complex product differently in its one-element loop, so
+    # other shapes could move the bits of a one-point table
+    u0 = Z + Z * P
+    zeta_z, wp_z = (ze[0], wp[0]) if one else (ze[:Z, None], wp[:Z, None])
+    zeta_zp, sig_zp = ze[Z:u0].reshape(zp.shape), sig[Z:u0].reshape(zp.shape)
+    zeta_u, sig_u = ze[u0:u0 + R, None], sig[u0:u0 + R, None]
+    zeta_s, sig_s = ze[u0 + R:].reshape(R, P), sig[u0 + R:].reshape(R, P)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = (sig[P + 1 + R:].reshape(R, P)
-                 / (sig[P + 1:P + 1 + R, None] * sig[1:P + 1])
-                 * np.exp(-us[:, None] * ze[0]))
+        value = sig_s / (sig_u * sig_zp) * np.exp(-us[:, None] * zeta_z)
     if not np.all(np.isfinite(value)):
         raise ValueError(f"kernel: a sigma quotient overflows "
                          f"(largest |u| = {np.max(np.abs(us)):.3g})")
-    dlog_du = zeta_s - zeta_u[:, None] - ze[0]
-    dlog_dz = zeta_s - zeta_zp + us[:, None] * wp[0]
-    return KernelTable(value, dlog_du, dlog_dz, ze[0], zeta_zp)
+    dlog_du = zeta_s - zeta_u - zeta_z
+    dlog_dz = zeta_s - zeta_zp + us[:, None] * wp_z
+    return KernelTable(value, dlog_du, dlog_dz, zeta_z if one else ze[:Z], zeta_zp)
+
+
+def _row(z, r):
+    """The point of row r: z itself, or its entry r when each row has one."""
+    return z if np.ndim(z) == 0 else z[r]
 
 
 def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from gaudinlab import verify
+from gaudinlab.flows import FlowCurve
 from gaudinlab.models import model_to_dict, state_to_dict
 from gaudinlab.verify import SUITES
 
@@ -32,8 +33,10 @@ BUDGETS = {
 
 
 def _recording(evolve, calls):
-    """evolve that also logs each call as (start, curve): the start is every
-    other argument, the model and the state by value, as one JSON string."""
+    """evolve that also logs each curve it evolves as (start, curve): the
+    start is every other argument, the model and the state by value, as one
+    JSON string.  A lockstep call logs each of its curves with the shared
+    start."""
     signature = inspect.signature(evolve)
 
     def recorded(*args, **kwargs):
@@ -43,7 +46,9 @@ def _recording(evolve, calls):
         curve = start.pop("curve")
         start["model"] = model_to_dict(start["model"])
         start["state"] = state_to_dict(start["state"])
-        calls.append((json.dumps(start, sort_keys=True), curve))
+        start = json.dumps(start, sort_keys=True)
+        curves = [curve] if isinstance(curve, FlowCurve) else list(curve)
+        calls.extend((start, c) for c in curves)
         return evolve(*args, **kwargs)
     return recorded
 

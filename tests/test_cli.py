@@ -255,12 +255,14 @@ class TestSimulateDeterminism:
 
 class TestVerify:
     def test_deterministic_reports(self, tmp_path):
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert main(["verify", "weierstrass", "--seed", "7", "--out", str(d1)]) == 0
-        assert main(["verify", "weierstrass", "--seed", "7", "--out", str(d2)]) == 0
-        b1 = (d1 / "weierstrass_report.json").read_bytes()
-        b2 = (d2 / "weierstrass_report.json").read_bytes()
-        assert b1 == b2
+        # multiform evolves its curve pairs in lockstep
+        for suite in ("weierstrass", "multiform"):
+            d1, d2 = tmp_path / suite / "a", tmp_path / suite / "b"
+            assert main(["verify", suite, "--seed", "7", "--out", str(d1)]) == 0
+            assert main(["verify", suite, "--seed", "7", "--out", str(d2)]) == 0
+            b1 = (d1 / f"{suite}_report.json").read_bytes()
+            b2 = (d2 / f"{suite}_report.json").read_bytes()
+            assert b1 == b2
 
     def test_report_rows_carry_contract_fields(self, tmp_path):
         assert main(["verify", "univar", "--seed", "0", "--out", str(tmp_path)]) == 0

@@ -310,6 +310,70 @@ class TestEvolve:
                    method="verlet")
 
 
+def lockstep_curves(T):
+    """The two orderings of an L-shaped curve, and the second ordering with
+    its first leg reversed: the same segment lengths throughout."""
+    return [FlowCurve([[0.0, 0.0], [T, 0.0], [T, T]]),
+            FlowCurve([[0.0, 0.0], [0.0, T], [T, T]]),
+            FlowCurve([[0.0, 0.0], [0.0, -T], [T, -T]])]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("genus, method, degrees", [
+        (0, "rk4", (2, 2)), (0, "conjugation", (2, 3)), (1, "rk4", (2, 3))])
+    def test_members_equal_single_calls(self, rng, genus, method, degrees):
+        # genus 1 at sl3: each dH/dq sums six root terms
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 2, 3, degrees)
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 2, degrees, tau=1.1j)
+        curves = lockstep_curves(0.02)
+        both = evolve(model, state, curves, 0.005, method=method)
+        assert both.lockstep and both.states[-1].mats.shape[0] == len(curves)
+        for b, curve in enumerate(curves):
+            alone = evolve(model, state, curve, 0.005, method=method)
+            member = both.member(b)
+            assert member.segment_ids == alone.segment_ids
+            assert len(member.states) == len(alone.states)
+            for s, ref in zip(member.states, alone.states):
+                for key in ("phis", "q", "p", "t"):
+                    got, want = getattr(s, key), getattr(ref, key)
+                    assert (got is None and want is None) or np.array_equal(got, want)
+            assert action_along_curve(model, member) == action_along_curve(model, alone)
+
+    @pytest.mark.parametrize("waypoints", [
+        [[0.0, 0.0], [0.02, 0.0]],
+        [[0.0, 0.0], [0.0, 0.01], [0.01, 0.01]]])
+    def test_different_segment_lengths_take_no_step(self, rational, monkeypatch, waypoints):
+        model, state = rational
+        monkeypatch.setattr(flows, "grad_hamiltonian", None)   # any step fails
+        with pytest.raises(ConfigError, match="same segment lengths"):
+            evolve(model, state, [FlowCurve([[0.0, 0.0], [0.01, 0.0]]),
+                                  FlowCurve(waypoints)], 0.005)
+
+    def test_an_abort_in_one_member_aborts_the_call(self, rng):
+        # the state of test_resonance_abort: the flow of H_1 drives rho(Q)
+        # onto the lattice, and its reverse keeps it away
+        model, state = random_elliptic_ensemble(rng, 2, 1, (2, 2))
+        state = PhaseState(phis=state.phis, q=np.array([0.125 + 0.0j]),
+                           p=np.array([-0.6 + 0.0j]), t=state.t)
+        curves = [FlowCurve([[0.0, 0.0], [-2.0, 0.0]]), FlowCurve([[0.0, 0.0], [2.0, 0.0]])]
+        evolve(model, state, curves[0], 0.01, resonance_margin_min=0.12)
+        with pytest.raises(NumericalAbort) as info:
+            evolve(model, state, curves, 0.01, resonance_margin_min=0.12)
+        assert 0.0 <= info.value.last_good_time < 2.0
+
+    def test_members_are_read_one_at_a_time(self, rational):
+        model, state = rational
+        both = evolve(model, state, lockstep_curves(0.01), 0.005)
+        with pytest.raises(ConfigError):
+            diagnostics(model, both, [])
+        alone = evolve(model, state, lockstep_curves(0.01)[0], 0.005)
+        assert not alone.lockstep
+        with pytest.raises(ConfigError):
+            alone.member(0)
+
+
 def reference_action(model, traj):
     """The trapezoidal action with every charge from a per-state call, in the
     accumulation order of action_along_curve."""

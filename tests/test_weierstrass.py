@@ -203,6 +203,41 @@ class TestArrayCore:
         far = 2.0 * POLE_TOL
         kernel_table(cache, np.append(us, 1.0 + far), poles[0] - us[1] + far, poles)
 
+    @pytest.mark.parametrize("n_poles", [1, 3])
+    def test_per_row_z_equals_the_calls_per_point(self, cache, rng, n_poles):
+        # three members of two roots each, every member at its own z: the
+        # rows of a member equal its one-point table bit for bit
+        us = rng.uniform(-0.3, 0.3, (3, 2)) + 1j * rng.uniform(-0.2, 0.2, (3, 2))
+        zs = np.array(random_cell_points(rng, TAU, 3))
+        poles = np.array(random_cell_points(rng, TAU, n_poles))
+        table = kernel_table(cache, us.ravel(), np.repeat(zs, 2), poles)
+        assert table.zeta_z.shape == (6,) and table.zeta_zp.shape == (6, n_poles)
+        for b, z in enumerate(zs):
+            one = kernel_table(cache, us[b], z, poles)
+            rows = slice(2 * b, 2 * b + 2)
+            for got, ref in zip(table, one):
+                np.testing.assert_array_equal(got[rows], np.broadcast_to(ref, got[rows].shape))
+
+    def test_per_row_z_errors_name_the_row(self, cache):
+        us = np.array([0.21 + 0.13j, -0.17 + 0.22j, 0.11 - 0.05j])
+        poles = np.array([0.17 + 0.31j])
+        near = 0.5 * POLE_TOL
+
+        def raises(error, zs, us, *named):
+            with pytest.raises(error) as info:
+                kernel_table(cache, us, zs, poles)
+            for x in named:
+                assert f"{x}" in str(info.value)
+
+        zs = np.array([0.3 + 0.1j, 1.0 + TAU + near, 0.05 - 0.3j])
+        raises(PoleError, zs, us, f"z = {zs[1]} is on the lattice")
+        zs = np.array([0.3 + 0.1j, -0.2 + 0.25j, poles[0] + near])
+        raises(PoleError, zs, us, f"z = {zs[2]} is at the pole")
+        zs = np.array([0.3 + 0.1j, -0.2 + 0.25j, 0.05 - 0.3j])
+        raises(ResonanceError, zs, np.append(us[:2], 1.0 + near), f"u = {complex(1.0 + near)}")
+        zs[1] = poles[0] - us[1] + 1.0 + near
+        raises(PoleError, zs, us, f"u = {us[1]}, z = {zs[1]}")
+
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.3, np.inf)])
     def test_non_finite_argument_raises(self, cache, bad):
         # rejected before any arithmetic, so no NaN reaches numpy
