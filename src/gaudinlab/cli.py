@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, GaudinLabError, NumericalAbort
-from .flows import FlowCurve, diagnostics, evolve, write_trajectory_csv
+from .flows import FlowCurve, diagnostics, evolve, open_output, write_trajectory_csv
 from .models import (
     model_from_dict,
     orbit_elements,
@@ -172,7 +172,7 @@ def cmd_simulate(args):
         payload = {"abort_reason": exc.reason,
                    "last_good_time": float(exc.last_good_time),
                    "seed": seed}
-        with open(json_path, "w") as fh:
+        with open_output(json_path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"numerical abort: {exc.reason} (t = {exc.last_good_time:g})",
               file=sys.stderr)
@@ -188,7 +188,7 @@ def cmd_simulate(args):
             rows = run_suite(name, seed=seed or 0)
             checks_failed += sum(not r.passed for r in rows)
             payload["checks"][name] = [r.to_dict() for r in rows]
-    with open(json_path, "w") as fh:
+    with open_output(json_path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
     print(f"wrote {csv_path} and {json_path}")
     return EXIT_OK if checks_failed == 0 else EXIT_CHECK_FAILED
@@ -207,7 +207,7 @@ def cmd_verify(args):
     }
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, f"{args.suite}_report.json")
-    with open(out, "w") as fh:
+    with open_output(out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for r in rows:

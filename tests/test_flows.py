@@ -1,4 +1,5 @@
 import csv
+import os
 import warnings
 
 import numpy as np
@@ -634,3 +635,22 @@ class TestObservables:
         np.testing.assert_allclose(obs.residue_drift,
                                    [np.linalg.norm(r - res[0]) for r in res],
                                    rtol=1e-14, atol=1e-15)
+
+
+class TestOutput:
+    def test_open_output_writes_a_new_file(self, tmp_path):
+        # a link to the old file keeps its contents: it was removed, not
+        # truncated; a symlink is replaced and its target left alone
+        path, link = tmp_path / "out.csv", tmp_path / "old.csv"
+        path.write_text("old\n")
+        os.link(path, link)
+        with flows.open_output(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert link.read_text() == "old\n"
+        sym = tmp_path / "sym.csv"
+        sym.symlink_to(link)
+        with flows.open_output(sym) as fh:
+            fh.write("sym\n")
+        assert not sym.is_symlink() and sym.read_text() == "sym\n"
+        assert link.read_text() == "old\n"
