@@ -16,6 +16,7 @@ anywhere; every contraction goes through the Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,11 +34,35 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
+def _identity(m: int) -> np.ndarray:
+    """The read-only m x m identity, one per m."""
+    I = np.eye(m)
+    I.setflags(write=False)
+    return I
+
+
 def traceless_part(X):
     """X minus its trace part, for one matrix or a (..., m, m) stack."""
     X = np.asarray(X, dtype=complex)
     m = X.shape[-1]
-    return X - (np.trace(X, axis1=-2, axis2=-1) / m)[..., None, None] * np.eye(m)
+    return X - (np.trace(X, axis1=-2, axis2=-1) / m)[..., None, None] * _identity(m)
+
+
+def _matrix_power(a, n: int) -> np.ndarray:
+    """a^n for n >= 1, with the products of np.linalg.matrix_power in its
+    order (so the same bits) but without its per-call checks: a @ a, then
+    (a @ a) @ a, then the binary ladder over the bits of n from the lowest.
+    n = 1 returns a itself."""
+    if n == 3:
+        return a @ a @ a
+    z = result = None
+    while n > 0:
+        z = a if z is None else z @ z
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else result @ z
+    return result
 
 
 @dataclass(frozen=True)
@@ -118,29 +143,57 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 
+@lru_cache(maxsize=None)
+def _pade13_terms(m: int, ndim: int):
+    """The Pade-13 coefficients laid out for a (..., m, m) stack of ndim
+    axes, with U's in row 0 and V's in row 1 of a new leading axis: those
+    of A6, A4, A2 inside the product with A6, those of A6, A4, A2 outside
+    it, and b1 I, b0 I.  Read-only arrays, built once per (m, ndim)."""
+    b = np.array(_PADE13)
+    shape = (2,) + (1,) * ndim
+
+    def pair(k):
+        c = b[[k, k - 1]].reshape(shape)
+        c.setflags(write=False)
+        return c
+
+    inner = tuple(pair(k) for k in (13, 11, 9))
+    outer = tuple(pair(k) for k in (7, 5, 3))
+    bI = pair(1) * np.eye(m, dtype=complex)
+    bI.setflags(write=False)
+    return inner, outer, bI
+
+
 def matrix_exponential(X) -> np.ndarray:
     """exp(X) by Pade-13 with scaling and squaring, for one matrix or a
     (..., m, m) stack.  Each matrix keeps its own scaling power, and only
-    the matrices that still need squaring are squared."""
+    the matrices that still need squaring are squared.
+
+    U and V are evaluated side by side, as rows 0 and 1 of one stack: each
+    matrix's entries come out of the same operations, in the same order,
+    as when each is built alone.  A stack whose 1-norms are all at most
+    theta13 is not scaled (dividing by 2^0 is exact)."""
     X = np.asarray(X, dtype=complex)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise DimensionError(f"square matrix required, got shape {X.shape}")
     if not np.all(np.isfinite(X.view(float))):
         raise ValueError("matrix_exponential: non-finite entries")
     nrm = np.abs(X).sum(axis=-2).max(axis=-1)        # the 1-norm of each matrix
-    s = np.ceil(np.log2(np.maximum(nrm / _THETA13, 1.0))).astype(int)
-    A = X / (2.0 ** s)[..., None, None]
-    I = np.eye(X.shape[-1], dtype=complex)
+    squarings = 0
+    A = X
+    if (nrm > _THETA13).any():
+        s = np.ceil(np.log2(np.maximum(nrm / _THETA13, 1.0))).astype(int)
+        A = X / (2.0 ** s)[..., None, None]
+        squarings = int(s.max())
+    (c6, c4, c2), (d6, d4, d2), bI = _pade13_terms(X.shape[-1], X.ndim)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    b = _PADE13
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    T = A6 @ (c6 * A6 + c4 * A4 + c2 * A2) + d6 * A6 + d4 * A4 + d2 * A2 + bI
+    U = A @ T[0]
+    V = T[1]
     E = np.linalg.solve(V - U, V + U)
-    for k in range(int(s.max(initial=0))):
+    for k in range(squarings):
         todo = s > k    # boolean index over the leading axes (0-d for one matrix)
         E[todo] = E[todo] @ E[todo]
     return E
@@ -159,7 +212,7 @@ class InvariantPolynomial:
     def evaluate(self, X):
         """P(X) for one matrix (a complex) or a (..., m, m) stack (an array)."""
         X = np.asarray(X, dtype=complex)
-        P = np.trace(np.linalg.matrix_power(X, self.degree), axis1=-2, axis2=-1) / self.degree
+        P = np.trace(_matrix_power(X, self.degree), axis1=-2, axis2=-1) / self.degree
         return complex(P) if X.ndim == 2 else P
 
     def gradient(self, X) -> np.ndarray:
@@ -170,7 +223,7 @@ class InvariantPolynomial:
         does not change Tr(Y grad) for traceless Y.
         """
         X = np.asarray(X, dtype=complex)
-        return traceless_part(np.linalg.matrix_power(X, self.degree - 1))
+        return traceless_part(_matrix_power(X, self.degree - 1))
 
 
 def random_traceless(rng, m: int, scale: float = 1.0) -> np.ndarray:

@@ -109,6 +109,9 @@ class GaudinModel:
     cache: EllipticCache = None        # genus 1 only
     zeta_poles: np.ndarray = field(default=None, repr=False)
     zeta_hampts: np.ndarray = field(default=None, repr=False)
+    # genus 0: the (n, N, 1, 1) kernel weights 1 / (q_i - p_a) at the
+    # Hamiltonian points, which no state changes
+    ham_weights: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_sites(self) -> int:
@@ -208,13 +211,16 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
                 raise ConfigError(
                     f"coincident points: Hamiltonian point {i} equals marked point {j}")
 
-    zp = zh = None
+    zp = zh = wh = None
     if genus == 1:
         zp = np.asarray(zeta_eval(cache, pts))
         zh = np.asarray(zeta_eval(cache, hpts))
+    else:
+        # no pole check needed: every |q_i - p_a| >= SEPARATION_TOL > POLE_TOL
+        wh = (1.0 / (hpts[:, None] - pts))[..., None, None]
     return GaudinModel(genus=genus, basis=basis, marked_points=pts,
                        orbit_seeds=np.array(seeds), ham_points=hpts, polys=polys,
-                       cache=cache, zeta_poles=zp, zeta_hampts=zh)
+                       cache=cache, zeta_poles=zp, zeta_hampts=zh, ham_weights=wh)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +377,12 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
     call per degree.
     """
     # one residue pass and one set of weights at q_i serve L(q_i) and every
-    # partial derivative
+    # partial derivative; in genus 0 the weights are the model's own
     Ls = _residues(model, state)
-    W, dW_du = _kernel_weights(model, state.q, model.ham_points[i])
+    if model.genus == 0:
+        W, dW_du = model.ham_weights[i], None
+    else:
+        W, dW_du = _kernel_weights(model, state.q, model.ham_points[i])
     L = _lax(model, Ls, state.p, W)
     if not isinstance(i, np.ndarray):
         G = model.polys[i].gradient(L)
