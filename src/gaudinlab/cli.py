@@ -27,7 +27,7 @@ from .models import (
     state_from_dict,
 )
 from .verify import SUITES, run_suite
-from .weierstrass import POLE_TOL, lattice_distance
+from .weierstrass import POLE_TOL, in_centred_cell, lattice_distance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -109,8 +109,14 @@ def _build_run(cfg):
     h = _number(cfg["step"], "step")
     if h <= 0:
         raise ConfigError("step must be positive")
+    # evolve takes a segment shorter than h in one step of its own length,
+    # while the plaquette diagnostics step by h
+    legs = [abs(delta) for *_, delta in curve.segments()]
+    if legs and h > min(legs):
+        raise ConfigError(f"step {h:g} is longer than the shortest curve segment "
+                          f"({min(legs):g})")
     # |delta| / h per segment as evolve computes it, before any rounding
-    n_steps = sum(abs(delta) / h for *_, delta in curve.segments())
+    n_steps = sum(leg / h for leg in legs)
     if n_steps > MAX_STEPS:
         raise ConfigError(f"the curve needs {n_steps:.4g} steps of size {h:g}, "
                           f"more than MAX_STEPS = {MAX_STEPS}")
@@ -129,6 +135,10 @@ def _build_run(cfg):
         if near:
             raise ConfigError(f"z_samples[{k}] = {z} is at a marked point, a "
                               "Hamiltonian point or (genus 1) the lattice")
+        # far from the cell the quasi-periodicity factors of the kernel overflow
+        if model.genus == 1 and not in_centred_cell(model.cache, z):
+            raise ConfigError(f"z_samples[{k}] = {z} lies outside the centred "
+                              "fundamental cell of the lattice")
     projection = cfg.get("projection", "monitor")
     if projection not in ("monitor", "project"):
         raise ConfigError("projection must be 'monitor' or 'project'")

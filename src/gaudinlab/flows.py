@@ -66,7 +66,7 @@ class FlowCurve:
     def __post_init__(self):
         try:
             pts = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"curve waypoints must be numbers: {exc}") from None
         if pts.ndim != 2 or not np.all(np.isfinite(pts)):
             raise ConfigError("curve must be a list of finite waypoints")

@@ -206,8 +206,10 @@ class InvariantPolynomial:
     degree: int
 
     def __post_init__(self):
-        if self.degree < 2:
-            raise DimensionError(f"invariant polynomial degree must be >= 2, got {self.degree}")
+        # P divides by the degree in double precision, exact up to 2^53
+        if not 2 <= self.degree <= 2 ** 53:
+            raise DimensionError("invariant polynomial degree must be from 2 to 2**53, "
+                                 f"got {self.degree}")
 
     def evaluate(self, X):
         """P(X) for one matrix (a complex) or a (..., m, m) stack (an array)."""

@@ -168,7 +168,6 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
     sl_m, and (genus 1) points on the lattice."""
     if genus not in (0, 1):
         raise ConfigError(f"genus must be 0 or 1, got {genus}")
-    basis = build_slm_basis(m)
     pts = np.asarray([complex(p) for p in marked_points])
     hpts = np.asarray([complex(q) for q in ham_points])
     seeds = []
@@ -183,6 +182,9 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
         raise ConfigError("need at least one marked point")
     if len(seeds) != len(pts):
         raise ConfigError("need one orbit seed per marked point")
+    # the basis has m^2 entries per Cartan generator: build it only for an
+    # m that the seeds already confirm
+    basis = build_slm_basis(m)
     polys = tuple(InvariantPolynomial(int(k)) for k in degrees)
     if len(polys) != len(hpts):
         raise ConfigError("need one polynomial degree per Hamiltonian point")
@@ -652,7 +654,7 @@ def model_from_dict(d: dict) -> GaudinModel:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
 
 
@@ -677,7 +679,7 @@ def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
             p=np.array([_j2c(x) for x in d["p"]]) if "p" in d else None,
             t=np.array(d.get("t", np.zeros(model.n_hams)), dtype=float),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
     if state.t.shape != (model.n_hams,) or not np.all(np.isfinite(state.t)):
         raise ConfigError(f"state t must be {model.n_hams} finite times, one per "

@@ -45,6 +45,7 @@ __all__ = [
     "sigma_eval",
     "zeta_eval",
     "lattice_distance",
+    "in_centred_cell",
     "quasi_periodicity_check",
     "kernel_phi",
     "kernel_table",
@@ -155,6 +156,13 @@ def _core(cache: EllipticCache, z):
 def lattice_distance(cache: EllipticCache, z):
     """Distance from z to the nearest lattice point (cell-reduced)."""
     return _cell(cache, z)[3][()]
+
+
+def in_centred_cell(cache: EllipticCache, z):
+    """Whether z lies in the centred fundamental cell, the one that the
+    elliptic functions reduce their arguments to."""
+    _, n1, n2, _ = _cell(cache, z)
+    return ((n1 == 0) & (n2 == 0))[()]
 
 
 def weierstrass_eval(cache: EllipticCache, z):

@@ -195,6 +195,27 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: cfg.update(z_samples=[[True, 1.0]])),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(
             initial_state={"random": True, "seed": 5, "spread": "0.3"})),
+        # a Hamiltonian point 5e-9 from a marked point: past the kernels'
+        # pole tolerance, inside the separation one
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][0].update(
+            point=[-1.0 + 5e-9, 0.0])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["model"]["hamiltonians"][0].update(
+            point=[0.3, 0.2 + 5e-9])),
+        # found by tests/test_fuzz.py: integers beyond the float range in the
+        # model, the state and the curve; a genus-1 z sample far outside the
+        # fundamental cell; a step longer than a curve segment
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["marked_points"].__setitem__(
+            0, [10 ** 400, 0.0])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["initial_state"]["q"].__setitem__(
+            0, [10 ** 400, 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(t=[10 ** 400, 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["curve"][1].__setitem__(0, 10 ** 400)),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["z_samples"].append([0.1, -6.3e18])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["z_samples"].append([0.1, 1.2])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg.update(step=2.26)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(step=0.6)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][1].update(
+            degree=10 ** 400)),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
@@ -207,7 +228,10 @@ class TestSimulate:
             "m_one", "tau_lower_half_plane", "step_count_1e9", "step_denormal",
             "method_unknown_on_still_curve", "step_numeric_text", "step_bool",
             "step_int_overflow", "margin_text", "z_sample_text", "z_sample_bool",
-            "spread_text"])
+            "spread_text", "ham_point_5e-9_from_marked", "elliptic_ham_point_5e-9_from_marked",
+            "point_int_overflow", "q_int_overflow", "t_int_overflow", "curve_int_overflow",
+            "z_sample_far_from_cell", "z_sample_next_cell", "elliptic_step_past_curve",
+            "step_past_curve", "degree_huge"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err

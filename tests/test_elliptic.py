@@ -300,7 +300,9 @@ class TestKernelTableReuse:
         self.count(monkeypatch, weierstrass, "_core", counts)
         self.count(monkeypatch, models, "orbit_elements", counts)
         self.count(monkeypatch, np.linalg, "inv", counts)
+        self.count(monkeypatch, models, "_kernel_weights", counts)
         grad_hamiltonian(model, state, 1)
+        # the weights at q_i are the model's: no _kernel_weights call
         assert counts == {"orbit_elements": 1, "inv": 1}
 
     def test_elliptic_lax_builds_one_table(self, monkeypatch, ensembles):

@@ -172,6 +172,27 @@ class TestStepper:
             assert np.array_equal(new.q, state.q + h * dH_dp2)
             assert np.array_equal(new.p, state.p - h * dH_dq2)
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_conjugation_step_calls(self, rng, monkeypatch, genus):
+        # one explicit-midpoint step: two gradients, two stacked exponentials,
+        # and in genus 0 no kernel weights beyond the model's own
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 4, (2, 3))
+        else:
+            model, state = random_elliptic_ensemble(rng, 2, 2, (2, 3))
+        counts = {}
+        for module, name in ((flows, "matrix_exponential"), (flows, "grad_hamiltonian"),
+                             (models, "_kernel_weights")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        step(model, state, 1, 0.01, method="conjugation")
+        expected = {"matrix_exponential": 2, "grad_hamiltonian": 2}
+        if genus == 1:
+            expected["_kernel_weights"] = 2
+        assert counts == expected
+
     def test_convergence_orders(self, rational):
         # step-halving study against a fine rk4 reference
         model, state = rational

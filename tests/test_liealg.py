@@ -3,7 +3,9 @@ import pytest
 
 from gaudinlab.errors import DimensionError
 from gaudinlab.liealg import (
+    _THETA13,
     InvariantPolynomial,
+    _matrix_power,
     build_slm_basis,
     cartan_components,
     matrix_exponential,
@@ -196,6 +198,20 @@ class TestStackedExponential:
         assert all(np.array_equal(matrix_exponential(x), r)
                    for x, r in zip(flat, ref.reshape(-1, m, m)))
 
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_lockstep_stack(self, rng, scaled):
+        # a (B, N, m, m) stack, as a lockstep conjugation step exponentiates
+        # it: every 1-norm at most theta13, so nothing is scaled, or one
+        # matrix above it that alone takes three squarings
+        X = rng.standard_normal((3, 4, 4, 4)) + 1j * rng.standard_normal((3, 4, 4, 4))
+        norms = rng.uniform(0.01, 1.0, (3, 4)) * _THETA13
+        X *= (norms / np.linalg.norm(X, 1, axis=(-2, -1)))[..., None, None]
+        if scaled:
+            X[1, 2] *= 7.5
+        E = matrix_exponential(X)
+        ref = np.array([_expm_single(x) for x in X.reshape(-1, 4, 4)]).reshape(X.shape)
+        assert np.array_equal(E, ref)
+
     def test_nonfinite_entry_in_a_stack(self):
         X = np.zeros((3, 2, 2), dtype=complex)
         X[2, 1, 0] = np.nan
@@ -227,6 +243,8 @@ class TestInvariantPolynomials:
     def test_degree_validation(self):
         with pytest.raises(DimensionError):
             InvariantPolynomial(1)
+        with pytest.raises(DimensionError):
+            InvariantPolynomial(2 ** 53 + 1)
 
     def test_conjugation_invariance(self, rng):
         P = InvariantPolynomial(3)
@@ -236,6 +254,12 @@ class TestInvariantPolynomials:
             v0 = P.evaluate(X)
             v1 = P.evaluate(g @ X @ np.linalg.inv(g))
             assert abs(v1 - v0) < 1e-10 * (1.0 + abs(v0))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_power_takes_the_products_of_matrix_power(self, rng, lead, n):
+        X = rng.standard_normal(lead + (3, 3)) + 1j * rng.standard_normal(lead + (3, 3))
+        assert np.array_equal(_matrix_power(X, n), np.linalg.matrix_power(X, n))
 
     def test_quadratic_gradient_is_identity_map(self, rng):
         P = InvariantPolynomial(2)

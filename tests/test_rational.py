@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gaudinlab import models
 from gaudinlab.errors import ConfigError, PoleError
 from gaudinlab.liealg import random_traceless
 from gaudinlab.models import (
@@ -94,6 +95,31 @@ class TestHamiltonian:
         for D, pa in zip(dH_dL, model.marked_points):
             np.testing.assert_allclose(D, Lw / (w - pa), atol=1e-13)
 
+    def test_gradient_reads_the_model_weights(self, rng):
+        # the stored weights at the Hamiltonian points give the bits of
+        # the weights _kernel_weights builds there, and so the same dH/dL_a,
+        # for one flow index and for one index per lockstep member
+        model, state = random_rational_ensemble(rng, 3, 4, (2, 3, 4))
+        state = PhaseState(phis=[np.eye(3) + 0.3 * random_traceless(rng, 3)
+                                 for _ in range(4)], t=state.t)
+
+        def kernel_route(state, i):
+            W = models._kernel_weights(model, None, model.ham_points[i])[0]
+            G = model.polys[i].gradient(models._lax(model, orbit_elements(model, state),
+                                                    None, W))
+            return G[..., None, :, :] * W.swapaxes(-1, -2)
+
+        for i in range(3):
+            assert np.array_equal(grad_hamiltonian(model, state, i)[0],
+                                  kernel_route(state, i))
+        members = np.array([2, 0, 2, 1])
+        lockstep = PhaseState(phis=np.stack([state.phis] * 4), t=np.zeros((4, 3)))
+        assert np.array_equal(model.ham_weights[members],
+                              models._kernel_weights(model, None,
+                                                     model.ham_points[members])[0])
+        assert np.array_equal(grad_hamiltonian(model, lockstep, members)[0],
+                              np.array([kernel_route(state, i) for i in members]))
+
     @pytest.mark.parametrize("degrees", [(2, 2), (2, 3)])
     def test_gradient_against_finite_differences(self, rng, degrees):
         model, state = random_rational_ensemble(rng, 3, 3, degrees)
@@ -162,6 +188,16 @@ class TestValidation:
     def test_ham_point_on_marked_point(self):
         with pytest.raises(ConfigError, match="coincident"):
             make_gaudin_model(0, 2, [0.0, 1.0], [np.zeros((2, 2))] * 2, [1.0], [2])
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_ham_point_within_separation_tol(self, genus):
+        # between POLE_TOL and SEPARATION_TOL: rejected here, so the kernels
+        # need no pole check at the Hamiltonian points
+        gap = 5e-9
+        assert models.POLE_TOL < gap < models.SEPARATION_TOL
+        with pytest.raises(ConfigError, match="coincident"):
+            make_gaudin_model(genus, 2, [0.3 + 0.2j, -0.2 - 0.1j], [np.zeros((2, 2))] * 2,
+                              [0.3 + 0.2j + gap], [2], tau=1.1j if genus else None)
 
     def test_traceful_seed(self):
         with pytest.raises(ConfigError, match="traceless"):
