@@ -4,9 +4,9 @@
     gaudin-lab verify <suite> [--seed N] [--out DIR]
 
 Exit codes: 0 success, 1 verification check failed, 2 configuration error,
-3 numerical abort (a flow step ran into a pole or a resonance, or went
-non-finite; the reason and last good time are recorded in the diagnostics
-JSON).
+3 numerical abort (a flow step, or a pass over the finished trajectory, ran
+into a pole or a resonance, or went non-finite; the reason and last good
+time are recorded in the diagnostics JSON).
 """
 
 from __future__ import annotations
@@ -178,6 +178,16 @@ def cmd_simulate(args):
         traj = evolve(model, state, curve, h, method=method,
                       project_residue_sum=(projection == "project"),
                       resonance_margin_min=margin)
+        try:
+            write_trajectory_csv(csv_path, model, traj, z_samples, seed=seed)
+            report = diagnostics(model, traj, z_samples)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            # a pole, a resonance or an overflow in the passes over the
+            # finished trajectory: every state was good to the curve's end
+            end = sum(abs(delta) for _, _, delta in curve.segments())
+            raise NumericalAbort(str(exc), end) from exc
     except NumericalAbort as exc:
         payload = {"abort_reason": exc.reason,
                    "last_good_time": float(exc.last_good_time),
@@ -187,8 +197,6 @@ def cmd_simulate(args):
         print(f"numerical abort: {exc.reason} (t = {exc.last_good_time:g})",
               file=sys.stderr)
         return EXIT_NUMERICAL
-    write_trajectory_csv(csv_path, model, traj, z_samples, seed=seed)
-    report = diagnostics(model, traj, z_samples)
     payload = report.to_dict()
     payload["seed"] = seed
     checks_failed = 0

@@ -417,7 +417,7 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
     at a time: one residue pass, one eigvals call per kind of spectrum, and
     L at the Hamiltonian points and the z samples from one lax_matrix call
     on the chunk's residues, whose kernel weights serve the whole chunk (in
-    genus 1, one kernel table per point over every state's root values)."""
+    genus 1, one kernel table over every state's root values and point)."""
     if not traj.states:
         raise ConfigError("empty trajectory")
     if traj.lockstep:

@@ -264,49 +264,37 @@ def _kernel_weights(model: GaudinModel, q, z, ham=None):
     sum_a X_a * W[a] has a simple pole at each pole p_a with residue X_a.
     The poles are the marked points (Lax weights) or q_ham (M weights).
 
-    Genus 0: 1 / (z - p_a) in every entry, shape (P, 1, 1).
-    Genus 1: shape (P, m, m); the root entry of rho_r holds the twisted
+    Genus 0: 1 / (z - p_a) in every entry, shape (..., P, 1, 1).
+    Genus 1: shape (..., P, m, m); the root entry of rho_r holds the twisted
     kernel Phi(u_r, z; p_a) e^{u_r zeta(p_a)}, u_r = rho_r(Q), of residue 1;
     the diagonal holds zeta(z - p_a) + zeta(p_a) for L (the zeta(p_a) part
     of pi^mu at fixed momenta) or zeta(z - q_ham) - zeta(z) for M.
 
-    Also returns the (P, n_roots) u-derivatives of the root weights (None in
-    genus 0).  Leading axes of q (..., rk) hold several states and lead both
-    results; z is one point, or one point per state (an array of q's
-    leading shape, which in genus 0, where q is None, leads instead).
-    PoleError at a pole and, in genus 1, at z = 0; genus 1 runs one
-    kernel_table call over every state's root values, so one lattice and
-    resonance guard."""
+    Also returns the (..., P, n_roots) u-derivatives of the root weights
+    (None in genus 0).  The leading axes of q (..., rk) and of z broadcast,
+    as in kernel_table: q[..., None, :] with a (Z,) array z gives every
+    state's weights at every point.  In genus 0, where q is None, z's axes
+    lead.  PoleError at a pole and, in genus 1, at z = 0; genus 1 makes one
+    kernel_table call, so one lattice and resonance guard."""
     poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
-    per_z = isinstance(z, np.ndarray)   # one point per state
     if model.genus == 0:
-        d = (z[..., None] if per_z else z) - poles
+        d = np.asarray(z)[..., None] - poles
         near = np.abs(d) < POLE_TOL
         if near.any():
             k, a = divmod(int(np.argmax(near)), len(poles))
-            raise PoleError(f"z = {z.ravel()[k] if per_z else z} "
-                            f"is at the pole {poles[a]}")
+            raise PoleError(f"z = {np.ravel(z)[k]} is at the pole {poles[a]}")
         return (1.0 / d)[..., None, None], None
     zeta_poles = model.zeta_poles if ham is None else model.zeta_hampts[ham:ham + 1]
     basis, m = model.basis, model.m
     u = (basis.roots @ q[..., None])[..., 0]
-    flat = u.ravel()
-    # one z per row of the table when each state has its own
-    kt = kernel_table(model.cache, flat, np.repeat(z.ravel(), u.shape[-1]) if per_z else z,
-                      poles)
-    # the table rows run over every state's roots; per state, poles lead
-    per_state = (*u.shape, len(poles))
-    value = (kt.value * np.exp(flat[:, None] * zeta_poles)).reshape(per_state).swapaxes(-1, -2)
-    zeta_zp, zeta_z = kt.zeta_zp, kt.zeta_z
-    if per_z:           # the rows of one state share z: keep its first
-        zeta_zp = zeta_zp.reshape(per_state)[..., 0, :]
-        zeta_z = zeta_z.reshape(u.shape)[..., :1]
-    cartan = zeta_zp + zeta_poles if ham is None else zeta_zp - zeta_z
-    W = np.empty((*u.shape[:-1], len(poles), m, m), dtype=complex)
+    kt = kernel_table(model.cache, u, z, poles)
+    # per state and point, poles lead
+    value = (kt.value * np.exp(u[..., None] * zeta_poles)).swapaxes(-1, -2)
+    cartan = kt.zeta_zp + zeta_poles if ham is None else kt.zeta_zp - kt.zeta_z[..., None]
+    W = np.empty((*value.shape[:-1], m, m), dtype=complex)
     W[..., basis.root_entries[0], basis.root_entries[1]] = value
     W[..., np.arange(m), np.arange(m)] = cartan[..., None]
-    dlog_du = kt.dlog_du.reshape(per_state).swapaxes(-1, -2)
-    return W, value * (dlog_du + zeta_poles[:, None])
+    return W, value * (kt.dlog_du.swapaxes(-1, -2) + zeta_poles[:, None])
 
 
 def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
@@ -333,11 +321,13 @@ def lax_matrix(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
     Res_{p_alpha} L = L_alpha.  Raises PoleError at the marked points (and
     at z = 0 in genus 1), ResonanceError when rho(Q) is on the lattice for
     some root.  For a sequence of points z the result is the (..., Z, m, m)
-    stack, from one residue pass; leading axes of the state lead."""
+    stack, from one residue pass and one set of weights (in genus 1 one
+    kernel table for every state and point); leading axes of the state
+    lead."""
     Ls = _residues(model, state)
-    W = np.stack([_kernel_weights(model, state.q, complex(w))[0] for w in np.ravel(z)],
-                 axis=-4)
+    q = None if state.q is None else state.q[..., None, :]
     p = None if state.p is None else state.p[..., None, :]
+    W = _kernel_weights(model, q, np.ravel(z))[0]
     L = _lax(model, Ls[..., None, :, :, :], p, W)
     return L if np.ndim(z) else L[..., 0, :, :]
 
@@ -419,12 +409,14 @@ def m_matrix(model: GaudinModel, state: PhaseState, i: int, z) -> np.ndarray:
     admissible constant is set to 0); on the torus the Cartan part
     grad^mu (zeta(z - q_i) - zeta(z)) carries the compensating pole
     -grad^mu at z = 0 that matches d/dt gamma gamma^{-1}.  For a sequence
-    of points z the result is the (Z, m, m) stack, from one gradient."""
+    of points z the result is the (..., Z, m, m) stack, from one gradient
+    and one set of weights; leading axes of the state lead."""
     G = model.polys[i].gradient(lax_matrix(model, state, model.ham_points[i]))
     # the weights at z have the single pole q_i; they raise PoleError at
     # q_i and, in genus 1, at the gluing point z = 0
-    W = [_kernel_weights(model, state.q, complex(w), ham=i)[0][0] for w in np.ravel(z)]
-    return G * (np.array(W) if np.ndim(z) else W[0])
+    q = None if state.q is None else state.q[..., None, :]
+    M = G[..., None, :, :] * _kernel_weights(model, q, np.ravel(z), ham=i)[0][..., 0, :, :]
+    return M if np.ndim(z) else M[..., 0, :, :]
 
 
 # ---------------------------------------------------------------------------

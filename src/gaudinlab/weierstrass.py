@@ -15,7 +15,7 @@ Two independent evaluation routes are provided:
   Every evaluation goes through one private array core (`_core`), which
   treats a whole array of arguments in one pass; the scalar functions are
   thin wrappers over it, and `kernel_table` evaluates the twisted kernel
-  for all (u, pole) pairs at one z with a single call.
+  for all (u, pole) pairs at one or many points z with a single call.
 
 * `LatticeSumOracle` evaluates the same three functions from symmetrised
   truncated lattice sums.  Lattice points are grouped in +/- pairs, which
@@ -203,15 +203,15 @@ def quasi_periodicity_check(cache: EllipticCache, z: complex, l: int) -> float:
 
 
 class KernelTable(NamedTuple):
-    """The twisted kernel over arguments u (R,) and poles (P,) at one z:
-    (R, P) arrays value, dlog_du and dlog_dz, plus zeta(z) and the (P,)
-    array zeta(z - pole) from the same evaluation.  With one z per row,
-    zeta(z) is (R,) and zeta(z - pole) is (R, P)."""
+    """The twisted kernel over arguments u (..., R) and poles (P,): arrays
+    value, dlog_du and dlog_dz of shape (..., R, P), plus zeta(z), of z's
+    shape, and zeta(z - pole), of z's shape followed by P, from the same
+    evaluation."""
 
     value: np.ndarray
     dlog_du: np.ndarray
     dlog_dz: np.ndarray
-    zeta_z: complex
+    zeta_z: np.ndarray
     zeta_zp: np.ndarray
 
 
@@ -227,60 +227,55 @@ def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
     genus-one transition function removes; simple pole at z = pole with
     residue exp(-u zeta(pole)).
 
-    z is one point, or an (R,) array holding the point of each row of `us`.
-    The rows that share a z then equal that z's one-point table over those
-    rows bit for bit, unless that table has one entry: numpy rounds a
-    one-element complex product its own way.  All arguments go through one
-    evaluation of the array core and one lattice guard: PoleError when z,
-    z - pole or u + z - pole is within POLE_TOL of the lattice,
-    ResonanceError (a PoleError) when u is, each naming the offending row's
-    arguments.  A sigma quotient that is not representable raises
-    ValueError.
+    `us` has shape (..., R), one group of roots per leading index, and z
+    broadcasts against the leading axes, so each group may have its own
+    point.  z, z - pole and u are evaluated at their own shapes and
+    u + z - pole at the broadcast one, in one call of the array core under
+    one lattice guard: PoleError when z, z - pole or u + z - pole is within
+    POLE_TOL of the lattice, ResonanceError (a PoleError) when u is, each
+    naming the offending arguments.  An entry has the same bits in any
+    table, except in a one-entry table whose z has fewer axes than the
+    groups (numpy rounds a one-element complex product of operands of
+    unequal rank its own way).  A sigma quotient that is not representable
+    raises ValueError.
     """
     us = np.asarray(us, dtype=complex)
+    z = np.asarray(z, dtype=complex)
     poles = np.asarray(poles, dtype=complex)
-    R, P = len(us), len(poles)
-    one = np.ndim(z) == 0           # one z for every row
-    z = complex(z) if one else np.asarray(z, dtype=complex)
-    Z, zcol = (1, z) if one else (R, z[:, None])
-    zp = zcol - poles               # (P,) or (R, P)
-    shifted = (us[:, None] + zcol) - poles
+    zp = z[..., None] - poles
+    shifted = (us[..., None] + z[..., None, None]) - poles
     wp, ze, sig, dist = _core(cache, np.concatenate(
-        ([z] if one else z, zp.ravel(), us, shifted.ravel())))
-    on_lattice = dist < POLE_TOL
-    if on_lattice.any():
-        k = int(np.argmax(on_lattice))
-        if k < Z:
-            raise PoleError(f"kernel: z = {_row(z, k)} is on the lattice")
-        if k < Z + Z * P:
-            r, a = divmod(k - Z, P)
-            raise PoleError(f"kernel: z = {_row(z, r)} is at the pole {poles[a]}")
-        if k < Z + Z * P + R:
-            raise ResonanceError(f"kernel: u = {us[k - Z - Z * P]} is on the lattice")
-        r, a = divmod(k - Z - Z * P - R, P)
+        (z.ravel(), zp.ravel(), us.ravel(), shifted.ravel())))
+    a = z.size
+    b = a + zp.size
+    c = b + us.size
+    if (dist < POLE_TOL).any():
+        k = int(np.argmax(dist < POLE_TOL))
+        if k < a:
+            raise PoleError(f"kernel: z = {z.ravel()[k]} is on the lattice")
+        if k < b:
+            *at, pole = np.unravel_index(k - a, zp.shape)
+            raise PoleError(f"kernel: z = {z[tuple(at)]} is at the pole {poles[pole]}")
+        if k < c:
+            raise ResonanceError(f"kernel: u = {us.ravel()[k - b]} is on the lattice")
+        *at, r, pole = np.unravel_index(k - c, shifted.shape)
+        u_at = np.broadcast_to(us, shifted.shape[:-1])[(*at, r)]
+        z_at = np.broadcast_to(z, shifted.shape[:-2])[tuple(at)]
         raise PoleError(f"kernel: u + z - pole is on the lattice "
-                        f"(u = {us[r]}, z = {_row(z, r)}, pole = {poles[a]})")
-    # the z blocks keep a scalar z's shapes (per row: one row each); numpy
-    # rounds a complex product differently in its one-element loop, so
-    # other shapes could move the bits of a one-point table
-    u0 = Z + Z * P
-    zeta_z, wp_z = (ze[0], wp[0]) if one else (ze[:Z, None], wp[:Z, None])
-    zeta_zp, sig_zp = ze[Z:u0].reshape(zp.shape), sig[Z:u0].reshape(zp.shape)
-    zeta_u, sig_u = ze[u0:u0 + R, None], sig[u0:u0 + R, None]
-    zeta_s, sig_s = ze[u0 + R:].reshape(R, P), sig[u0 + R:].reshape(R, P)
+                        f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
+    zeta_z, wp_z = ze[:a].reshape(z.shape), wp[:a].reshape(z.shape)
+    zeta_zp, sig_zp = ze[a:b].reshape(zp.shape), sig[a:b].reshape(zp.shape)
+    zeta_u, sig_u = ze[b:c].reshape(us.shape), sig[b:c].reshape(us.shape)
+    zeta_s, sig_s = ze[c:].reshape(shifted.shape), sig[c:].reshape(shifted.shape)
+    u, zeta_zc = us[..., None], zeta_z[..., None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = sig_s / (sig_u * sig_zp) * np.exp(-us[:, None] * zeta_z)
+        value = sig_s / (sig_u[..., None] * sig_zp[..., None, :]) * np.exp(-u * zeta_zc)
     if not np.all(np.isfinite(value)):
         raise ValueError(f"kernel: a sigma quotient overflows "
                          f"(largest |u| = {np.max(np.abs(us)):.3g})")
-    dlog_du = zeta_s - zeta_u - zeta_z
-    dlog_dz = zeta_s - zeta_zp + us[:, None] * wp_z
-    return KernelTable(value, dlog_du, dlog_dz, zeta_z if one else ze[:Z], zeta_zp)
-
-
-def _row(z, r):
-    """The point of row r: z itself, or its entry r when each row has one."""
-    return z if np.ndim(z) == 0 else z[r]
+    dlog_du = zeta_s - zeta_u[..., None] - zeta_zc
+    dlog_dz = zeta_s - zeta_zp[..., None, :] + u * wp_z[..., None, None]
+    return KernelTable(value, dlog_du, dlog_dz, zeta_z, zeta_zp)
 
 
 def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):

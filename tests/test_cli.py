@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from gaudinlab import cli
 from gaudinlab.cli import main
+from gaudinlab.errors import ConfigError, PoleError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -78,6 +80,31 @@ class TestSimulate:
         assert "resonance" in diag["abort_reason"]
         assert 0.0 <= diag["last_good_time"] < 2.0
         assert "abort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [ValueError, PoleError, ConfigError])
+    def test_error_after_evolve(self, tmp_path, capsys, monkeypatch, error):
+        # a pole or an overflow in the passes over the finished trajectory
+        # is a numerical abort at the end of the curve; a ConfigError stays
+        # a config error
+        def fail(*args):
+            raise error("kernel: a sigma quotient overflows")
+
+        monkeypatch.setattr(cli, "diagnostics", fail)
+        code, out = run_config(tmp_path, "elliptic_cm_sl2.json")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if error is ConfigError:
+            assert code == 2 and err.startswith("config error: kernel:")
+            assert not (out / "diag.json").exists()
+            return
+        assert code == 3
+        assert err.startswith("numerical abort: kernel: a sigma quotient overflows")
+        diag = json.loads((out / "diag.json").read_text())
+        curve = json.loads((CONFIG_DIR / "elliptic_cm_sl2.json").read_text())["curve"]
+        end = sum(abs(b - a) for w, v in zip(curve, curve[1:]) for a, b in zip(w, v))
+        assert diag["abort_reason"] == "kernel: a sigma quotient overflows"
+        assert diag["last_good_time"] == pytest.approx(end, rel=1e-12)
+        assert (out / "traj.csv").exists()
 
     def test_random_state_needs_balanced_seeds(self, tmp_path, capsys):
         def randomize(cfg):

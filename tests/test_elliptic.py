@@ -313,6 +313,39 @@ class TestKernelTableReuse:
         lax_matrix(model, state, 0.11 + 0.31j)
         assert counts == {"_kernel_weights": 1, "_core": 1}
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_points_equal_the_calls_per_point(self, monkeypatch, genus):
+        # L and M at Z points take one set of weights (in genus 1 one kernel
+        # table), for one state and for a stack of two, and each point's
+        # matrix equals its own one-point call bit for bit
+        rng = np.random.default_rng(43)
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
+            zs = np.array([2.2 + 1.4j, -1.9 + 0.7j, 0.3 - 2.1j])
+            other = PhaseState(phis=state.phis + 0.01 * rng.standard_normal(state.phis.shape))
+            stack = PhaseState(phis=np.stack([state.phis, other.phis]))
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3), tau=1.1j)
+            zs = np.array([0.11 + 0.31j, -0.33 + 0.17j, 0.21 - 0.38j])
+            other = PhaseState(phis=state.phis, q=state.q + 0.01, p=state.p - 0.02)
+            stack = PhaseState(phis=np.stack([state.phis] * 2),
+                               q=np.stack([state.q, other.q]), p=np.stack([state.p, other.p]))
+        counts = {}
+        self.count(monkeypatch, models, "_kernel_weights", counts)
+        self.count(monkeypatch, models, "kernel_table", counts)
+        L, Ls = lax_matrix(model, state, zs), lax_matrix(model, stack, zs)
+        M, Ms = m_matrix(model, state, 1, zs), m_matrix(model, stack, 1, zs)
+        # two L calls, and two M calls that each take a second set for L(q_i)
+        assert counts == ({"_kernel_weights": 6} if genus == 0 else
+                          {"_kernel_weights": 6, "kernel_table": 6})
+        assert L.shape == M.shape == (3, 3, 3) and Ls.shape == Ms.shape == (2, 3, 3, 3)
+        for k, z in enumerate(zs):
+            np.testing.assert_array_equal(L[k], lax_matrix(model, state, z))
+            np.testing.assert_array_equal(M[k], m_matrix(model, state, 1, z))
+            for b, st in enumerate((state, other)):
+                np.testing.assert_array_equal(Ls[b, k], lax_matrix(model, st, z))
+                np.testing.assert_array_equal(Ms[b, k], m_matrix(model, st, 1, z))
+
     @pytest.mark.parametrize("ham", [None, 0, 1])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_kernel_weights_batch_over_states(self, monkeypatch, m, ham):

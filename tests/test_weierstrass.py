@@ -205,21 +205,56 @@ class TestArrayCore:
 
     @pytest.mark.parametrize("n_poles", [1, 3])
     def test_per_row_z_equals_the_calls_per_point(self, cache, rng, n_poles):
-        # three members of two roots each, every member at its own z: the
-        # rows of a member equal its one-point table bit for bit
+        # three groups of two roots, every group at its own z: a group's
+        # rows equal its one-point table bit for bit
         us = rng.uniform(-0.3, 0.3, (3, 2)) + 1j * rng.uniform(-0.2, 0.2, (3, 2))
         zs = np.array(random_cell_points(rng, TAU, 3))
         poles = np.array(random_cell_points(rng, TAU, n_poles))
-        table = kernel_table(cache, us.ravel(), np.repeat(zs, 2), poles)
-        assert table.zeta_z.shape == (6,) and table.zeta_zp.shape == (6, n_poles)
+        table = kernel_table(cache, us, zs, poles)
+        assert table.value.shape == (3, 2, n_poles)
+        assert table.zeta_z.shape == (3,) and table.zeta_zp.shape == (3, n_poles)
         for b, z in enumerate(zs):
-            one = kernel_table(cache, us[b], z, poles)
-            rows = slice(2 * b, 2 * b + 2)
-            for got, ref in zip(table, one):
-                np.testing.assert_array_equal(got[rows], np.broadcast_to(ref, got[rows].shape))
+            for got, ref in zip(table, kernel_table(cache, us[b], z, poles)):
+                np.testing.assert_array_equal(got[b], ref)
+
+    @pytest.mark.parametrize("n_poles", [1, 3])
+    def test_points_broadcast_over_groups(self, cache, rng, n_poles):
+        # us (C, 1, R) against z (Z,): a (C, Z, R, P) table whose (c, k)
+        # block is the table of group c at point k, bit for bit; z and
+        # z - pole keep z's shape
+        us = rng.uniform(-0.3, 0.3, (4, 1, 2)) + 1j * rng.uniform(-0.2, 0.2, (4, 1, 2))
+        zs = np.array(random_cell_points(rng, TAU, 3))
+        poles = np.array(random_cell_points(rng, TAU, n_poles))
+        table = kernel_table(cache, us, zs, poles)
+        assert table.value.shape == (4, 3, 2, n_poles)
+        assert table.zeta_z.shape == (3,) and table.zeta_zp.shape == (3, n_poles)
+        for c in range(4):
+            for k, z in enumerate(zs):
+                one = kernel_table(cache, us[c, 0], z, poles)
+                for got, ref in zip(table[:3], one[:3]):
+                    np.testing.assert_array_equal(got[c, k], ref)
+                np.testing.assert_array_equal(table.zeta_z[k], one.zeta_z)
+                np.testing.assert_array_equal(table.zeta_zp[k], one.zeta_zp)
+
+    def test_kernel_phi_is_an_entry_of_a_larger_table(self, cache, rng):
+        # kernel_phi rounds like the tables the flows use: its three values
+        # are entry [0, 0] of a two-row table, bit for bit
+        checked = 0
+        while checked < 200:
+            u, u2, z, pole = random_cell_points(rng, TAU, 4)
+            if lattice_distance(cache, u + z - pole) < 0.1:
+                continue
+            table = kernel_table(cache, [u, u2], z, [pole])
+            assert kernel_phi(cache, u, z, pole) == (
+                table.value[0, 0], table.dlog_du[0, 0], table.dlog_dz[0, 0])
+            checked += 1
 
     def test_per_row_z_errors_name_the_row(self, cache):
-        us = np.array([0.21 + 0.13j, -0.17 + 0.22j, 0.11 - 0.05j])
+        # three groups of two roots, each at its own z: the message names
+        # the offending group's arguments
+        us = np.array([[0.21 + 0.13j, -0.17 + 0.22j],
+                       [0.11 - 0.05j, 0.08 + 0.19j],
+                       [-0.23 + 0.04j, 0.14 - 0.16j]])
         poles = np.array([0.17 + 0.31j])
         near = 0.5 * POLE_TOL
 
@@ -232,11 +267,13 @@ class TestArrayCore:
         zs = np.array([0.3 + 0.1j, 1.0 + TAU + near, 0.05 - 0.3j])
         raises(PoleError, zs, us, f"z = {zs[1]} is on the lattice")
         zs = np.array([0.3 + 0.1j, -0.2 + 0.25j, poles[0] + near])
-        raises(PoleError, zs, us, f"z = {zs[2]} is at the pole")
+        raises(PoleError, zs, us, f"z = {zs[2]} is at the pole {poles[0]}")
         zs = np.array([0.3 + 0.1j, -0.2 + 0.25j, 0.05 - 0.3j])
-        raises(ResonanceError, zs, np.append(us[:2], 1.0 + near), f"u = {complex(1.0 + near)}")
-        zs[1] = poles[0] - us[1] + 1.0 + near
-        raises(PoleError, zs, us, f"u = {us[1]}, z = {zs[1]}")
+        bad = us.copy()
+        bad[2, 1] = 1.0 + near
+        raises(ResonanceError, zs, bad, f"u = {bad[2, 1]} is on the lattice")
+        zs[1] = poles[0] - us[1, 1] + 1.0 + near
+        raises(PoleError, zs, us, f"u = {us[1, 1]}, z = {zs[1]}, pole = {poles[0]}")
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.3, np.inf)])
     def test_non_finite_argument_raises(self, cache, bad):
