@@ -63,6 +63,7 @@ from .weierstrass import (  # noqa: F401
     POLE_TOL,
     EllipticCache,
     build_cache,
+    in_centred_cell,
     kernel_phi,
     kernel_table,
     lattice_distance,
@@ -165,7 +166,7 @@ class PhaseState:
 def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
                       degrees, tau=None) -> GaudinModel:
     """Validate and build a model.  Rejects coincident points, seeds outside
-    sl_m, and (genus 1) points on the lattice."""
+    sl_m, and (genus 1) points on the lattice or outside its centred cell."""
     if genus not in (0, 1):
         raise ConfigError(f"genus must be 0 or 1, got {genus}")
     pts = np.asarray([complex(p) for p in marked_points])
@@ -195,12 +196,15 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
             raise ConfigError("genus 1 requires the modulus tau")
         cache = build_cache(tau)
         dist = lambda a, b: lattice_distance(cache, a - b)
-        for z in pts:
-            if lattice_distance(cache, z) < SEPARATION_TOL:
-                raise ConfigError(f"marked point {z} sits on the lattice (z = 0 is the gluing point)")
-        for z in hpts:
-            if lattice_distance(cache, z) < SEPARATION_TOL:
-                raise ConfigError(f"Hamiltonian point {z} sits on the lattice")
+        for kind, zs in (("marked", pts), ("Hamiltonian", hpts)):
+            for z in zs:
+                if lattice_distance(cache, z) < SEPARATION_TOL:
+                    raise ConfigError(f"{kind} point {z} sits on the lattice "
+                                      "(z = 0 is the gluing point)")
+                # far from the cell the kernel's quasi-periodicity factors overflow
+                if not in_centred_cell(cache, z):
+                    raise ConfigError(f"{kind} point {z} lies outside the centred "
+                                      "fundamental cell of the lattice")
     else:
         dist = lambda a, b: abs(a - b)
     for i in range(len(pts)):
@@ -320,25 +324,28 @@ def lax_matrix(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
     constraint surface; on the torus doubly periodic with
     Res_{p_alpha} L = L_alpha.  Raises PoleError at the marked points (and
     at z = 0 in genus 1), ResonanceError when rho(Q) is on the lattice for
-    some root.  For a sequence of points z the result is the (..., Z, m, m)
-    stack, from one residue pass and one set of weights (in genus 1 one
-    kernel table for every state and point); leading axes of the state
-    lead."""
+    some root.  z may have any shape: the result is the (..., *z.shape, m, m)
+    stack, leading axes of the state first, from one residue pass and one
+    set of weights (in genus 1 one kernel table for every state and point),
+    and each matrix equals its own one-point call bit for bit."""
     Ls = _residues(model, state)
     q = None if state.q is None else state.q[..., None, :]
     p = None if state.p is None else state.p[..., None, :]
     W = _kernel_weights(model, q, np.ravel(z))[0]
     L = _lax(model, Ls[..., None, :, :, :], p, W)
-    return L if np.ndim(z) else L[..., 0, :, :]
+    return L.reshape(L.shape[:-3] + np.shape(z) + L.shape[-2:])
 
 
-def transition_gamma(model: GaudinModel, state: PhaseState, z: complex) -> np.ndarray:
-    """Torus gluing datum gamma(z) = exp(Q/z), diagonal."""
-    z = complex(z)
-    if z == 0:
+def transition_gamma(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
+    """Torus gluing datum gamma(z) = exp(Q/z), diagonal, for one state: the
+    (*z.shape, m, m) stack for z of any shape.  PoleError if any z is 0."""
+    z = np.asarray(z, dtype=complex)
+    if (z == 0).any():
         raise PoleError("transition function is singular at z = 0")
     Qdiag = state.q @ np.diagonal(model.basis.cartan, axis1=1, axis2=2)
-    return np.diag(np.exp(Qdiag / z))
+    gamma = np.zeros(z.shape + (model.m, model.m), dtype=complex)
+    gamma[..., np.arange(model.m), np.arange(model.m)] = np.exp(Qdiag / z[..., None])
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +415,16 @@ def m_matrix(model: GaudinModel, state: PhaseState, i: int, z) -> np.ndarray:
     with residue grad P_i(L(q_i)).  On the sphere that is all (the
     admissible constant is set to 0); on the torus the Cartan part
     grad^mu (zeta(z - q_i) - zeta(z)) carries the compensating pole
-    -grad^mu at z = 0 that matches d/dt gamma gamma^{-1}.  For a sequence
-    of points z the result is the (..., Z, m, m) stack, from one gradient
-    and one set of weights; leading axes of the state lead."""
+    -grad^mu at z = 0 that matches d/dt gamma gamma^{-1}.  z may have any
+    shape: the result is the (..., *z.shape, m, m) stack, leading axes of
+    the state first, from one gradient and one set of weights, and each
+    matrix equals its own one-point call bit for bit."""
     G = model.polys[i].gradient(lax_matrix(model, state, model.ham_points[i]))
     # the weights at z have the single pole q_i; they raise PoleError at
     # q_i and, in genus 1, at the gluing point z = 0
     q = None if state.q is None else state.q[..., None, :]
     M = G[..., None, :, :] * _kernel_weights(model, q, np.ravel(z), ham=i)[0][..., 0, :, :]
-    return M if np.ndim(z) else M[..., 0, :, :]
+    return M.reshape(M.shape[:-3] + np.shape(z) + M.shape[-2:])
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,22 @@ def _five_point(f, x):
     return (f(x - 2 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2 * h)) / (12.0 * h)
 
 
+def _norms(stack):
+    """Frobenius norm of each matrix of a stack, as np.linalg.norm of that
+    matrix alone (norm(..., axis=(-2, -1)) rounds differently)."""
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    return np.array([np.linalg.norm(A) for A in flat]).reshape(stack.shape[:-2])
+
+
 def _numeric_residue(f, pole, direction=1.0):
     """Residue of a meromorphic matrix function by symmetric two-point limits
-    at eps = 1e-4 and eps/2, Richardson-combined to kill the O(eps^2) term."""
+    at eps = 1e-4 and eps/2, Richardson-combined to kill the O(eps^2) term.
+    f takes the (2, 2) array of points pole +- d and returns their matrices."""
     eps = 1e-4
-
-    def sym(e):
-        d = e * direction
-        return 0.5 * (f(pole + d) * d + f(pole - d) * (-d))
-    return (4.0 * sym(eps / 2.0) - sym(eps)) / 3.0
+    d = np.array([eps / 2.0, eps]) * direction
+    plus, minus = f(pole + np.array([d, -d]))
+    sym = 0.5 * (plus * d[:, None, None] + minus * (-d)[:, None, None])
+    return (4.0 * sym[0] - sym[1]) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +146,18 @@ def suite_weierstrass(seed=0):
         return out
 
     # derivative structure via five-point central differences
-    worst_zp = worst_sl = 0.0
-    for z in rand_z(cache, n=50):
-        wp, ze, sig = weierstrass_eval(cache, z)
-        dz = _five_point(lambda x: zeta_eval(cache, x), z)
-        ds = _five_point(lambda x: sigma_eval(cache, x), z)
-        worst_zp = max(worst_zp, abs(dz + wp) / max(1.0, abs(wp)))
-        worst_sl = max(worst_sl, abs(ds / sig - ze) / max(1.0, abs(ze)))
+    zs = np.array(rand_z(cache, n=50))
+    wp, ze, sig = weierstrass_eval(cache, zs)
+    dz = _five_point(lambda x: zeta_eval(cache, x), zs)
+    ds = _five_point(lambda x: sigma_eval(cache, x), zs)
+    worst_zp = np.max(np.abs(dz + wp) / np.maximum(1.0, np.abs(wp)))
+    worst_sl = np.max(np.abs(ds / sig - ze) / np.maximum(1.0, np.abs(ze)))
     rows.append(_residual("weier/zeta_derivative", "zeta'(z) = -p(z)", 1e-7, worst_zp))
     rows.append(_residual("weier/sigma_logderivative", "sigma'(z)/sigma(z) = zeta(z)", 1e-7, worst_sl))
 
     # quasi-periodicity over both periods
     for l in (1, 2):
-        worst = max(quasi_periodicity_check(cache, z, l) for z in rand_z(cache, n=20))
+        worst = quasi_periodicity_check(cache, rand_z(cache, n=20), l)
         rows.append(_residual(
             f"weier/quasi_periodicity_l{l}",
             "sigma(z + 2w_l) = -sigma(z) exp(2 eta_l (z + w_l)); zeta shifts by 2 eta_l",
@@ -201,13 +207,12 @@ def suite_weierstrass(seed=0):
                           "zeta(z) - 1/z -> 0 and sigma(z)/z -> 1", 1e-6, worst))
 
     # parity
-    worst = 0.0
-    for z in rand_z(cache, n=10):
-        wp1, ze1, s1 = weierstrass_eval(cache, z)
-        wp2, ze2, s2 = weierstrass_eval(cache, -z)
-        worst = max(worst, abs(wp1 - wp2) / max(1.0, abs(wp1)),
-                    abs(ze1 + ze2) / max(1.0, abs(ze1)),
-                    abs(s1 + s2) / max(1.0, abs(s1)))
+    zs = np.array(rand_z(cache, n=10))
+    wp1, ze1, s1 = weierstrass_eval(cache, zs)
+    wp2, ze2, s2 = weierstrass_eval(cache, -zs)
+    worst = max(np.max(np.abs(wp1 - wp2) / np.maximum(1.0, np.abs(wp1))),
+                np.max(np.abs(ze1 + ze2) / np.maximum(1.0, np.abs(ze1))),
+                np.max(np.abs(s1 + s2) / np.maximum(1.0, np.abs(s1))))
     rows.append(_residual("weier/parity", "p even; zeta, sigma odd", 1e-12, worst))
 
     # kernel: residue value and log-derivatives
@@ -345,8 +350,8 @@ def suite_rational(seed=0):
     model, state = random_rational_ensemble(rng, 2, 3, (2, 2), spread=0.5)
     res = [plaquette_residual(model, state, 0, 1, h, zs[:3]) for h in (0.02, 0.01, 0.005)]
     slopes = [np.log2(res[0] / res[1]), np.log2(res[1] / res[2])]
-    mscale = max(1.0, max(np.linalg.norm(m_matrix(model, state, i, z))
-                          for i in (0, 1) for z in zs[:3]) ** 2)
+    mscale = max(1.0, max(_norms(m_matrix(model, state, i, zs[:3])).max()
+                          for i in (0, 1)) ** 2)
     curvature = abs(2.0 * res[2] - res[1]) / mscale
     rows.append(_residual("rational/zero_curvature_small",
                           "d_i M_j - d_j M_i - [M_i, M_j] = 0 (extrapolated "
@@ -441,12 +446,9 @@ def suite_elliptic(seed=0):
     # double periodicity
     worst = 0.0
     for mdl, st in ((model, state), (model3, state3)):
-        for z in rand_cell_z(mdl, 10):
-            L0 = lax_matrix(mdl, st, z)
-            worst = max(worst,
-                        np.linalg.norm(lax_matrix(mdl, st, z + 1) - L0) / np.linalg.norm(L0),
-                        np.linalg.norm(lax_matrix(mdl, st, z + mdl.cache.tau) - L0)
-                        / np.linalg.norm(L0))
+        zs = np.array(rand_cell_z(mdl, 10))
+        L = lax_matrix(mdl, st, np.array([zs, zs + 1, zs + mdl.cache.tau]))
+        worst = max(worst, np.max(_norms(L[1:] - L[0]) / _norms(L[0])))
     rows.append(_residual("elliptic/periodicity",
                           "L(z + 1) = L(z + tau) = L(z)", 1e-9, worst))
 
@@ -461,15 +463,11 @@ def suite_elliptic(seed=0):
                           "Res_{p_a} L = -phi_a Lambda_a phi_a^{-1}", 1e-7, worst))
 
     # gluing: gamma L gamma^{-1} stays bounded on shrinking circles around 0
-    radii = (0.1, 0.025)
-    maxima = []
-    for r in radii:
-        vals = []
-        for theta in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
-            z = r * np.exp(1j * theta)
-            g = transition_gamma(model, state, z)
-            vals.append(np.linalg.norm(g @ lax_matrix(model, state, z) @ np.linalg.inv(g)))
-        maxima.append(max(vals))
+    circles = np.multiply.outer((0.1, 0.025),
+                                np.exp(1j * np.linspace(0.0, 2 * np.pi, 8, endpoint=False)))
+    g = transition_gamma(model, state, circles)
+    g_inv = np.linalg.inv(g)
+    maxima = _norms(g @ lax_matrix(model, state, circles) @ g_inv).max(axis=-1)
     rows.append(_residual("elliptic/gluing_bounded",
                           "gamma L gamma^{-1} extends holomorphically through z = 0",
                           2.0, maxima[-1] / maxima[0]))
@@ -524,18 +522,11 @@ def suite_elliptic(seed=0):
                           "Cartan residue of M_i at z = 0 is -grad^mu, matching "
                           "dq^mu/dt = dH/dp", 1e-7,
                           np.linalg.norm(np.diag(lim0) + Gmu_diag)))
-    maxima = []
     dq = grad_hamiltonian(model, state, i)[2]
-    for r in radii:
-        vals = []
-        for theta in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
-            z = r * np.exp(1j * theta)
-            g = transition_gamma(model, state, z)
-            comb = g @ m_matrix(model, state, i, z) @ np.linalg.inv(g)
-            for mu in range(model.basis.rank):
-                comb += (dq[mu] / z) * model.basis.cartan[mu]
-            vals.append(np.linalg.norm(comb))
-        maxima.append(max(vals))
+    comb = g @ m_matrix(model, state, i, circles) @ g_inv
+    for mu in range(model.basis.rank):
+        comb += (dq[mu] / circles)[..., None, None] * model.basis.cartan[mu]
+    maxima = _norms(comb).max(axis=-1)
     rows.append(_residual("elliptic/m_gluing_bounded",
                           "gamma M gamma^{-1} + (dq/dt / z) H stays bounded at z = 0",
                           2.0, maxima[-1] / maxima[0]))
@@ -553,8 +544,7 @@ def suite_elliptic(seed=0):
 
     # spin Calogero-Moser reduction: constant Cartan part, diag-free residue
     cm_model, cm_state = random_elliptic_ensemble(rng, 2, 1, (2, 2))
-    L1 = lax_matrix(cm_model, cm_state, rand_cell_z(cm_model, 1)[0])
-    L2 = lax_matrix(cm_model, cm_state, rand_cell_z(cm_model, 1)[0])
+    L1, L2 = lax_matrix(cm_model, cm_state, rand_cell_z(cm_model, 2))
     res = orbit_elements(cm_model, cm_state)[0]
     worst = max(abs(np.diag(L1) - np.diag(L2)).max(), abs(np.diag(res)).max())
     rows.append(_residual("elliptic/calogero_moser_reduction",
@@ -571,13 +561,10 @@ def suite_elliptic(seed=0):
         T = 0.1
         cAB = FlowCurve([[0, 0], [T, 0], [T, T]])
         cBA = FlowCurve([[0, 0], [0, T], [T, T]])
-        both = evolve(model, state, [cAB, cBA], h)
-        sAB, sBA = (both.member(k).states[-1] for k in (0, 1))
-        gap = max(np.max(np.abs(sAB.q - sBA.q)), np.max(np.abs(sAB.p - sBA.p)))
-        for z in zs_comm:
-            gap = max(gap, np.max(np.abs(np.poly(lax_matrix(model, sAB, z))
-                                         - np.poly(lax_matrix(model, sBA, z)))))
-        return gap
+        end = evolve(model, state, [cAB, cBA], h).states[-1]
+        gap = max(np.max(np.abs(end.q[0] - end.q[1])), np.max(np.abs(end.p[0] - end.p[1])))
+        LAB, LBA = lax_matrix(model, end, zs_comm)
+        return max(gap, *(np.max(np.abs(np.poly(A) - np.poly(B))) for A, B in zip(LAB, LBA)))
 
     gaps = [comm_gap(h) for h in (0.008, 0.004, 0.002)]
     rows.append(_order("elliptic/commutativity_order",
@@ -601,8 +588,7 @@ def suite_elliptic(seed=0):
 
         dL = (8 * (L_at(dt) - L_at(-dt)) - (L_at(2 * dt) - L_at(-2 * dt))) / (12 * dt)
         M = m_matrix(model, state, i, zs)
-        for dLz, Mz, L0z in zip(dL, M, L0):
-            worst = max(worst, np.linalg.norm(dLz - (Mz @ L0z - L0z @ Mz)))
+        worst = max(worst, _norms(dL - (M @ L0 - L0 @ M)).max())
     rows.append(_residual("elliptic/lax_residual",
                           "dL/dt^i = [M_i, L] for the elliptic companion ansatz",
                           1e-5, worst))

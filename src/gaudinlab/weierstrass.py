@@ -183,14 +183,16 @@ def zeta_eval(cache: EllipticCache, z):
     return weierstrass_eval(cache, z)[1]
 
 
-def quasi_periodicity_check(cache: EllipticCache, z: complex, l: int) -> float:
+def quasi_periodicity_check(cache: EllipticCache, z, l: int) -> float:
     """Residual of the sigma and zeta quasi-periodicity laws over 2*omega_l.
 
-    Returns max of |sigma(z+2w_l) + sigma(z) e^{2 eta_l (z + w_l... )}|/|sigma(z)|
-    and |zeta(z+2w_l) - zeta(z) - 2 eta_l|, with 2*omega_1 = 1, 2*omega_2 = tau.
+    Returns the max, over both laws and every entry of the array z, of
+    |sigma(z + 2w_l) + sigma(z) e^{2 eta_l (z + w_l)}| / |sigma(z)| and
+    |zeta(z + 2w_l) - zeta(z) - 2 eta_l|, with 2*omega_1 = 1, 2*omega_2 = tau.
     """
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
+    z = np.asarray(z, dtype=complex)
     period = 1.0 if l == 1 else cache.tau
     eta = cache.eta1 if l == 1 else cache.eta2
     s0 = sigma_eval(cache, z)
@@ -199,7 +201,7 @@ def quasi_periodicity_check(cache: EllipticCache, z: complex, l: int) -> float:
     z0 = zeta_eval(cache, z)
     z1 = zeta_eval(cache, z + period)
     rz = abs(z1 - z0 - 2.0 * eta)
-    return max(rs, rz)
+    return float(max(np.max(rs), np.max(rz)))
 
 
 class KernelTable(NamedTuple):

@@ -5,7 +5,8 @@ Criteria are grouped by the suite that produces their rows; each criterion
 asserts that all of its rows passed at the stated tolerances and that the
 producing suite stayed inside the runtime budget.  The suites run once, with
 every `evolve` call recorded, so that one more test can check that no suite
-evolves a trajectory twice.
+evolves a trajectory twice, and with their direct calls of the point
+evaluations (L, M and gamma) counted.
 """
 
 import inspect
@@ -53,26 +54,40 @@ def _recording(evolve, calls):
     return recorded
 
 
+POINT_EVALUATIONS = ("lax_matrix", "m_matrix", "transition_gamma")
+
+
+def _counting(fn, name, counts):
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 @pytest.fixture(scope="module")
 def results():
-    """suite -> (rows, seconds, the suite's evolve calls)"""
+    """suite -> (rows, seconds, the suite's evolve calls, its number of
+    direct calls of each point evaluation)"""
     out = {}
     evolve = verify.evolve
+    originals = {f: getattr(verify, f) for f in POINT_EVALUATIONS}
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in SUITES.items():
-            calls = []
+            calls, counts = [], {}
             mp.setattr(verify, "evolve", _recording(evolve, calls))
+            for f, original in originals.items():
+                mp.setattr(verify, f, _counting(original, f, counts))
             t0 = time.perf_counter()
             rows = fn(SEED)
-            out[name] = (rows, time.perf_counter() - t0, calls)
+            out[name] = (rows, time.perf_counter() - t0, calls, counts)
     return out
 
 
 def _gate(results, criterion, suite, prefixes, extra_suites=()):
-    rows, seconds, _ = results[suite]
+    rows, seconds, _, _ = results[suite]
     picked = [r for r in rows if any(r.name.startswith(p) for p in prefixes)]
     for other in extra_suites:
-        orows, osec, _ = results[other]
+        orows, osec, _, _ = results[other]
         seconds += osec
         picked += [r for r in orows if any(r.name.startswith(p) for p in prefixes)]
     assert picked, f"criterion {criterion}: no checks matched {prefixes}"
@@ -171,9 +186,38 @@ def test_each_trajectory_is_evolved_once(results, suite):
     assert not repeats, f"{suite}: trajectories evolved again: {repeats}"
 
 
+@pytest.mark.parametrize("suite, most", [
+    ("elliptic", {"lax_matrix": 22, "m_matrix": 5, "transition_gamma": 1}),
+    ("rational", {"m_matrix": 2}),
+])
+def test_each_row_evaluates_its_points_in_one_call(results, suite, most):
+    """A row that needs L, M or gamma at several points passes them to one
+    call as an array: the elliptic suite made 123, 26 and 32 direct calls
+    when it called once per point, the rational suite 6 of m_matrix."""
+    counts = results[suite][3]
+    assert set(counts) <= set(most)
+    assert all(counts[f] <= most[f] for f in counts), counts
+
+
+@pytest.mark.parametrize("direction", [1.0, 1j * np.exp(0.4j)], ids=["real", "complex"])
+def test_numeric_residue_takes_one_call(direction):
+    rng = np.random.default_rng(5)
+    A, B = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    pole = 0.3 - 0.2j
+    points = []
+
+    def f(z):
+        points.append(z)
+        return A / (z - pole)[..., None, None] + B
+
+    np.testing.assert_allclose(verify._numeric_residue(f, pole, direction), A,
+                               rtol=0, atol=1e-10)
+    assert len(points) == 1 and points[0].shape == (2, 2)
+
+
 def test_all_rows_green(results):
     total = failed = 0
-    for name, (rows, _, _) in results.items():
+    for name, (rows, _, _, _) in results.items():
         total += len(rows)
         failed += sum(not r.passed for r in rows)
     print(f"\nacceptance total: {total - failed}/{total} checks passed")

@@ -239,6 +239,12 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: cfg["curve"][1].__setitem__(0, 10 ** 400)),
         ("elliptic_cm_sl2.json", lambda cfg: cfg["z_samples"].append([0.1, -6.3e18])),
         ("elliptic_cm_sl2.json", lambda cfg: cfg["z_samples"].append([0.1, 1.2])),
+        # genus-1 marked and Hamiltonian points far outside the centred cell,
+        # where the kernel's quasi-periodicity factors overflow
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["model"]["marked_points"].__setitem__(
+            0, [100.3, 0.2])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["model"]["hamiltonians"][0].update(
+            point=[-60.2, 50.12])),
         ("elliptic_cm_sl2.json", lambda cfg: cfg.update(step=2.26)),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(step=0.6)),
         ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][1].update(
@@ -257,7 +263,8 @@ class TestSimulate:
             "step_int_overflow", "margin_text", "z_sample_text", "z_sample_bool",
             "spread_text", "ham_point_5e-9_from_marked", "elliptic_ham_point_5e-9_from_marked",
             "point_int_overflow", "q_int_overflow", "t_int_overflow", "curve_int_overflow",
-            "z_sample_far_from_cell", "z_sample_next_cell", "elliptic_step_past_curve",
+            "z_sample_far_from_cell", "z_sample_next_cell", "marked_point_far_from_cell",
+            "ham_point_far_from_cell", "elliptic_step_past_curve",
             "step_past_curve", "degree_huge"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)

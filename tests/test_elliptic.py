@@ -124,10 +124,23 @@ class TestTransition:
             u = model.basis.root_value(r, state.q)
             np.testing.assert_allclose(g @ E @ gi, np.exp(u / z) * E, rtol=1e-12)
 
+    def test_points_equal_the_calls_per_point(self, ensembles):
+        # a (2, 8) array of points gives the (2, 8, m, m) stack, each matrix
+        # equal to its own one-point call bit for bit
+        model, state = ensembles[(3, 2)]
+        zs = np.multiply.outer((0.1, 0.025), np.exp(1j * np.linspace(0.0, 6.0, 8)))
+        g = transition_gamma(model, state, zs)
+        assert g.shape == (2, 8, 3, 3)
+        for k in np.ndindex(zs.shape):
+            np.testing.assert_array_equal(g[k], transition_gamma(model, state, zs[k]))
+
     def test_zero_rejected(self, ensembles):
         model, state = ensembles[(2, 2)]
         with pytest.raises(PoleError):
             transition_gamma(model, state, 0.0)
+        # one zero among the points is enough
+        with pytest.raises(PoleError):
+            transition_gamma(model, state, np.array([[0.3, 0.1j], [0.0, -0.2]]))
 
 
 class TestHamiltonian:
@@ -315,18 +328,21 @@ class TestKernelTableReuse:
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_points_equal_the_calls_per_point(self, monkeypatch, genus):
-        # L and M at Z points take one set of weights (in genus 1 one kernel
-        # table), for one state and for a stack of two, and each point's
-        # matrix equals its own one-point call bit for bit
+        # L and M at a (2, 3) array of points take one set of weights (in
+        # genus 1 one kernel table), for one state and for a stack of two;
+        # the result keeps the points' shape, and each point's matrix equals
+        # its own one-point call bit for bit
         rng = np.random.default_rng(43)
         if genus == 0:
             model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
-            zs = np.array([2.2 + 1.4j, -1.9 + 0.7j, 0.3 - 2.1j])
+            zs = np.array([[2.2 + 1.4j, -1.9 + 0.7j, 0.3 - 2.1j],
+                           [1.1 - 2.3j, -2.6 - 0.4j, 2.9 + 0.2j]])
             other = PhaseState(phis=state.phis + 0.01 * rng.standard_normal(state.phis.shape))
             stack = PhaseState(phis=np.stack([state.phis, other.phis]))
         else:
             model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3), tau=1.1j)
-            zs = np.array([0.11 + 0.31j, -0.33 + 0.17j, 0.21 - 0.38j])
+            zs = np.array([[0.11 + 0.31j, -0.33 + 0.17j, 0.21 - 0.38j],
+                           [0.42 - 0.05j, -0.14 - 0.29j, 0.03 + 0.47j]])
             other = PhaseState(phis=state.phis, q=state.q + 0.01, p=state.p - 0.02)
             stack = PhaseState(phis=np.stack([state.phis] * 2),
                                q=np.stack([state.q, other.q]), p=np.stack([state.p, other.p]))
@@ -338,13 +354,14 @@ class TestKernelTableReuse:
         # two L calls, and two M calls that each take a second set for L(q_i)
         assert counts == ({"_kernel_weights": 6} if genus == 0 else
                           {"_kernel_weights": 6, "kernel_table": 6})
-        assert L.shape == M.shape == (3, 3, 3) and Ls.shape == Ms.shape == (2, 3, 3, 3)
-        for k, z in enumerate(zs):
+        assert L.shape == M.shape == (2, 3, 3, 3) and Ls.shape == Ms.shape == (2, 2, 3, 3, 3)
+        for k in np.ndindex(zs.shape):
+            z = zs[k]
             np.testing.assert_array_equal(L[k], lax_matrix(model, state, z))
             np.testing.assert_array_equal(M[k], m_matrix(model, state, 1, z))
             for b, st in enumerate((state, other)):
-                np.testing.assert_array_equal(Ls[b, k], lax_matrix(model, st, z))
-                np.testing.assert_array_equal(Ms[b, k], m_matrix(model, st, 1, z))
+                np.testing.assert_array_equal(Ls[(b, *k)], lax_matrix(model, st, z))
+                np.testing.assert_array_equal(Ms[(b, *k)], m_matrix(model, st, 1, z))
 
     @pytest.mark.parametrize("ham", [None, 0, 1])
     @pytest.mark.parametrize("m", [2, 3, 4])
