@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalAbort
-from .liealg import matrix_exponential
+from .liealg import charpoly, matrix_exponential
 from .models import (
     GaudinModel,
     PhaseState,
@@ -401,7 +401,7 @@ class _Observables:
     Row k belongs to traj.states[k]; drifts are measured against row 0."""
 
     H: np.ndarray               # (K, n) charges H_i
-    casimir_drift: np.ndarray   # (K, N) orbit-spectrum drift per site
+    casimir_drift: np.ndarray   # (K, N) drift of the coefficients of det(x - L_a)
     residue_norm: np.ndarray    # (K,) norm of the constrained residue sum
     residue_drift: np.ndarray   # (K,) its distance from the row-0 value
     charpoly: np.ndarray        # (K, Z, m+1) coefficients of det(x - L(z_s))
@@ -414,10 +414,12 @@ _CHUNK = 128
 
 def _observables(model, traj: Trajectory, z_samples) -> _Observables:
     """Build the table once per trajectory and z-sample list, _CHUNK states
-    at a time: one residue pass, one eigvals call per kind of spectrum, and
-    L at the Hamiltonian points and the z samples from one lax_matrix call
-    on the chunk's residues, whose kernel weights serve the whole chunk (in
-    genus 1, one kernel table over every state's root values and point)."""
+    at a time: one residue pass; L at the Hamiltonian points and the z
+    samples from one lax_matrix call on the chunk's residues, whose kernel
+    weights serve the whole chunk (in genus 1, one kernel table over every
+    state's root values and point); and one charpoly call each on the
+    residues and on L(z_s), whose coefficients are the orbits' Casimirs and
+    the spectral curve."""
     if not traj.states:
         raise ConfigError("empty trajectory")
     if traj.lockstep:
@@ -434,8 +436,7 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
         casimir_drift=np.empty((K, model.n_sites)),
         residue_norm=np.empty(K),
         residue_drift=np.empty(K),
-        charpoly=np.zeros((K, len(z_samples), model.m + 1), dtype=complex))
-    table.charpoly[..., 0] = 1.0
+        charpoly=np.empty((K, len(z_samples), model.m + 1), dtype=complex))
     for lo in range(0, K, _CHUNK):
         chunk = traj.states[lo:lo + _CHUNK]
         q = p = None
@@ -444,23 +445,19 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
         Ls = orbit_elements(model, chunk[0].moved(np.array([s.mats for s in chunk]),
                                                   None, None, None))
         L = lax_matrix(model, PhaseState(orbit_mats=Ls, q=q, p=p), points)  # (C, n+Z, m, m)
-        eigs = np.sort_complex(np.linalg.eigvals(Ls))
+        casimirs = charpoly(Ls)         # (C, N, m+1)
         res = np.sum(Ls, axis=1)        # conserved: all of sum_a L_a on the
         if model.genus == 1:            # sphere, its Cartan part on the torus
             res = res * np.eye(model.m)
         if lo == 0:
-            eig0, res0 = eigs[0], res[0]
+            casimirs0, res0 = casimirs[0], res[0]
         rows = slice(lo, lo + len(chunk))
         for i, P in enumerate(model.polys):
             table.H[rows, i] = P.evaluate(L[:, i])
-        table.casimir_drift[rows] = np.max(np.abs(eigs - eig0), axis=-1)
+        table.casimir_drift[rows] = np.max(np.abs(casimirs - casimirs0), axis=-1)
         table.residue_norm[rows] = np.linalg.norm(res, axis=(-2, -1))
         table.residue_drift[rows] = np.linalg.norm(res - res0, axis=(-2, -1))
-        # det(x - L(z_s)) from its roots by the Vieta recursion of np.poly
-        roots = np.linalg.eigvals(L[:, n:])
-        c = table.charpoly[rows]
-        for k in range(model.m):
-            c[..., 1:k + 2] -= roots[..., k:k + 1] * c[..., :k + 1]
+        table.charpoly[rows] = charpoly(L[:, n:])
     traj.observables = (model, z_samples, table)
     return table
 

@@ -3,8 +3,9 @@
 Provides the Cartan-Weyl basis (H_mu = E_mumu - E_{mu+1,mu+1}, root
 generators E_ij), the trace pairing and its Gram matrix on the Cartan
 subalgebra, the Cartan components of traceless matrices, a matrix
-exponential, and the invariant polynomials
-P_k(X) = Tr(X^k)/k together with their trace-form gradients.
+exponential, the coefficients of the characteristic polynomial, and the
+invariant polynomials P_k(X) = Tr(X^k)/k together with their trace-form
+gradients.
 
 Components live downstairs/upstairs as follows: a traceless X is written
 X = X^mu H_mu + X^rho E_rho, where the root components X^rho are simply
@@ -29,6 +30,7 @@ __all__ = [
     "trace_pairing",
     "cartan_components",
     "matrix_exponential",
+    "charpoly",
     "traceless_part",
     "random_traceless",
 ]
@@ -197,6 +199,32 @@ def matrix_exponential(X) -> np.ndarray:
         todo = s > k    # boolean index over the leading axes (0-d for one matrix)
         E[todo] = E[todo] @ E[todo]
     return E
+
+
+def charpoly(X) -> np.ndarray:
+    """Coefficients of det(x - X), leading 1 first, for one matrix (shape
+    (m + 1,)) or a (..., m, m) stack (shape (..., m + 1)).
+
+    Faddeev-LeVerrier: M_1 = X, c_k = -tr(M_k)/k, M_{k+1} = X (M_k + c_k I),
+    so m - 1 batched products and m diagonal sums, with no eigenvalues.
+    The coefficients are polynomial in the entries, so a defective X (a
+    nilpotent Jordan block, say) loses no more digits than any other."""
+    X = np.asarray(X, dtype=complex)
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
+        raise DimensionError(f"square matrix required, got shape {X.shape}")
+    m = X.shape[-1]
+    c = np.empty(X.shape[:-2] + (m + 1,), dtype=complex)
+    c[..., 0] = 1.0
+    M = X.copy()        # M_1, a contiguous array that may be written
+    for k in range(1, m + 1):
+        c[..., k] = np.einsum("...ii->...", M) / -k
+        if k == m:
+            break
+        # M + c_k I in place: the diagonal of a contiguous stack is every
+        # (m + 1)-th entry of its flattened matrices
+        M.reshape(M.shape[:-2] + (m * m,))[..., ::m + 1] += c[..., k, None]
+        M = X @ M
+    return c
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .flows import (
 from .liealg import (
     InvariantPolynomial,
     build_slm_basis,
+    charpoly,
     random_traceless,
     trace_pairing,
 )
@@ -563,8 +564,8 @@ def suite_elliptic(seed=0):
         cBA = FlowCurve([[0, 0], [0, T], [T, T]])
         end = evolve(model, state, [cAB, cBA], h).states[-1]
         gap = max(np.max(np.abs(end.q[0] - end.q[1])), np.max(np.abs(end.p[0] - end.p[1])))
-        LAB, LBA = lax_matrix(model, end, zs_comm)
-        return max(gap, *(np.max(np.abs(np.poly(A) - np.poly(B))) for A, B in zip(LAB, LBA)))
+        polyAB, polyBA = charpoly(lax_matrix(model, end, zs_comm))
+        return max(gap, np.max(np.abs(polyAB - polyBA)))
 
     gaps = [comm_gap(h) for h in (0.008, 0.004, 0.002)]
     rows.append(_order("elliptic/commutativity_order",

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaudinlab import flows, models
+from gaudinlab import flows, liealg, models
 from gaudinlab.errors import ConfigError, NumericalAbort, PoleError, ResonanceError
 from gaudinlab.flows import (
     FlowCurve,
@@ -537,6 +537,25 @@ class TestDiagnostics:
                           "residue_sum_drift", "isospectral_drift",
                           "closure_values", "zero_curvature_residual"}
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_nilpotent_orbits_keep_their_casimirs(self, m):
+        # seeds J and J^T (nilpotent Jordan blocks) and -(J + J^T), so that
+        # sum L_a = 0 at phi = I.  The conjugation stepper keeps each orbit,
+        # and the coefficients of det(x - L_a) are polynomials in its
+        # entries, so they drift at roundoff; the eigenvalues of a Jordan
+        # block perturbed by eps move by eps^(1/m), which read as a drift of
+        # 1e-8 at sl2 and 1e-5 at sl3 when the Casimirs came from eigvals
+        J = np.eye(m, k=1, dtype=complex)
+        model = make_gaudin_model(0, m, [-1.0, 0.5 + 0.5j, 1.0 - 0.3j],
+                                  [J, J.T, -(J + J.T)], [2.0 + 1.0j, -2.0 + 0.8j], [2, m])
+        state = PhaseState(phis=[np.eye(m, dtype=complex)] * 3, t=np.zeros(2))
+        curve = FlowCurve([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
+        traj = evolve(model, state, curve, 0.005, method="conjugation")
+        moved = orbit_elements(model, traj.states[-1]) - orbit_elements(model, state)
+        assert np.min(np.linalg.norm(moved, axis=(-2, -1))) > 1e-2
+        rep = diagnostics(model, traj, [3.0 + 2.0j])
+        assert np.all(rep.casimir_drift <= 1e-13), rep.casimir_drift
+
     def test_plaquette_residual_refines(self, rational):
         model, state = rational
         zs = [2.2 + 1.4j, -1.9 + 0.7j]
@@ -642,8 +661,9 @@ class TestObservables:
         charpoly = np.array([[np.poly(lax_matrix(model, s, z)) for z in zs]
                              for s in traj.states])
         Ls = [orbit_elements(model, s) for s in traj.states]
-        eigs = [[np.sort_complex(np.linalg.eigvals(L)) for L in Lk] for Lk in Ls]
-        casimir = [[np.max(np.abs(e - e0)) for e, e0 in zip(ek, eigs[0])] for ek in eigs]
+        casimirs = [[liealg.charpoly(L) for L in Lk] for Lk in Ls]
+        casimir = [[np.max(np.abs(c - c0)) for c, c0 in zip(ck, casimirs[0])]
+                   for ck in casimirs]
         res = [sum(Lk) for Lk in Ls]
         if kind == "genus1":
             res = [np.diag(np.diag(r)) for r in res]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gaudinlab.liealg import (
     _matrix_power,
     build_slm_basis,
     cartan_components,
+    charpoly,
     matrix_exponential,
     random_traceless,
     trace_pairing,
@@ -230,6 +233,63 @@ class TestStackedExponential:
         values = P.evaluate(X)
         assert values.shape == (5, 1)
         assert np.array_equal(values[:, 0], [P.evaluate(x[0]) for x in X])
+
+
+def _principal_minor_charpoly(X, mp):
+    """det(x - X) at the working precision of mp, from the principal
+    minors: c_k = (-1)^k times the sum of X's k x k principal minors."""
+    m = len(X)
+    A = [[mp.mpc(complex(x)) for x in row] for row in X]
+    c = [mp.mpc(1)]
+    for k in range(1, m + 1):
+        minors = sum((mp.det(mp.matrix([[A[i][j] for j in S] for i in S]))
+                      for S in itertools.combinations(range(m), k)), mp.mpc(0))
+        c.append((-1) ** k * minors)
+    return np.array([complex(x) for x in c])
+
+
+class TestCharpoly:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_against_a_30_digit_reference(self, rng, m):
+        # 12 random matrices of entry scale 1.5, the nilpotent Jordan block
+        # J and 3 J^T, and V diag(a, ..., a, -(m - 1) a) V^-1 (one repeated
+        # eigenvalue).  Coefficient k is within m eps max(1, |X|_F)^k: the
+        # largest measured error is 0.16 of that bound (at m = 5), while
+        # np.poly's eigenvalues and Vieta reach 1.8 of it on these matrices
+        mp = pytest.importorskip("mpmath").mp
+        J = np.eye(m, k=1, dtype=complex)
+        V = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        D = np.diag([0.7 + 0.2j] * (m - 1) + [-(m - 1) * (0.7 + 0.2j)])
+        X = np.concatenate((
+            1.5 * (rng.standard_normal((12, m, m)) + 1j * rng.standard_normal((12, m, m))),
+            [J, 3 * J.T, V @ D @ np.linalg.inv(V)]))
+        c = charpoly(X)
+        assert c.shape == (len(X), m + 1)
+        bound = m * np.finfo(float).eps * np.maximum(
+            1.0, np.linalg.norm(X, axis=(-2, -1)))[:, None] ** np.arange(m + 1)
+        with mp.workdps(30):
+            ref = np.array([_principal_minor_charpoly(x, mp) for x in X])
+        assert np.all(np.abs(c - ref) <= bound)
+        # a nilpotent matrix's coefficients are exact: x^m
+        assert np.array_equal(c[12:14], np.eye(1, m + 1).repeat(2, axis=0))
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_stack_equals_the_per_matrix_calls(self, rng, lead):
+        X = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+        X0 = X.copy()
+        c = charpoly(X)
+        assert np.array_equal(X, X0)        # the diagonal shifts go to a copy
+        assert c.shape == lead + (5,)
+        flat = [charpoly(x) for x in X.reshape(-1, 4, 4)]
+        assert np.array_equal(c.reshape(-1, 5), flat)
+
+    def test_empty_stack(self):
+        assert charpoly(np.zeros((3, 0, 2, 2))).shape == (3, 0, 3)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_shape(self, shape):
+        with pytest.raises(DimensionError):
+            charpoly(np.zeros(shape))
 
 
 class TestInvariantPolynomials:
