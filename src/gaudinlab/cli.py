@@ -21,13 +21,17 @@ import numpy as np
 from .errors import ConfigError, GaudinLabError, NumericalAbort
 from .flows import FlowCurve, diagnostics, evolve, open_output, write_trajectory_csv
 from .models import (
+    check_point,
     model_from_dict,
     orbit_elements,
     random_phase_state,
+    read_int,
+    read_pair,
+    read_real,
     state_from_dict,
 )
 from .verify import SUITES, run_suite
-from .weierstrass import POLE_TOL, in_centred_cell, lattice_distance
+from .weierstrass import POLE_TOL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,34 +48,8 @@ def _load_config(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:    # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
-def _number(value, what):
-    """A finite float from a JSON int or float (not a bool), or a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:       # an integer beyond the float range
-        x = np.inf
-    if not np.isfinite(x):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return x
-
-
-def _seed(value, what):
-    """A non-negative integer seed from a config value, or a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _complex_pair(value, what):
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
-    return complex(_number(value[0], what), _number(value[1], what))
 
 
 def _output_path(outputs, key, default):
@@ -95,18 +73,25 @@ def _build_run(cfg):
     # initial state replaces it with its own seed
     seed = cfg.get("seed")
     if seed is not None:
-        _seed(seed, "seed")
+        read_int(seed, "seed", 0)
     model = model_from_dict(cfg["model"])
     st_cfg = cfg["initial_state"]
-    if isinstance(st_cfg, dict) and st_cfg.get("random"):
-        seed = _seed(st_cfg.get("seed", 0), "initial_state.seed")
+    random = isinstance(st_cfg, dict) and st_cfg.get("random", False)
+    if not isinstance(random, bool):
+        raise ConfigError(f"initial_state.random must be true or false, got {random!r}")
+    if random:
+        seed = read_int(st_cfg.get("seed", 0), "initial_state.seed", 0)
         rng = np.random.default_rng(seed)
-        spread = _number(st_cfg.get("spread", 0.4), "initial_state.spread")
+        spread = read_real(st_cfg.get("spread", 0.4), "initial_state.spread")
         state = random_phase_state(model, rng, spread=spread)
     else:
         state = state_from_dict(st_cfg, model)
-    curve = FlowCurve(cfg["curve"])
-    h = _number(cfg["step"], "step")
+    waypoints = cfg["curve"]
+    if not isinstance(waypoints, list) or not all(isinstance(w, list) for w in waypoints):
+        raise ConfigError(f"curve must be a list of waypoints, got {waypoints!r}")
+    curve = FlowCurve([[read_real(t, f"curve[{k}]") for t in w]
+                       for k, w in enumerate(waypoints)])
+    h = read_real(cfg["step"], "step")
     if h <= 0:
         raise ConfigError("step must be positive")
     # evolve takes a segment shorter than h in one step of its own length,
@@ -123,22 +108,12 @@ def _build_run(cfg):
     z_cfg = cfg.get("z_samples", [])
     if not isinstance(z_cfg, list):
         raise ConfigError("z_samples must be a list of [re, im] pairs")
-    z_samples = [_complex_pair(z, f"z_samples[{k}]") for k, z in enumerate(z_cfg)]
+    z_samples = [read_pair(z, f"z_samples[{k}]") for k, z in enumerate(z_cfg)]
     # L(z) has poles at the marked points, M_i(z) at the Hamiltonian points,
     # and in genus 1 both are singular on the lattice
     poles = np.concatenate((model.marked_points, model.ham_points))
     for k, z in enumerate(z_samples):
-        if model.genus == 0:
-            near = np.min(np.abs(z - poles)) < POLE_TOL
-        else:
-            near = np.min(lattice_distance(model.cache, np.append(z - poles, z))) < POLE_TOL
-        if near:
-            raise ConfigError(f"z_samples[{k}] = {z} is at a marked point, a "
-                              "Hamiltonian point or (genus 1) the lattice")
-        # far from the cell the quasi-periodicity factors of the kernel overflow
-        if model.genus == 1 and not in_centred_cell(model.cache, z):
-            raise ConfigError(f"z_samples[{k}] = {z} lies outside the centred "
-                              "fundamental cell of the lattice")
+        check_point(model.cache, z, poles, POLE_TOL, f"z_samples[{k}]")
     projection = cfg.get("projection", "monitor")
     if projection not in ("monitor", "project"):
         raise ConfigError("projection must be 'monitor' or 'project'")
@@ -154,7 +129,7 @@ def _build_run(cfg):
                 "fix the state or set projection = 'project'")
     # evolve rejects an unknown method before its first step
     method = cfg.get("method", "rk4")
-    margin = _number(cfg.get("resonance_margin", 1e-3), "resonance_margin")
+    margin = read_real(cfg.get("resonance_margin", 1e-3), "resonance_margin")
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError(f"checks must be a list of suite names, got {checks!r}")
@@ -213,7 +188,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    _seed(args.seed, "--seed")
+    read_int(args.seed, "--seed", 0)
     rows = run_suite(args.suite, seed=args.seed)
     payload = {
         "suite": args.suite,

@@ -330,24 +330,22 @@ def action_along_curve(model, traj: Trajectory) -> complex:
         raise ConfigError("empty trajectory")
     if traj.states[0].phis is None:
         raise ConfigError("the action needs group points (not projection mode)")
-    total = 0j
-    n = len(traj.states)
     H = _observables(model, traj, ()).H
-    times = traj.times
-
-    # each state's group points are inverted once, as one stack
-    inv1 = np.linalg.inv(traj.states[0].phis)
-    for k in range(n - 1):
-        s0, s1 = traj.states[k], traj.states[k + 1]
-        inv0, inv1 = inv1, np.linalg.inv(s1.phis)
-        dt_vec = times[k + 1] - times[k]
-        for a, seed in enumerate(model.orbit_seeds):
-            inv_avg = 0.5 * (inv0[a] + inv1[a])
-            total += np.trace(seed @ inv_avg @ (s1.phis[a] - s0.phis[a]))
+    dt = np.diff(traj.times, axis=0)
+    # Tr(Lambda_a phi_a^{-1} dphi_a) of every (step, site), the inverse
+    # averaged over the step, from one stacked inverse and one product
+    phis = np.array([s.phis for s in traj.states])
+    inv = np.linalg.inv(phis)
+    traces = np.trace(model.orbit_seeds @ (0.5 * (inv[:-1] + inv[1:])) @ np.diff(phis, axis=0),
+                      axis1=-2, axis2=-1)
+    total = 0j
+    for k, (s0, s1) in enumerate(zip(traj.states, traj.states[1:])):
+        for trace in traces[k]:
+            total += trace
         if model.genus == 1:
             total += 0.5 * np.sum((s0.p + s1.p) * (s1.q - s0.q))
-        for i in np.nonzero(np.abs(dt_vec) > 0)[0]:
-            total -= 0.5 * (H[k, i] + H[k + 1, i]) * dt_vec[i]
+        for i in np.nonzero(dt[k])[0]:
+            total -= 0.5 * (H[k, i] + H[k + 1, i]) * dt[k, i]
     return complex(total)
 
 

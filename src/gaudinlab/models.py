@@ -43,6 +43,7 @@ form and are validated against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,9 +130,10 @@ class GaudinModel:
 
 @dataclass
 class PhaseState:
-    """Dynamical variables.  Either group points (phis) or raw orbit
-    matrices (orbit_mats; used by the optional genus-0 projection mode)
-    must be present, each one complex (N, m, m) stack (a list is stacked);
+    """Dynamical variables.  Exactly one of group points (phis) and raw
+    orbit matrices (orbit_mats; used by the optional genus-0 projection
+    mode) is present, since orbit_elements prefers orbit_mats and the
+    steppers phis; it is a complex (N, m, m) stack (a list is stacked);
     leading axes before N hold several states, over which orbit_elements
     and the Lax assembly broadcast.  q/p are the genus-1 cotangent
     coordinates."""
@@ -143,9 +145,11 @@ class PhaseState:
     orbit_mats: np.ndarray = None
 
     def __post_init__(self):
+        if (self.phis is None) == (self.orbit_mats is None):
+            raise ConfigError("a state needs exactly one of phis and orbit_mats")
         if self.phis is not None:
             self.phis = np.asarray(self.phis, dtype=complex)
-        if self.orbit_mats is not None:
+        else:
             self.orbit_mats = np.asarray(self.orbit_mats, dtype=complex)
 
     @property
@@ -161,6 +165,21 @@ class PhaseState:
     def copy(self) -> "PhaseState":
         return PhaseState(**{k: None if v is None else np.array(v)
                              for k, v in vars(self).items()})
+
+
+def check_point(cache, z, others, tol, what):
+    """ConfigError unless z is at least tol from each of others and, in
+    genus 1 (cache is the model's; distances mod the lattice), from the
+    lattice and inside the centred cell, off which the kernel overflows."""
+    if cache is not None:
+        if lattice_distance(cache, z) < tol:
+            raise ConfigError(f"{what} = {z} sits on the lattice (z = 0 is the gluing point)")
+        if not in_centred_cell(cache, z):
+            raise ConfigError(f"{what} = {z} lies outside the centred fundamental cell")
+    near = (np.abs(z - others) if cache is None else lattice_distance(cache, z - others)) < tol
+    if near.any():
+        raise ConfigError(f"coincident points: {what} = {z} is within {tol:g} of "
+                          f"{others[np.argmax(near)]}")
 
 
 def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
@@ -195,27 +214,10 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
         if tau is None:
             raise ConfigError("genus 1 requires the modulus tau")
         cache = build_cache(tau)
-        dist = lambda a, b: lattice_distance(cache, a - b)
-        for kind, zs in (("marked", pts), ("Hamiltonian", hpts)):
-            for z in zs:
-                if lattice_distance(cache, z) < SEPARATION_TOL:
-                    raise ConfigError(f"{kind} point {z} sits on the lattice "
-                                      "(z = 0 is the gluing point)")
-                # far from the cell the kernel's quasi-periodicity factors overflow
-                if not in_centred_cell(cache, z):
-                    raise ConfigError(f"{kind} point {z} lies outside the centred "
-                                      "fundamental cell of the lattice")
-    else:
-        dist = lambda a, b: abs(a - b)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if dist(pts[i], pts[j]) < SEPARATION_TOL:
-                raise ConfigError(f"coincident points: marked points {i} and {j}")
-    for i, q in enumerate(hpts):
-        for j, p in enumerate(pts):
-            if dist(q, p) < SEPARATION_TOL:
-                raise ConfigError(
-                    f"coincident points: Hamiltonian point {i} equals marked point {j}")
+    for k, z in enumerate(pts):
+        check_point(cache, z, pts[:k], SEPARATION_TOL, f"marked point {k}")
+    for k, z in enumerate(hpts):
+        check_point(cache, z, pts, SEPARATION_TOL, f"Hamiltonian point {k}")
 
     zp = zh = wh = None
     if genus == 1:
@@ -600,29 +602,46 @@ def random_phase_state(model: GaudinModel, rng, spread=0.4) -> PhaseState:
             return state
 
 
+def read_real(value, what):
+    """A finite float from a JSON int or float (not a bool), or a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:       # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def read_pair(value, what):
+    """A complex number from a JSON [re, im] pair of finite reals."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{what} must be a [re, im] pair, got {value!r}")
+    return complex(read_real(value[0], what), read_real(value[1], what))
+
+
+def read_int(value, what, minimum=None):
+    """A JSON integer (not a bool), at least minimum if one is given."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{what} must be an integer{least}, got {value!r}")
+    return value
+
+
 def _c2j(z):
     z = complex(z)
     return [z.real, z.imag]
-
-
-def _j2c(v):
-    if len(v) != 2 or any(isinstance(x, bool) for x in v) or not np.isfinite(complex(*v)):
-        raise ValueError(f"expected a [re, im] pair of finite numbers, got {v!r}")
-    return complex(v[0], v[1])
-
-
-def _j2i(d, key):
-    if isinstance(d[key], bool) or not isinstance(d[key], int):
-        raise ValueError(f"{key} must be an integer, got {d[key]!r}")
-    return d[key]
 
 
 def _mat2j(M):
     return [[_c2j(x) for x in row] for row in np.asarray(M, dtype=complex)]
 
 
-def _j2mat(rows):
-    return np.array([[_j2c(x) for x in row] for row in rows], dtype=complex)
+def _read_mat(rows, what):
+    return np.array([[read_pair(x, what) for x in row] for row in rows], dtype=complex)
 
 
 def model_to_dict(model: GaudinModel) -> dict:
@@ -644,13 +663,17 @@ def model_from_dict(d: dict) -> GaudinModel:
     try:
         hams = d["hamiltonians"]
         return make_gaudin_model(
-            genus=_j2i(d, "genus"),
-            m=_j2i(d, "m"),
-            marked_points=[_j2c(p) for p in d["marked_points"]],
-            orbit_seeds=[_j2mat(L) for L in d["orbit_seeds"]],
-            ham_points=[_j2c(h["point"]) for h in hams],
-            degrees=[_j2i(h, "degree") for h in hams],
-            tau=_j2c(d["tau"]) if "tau" in d else None,
+            genus=read_int(d["genus"], "model.genus"),
+            m=read_int(d["m"], "model.m"),
+            marked_points=[read_pair(p, f"model.marked_points[{k}]")
+                           for k, p in enumerate(d["marked_points"])],
+            orbit_seeds=[_read_mat(L, f"model.orbit_seeds[{k}]")
+                         for k, L in enumerate(d["orbit_seeds"])],
+            ham_points=[read_pair(h["point"], f"model.hamiltonians[{k}].point")
+                        for k, h in enumerate(hams)],
+            degrees=[read_int(h["degree"], f"model.hamiltonians[{k}].degree")
+                     for k, h in enumerate(hams)],
+            tau=read_pair(d["tau"], "model.tau") if "tau" in d else None,
         )
     except ConfigError:
         raise
@@ -671,33 +694,36 @@ def state_to_dict(state: PhaseState) -> dict:
 
 
 def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
+    """The state of a JSON spec for the model; every bad value is a ConfigError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"initial_state must be an object, got {d!r}")
+
+    def each(key, read):
+        return np.array([read(x, f"initial_state.{key}") for x in d[key]]) if key in d else None
+
     try:
-        state = PhaseState(
-            phis=[_j2mat(f) for f in d["phis"]] if "phis" in d else None,
-            orbit_mats=[_j2mat(L) for L in d["orbit_mats"]] if "orbit_mats" in d else None,
-            q=np.array([_j2c(x) for x in d["q"]]) if "q" in d else None,
-            p=np.array([_j2c(x) for x in d["p"]]) if "p" in d else None,
-            t=np.array(d.get("t", np.zeros(model.n_hams)), dtype=float),
-        )
+        state = PhaseState(phis=each("phis", _read_mat), orbit_mats=each("orbit_mats", _read_mat),
+                           q=each("q", read_pair), p=each("p", read_pair),
+                           t=each("t", read_real) if "t" in d else np.zeros(model.n_hams))
+    except ConfigError:
+        raise
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
-    if state.t.shape != (model.n_hams,) or not np.all(np.isfinite(state.t)):
+    if state.t.shape != (model.n_hams,):
         raise ConfigError(f"state t must be {model.n_hams} finite times, one per "
                           f"Hamiltonian, got {d.get('t')!r}")
-    if state.phis is None and state.orbit_mats is None:
-        raise ConfigError("state needs either phis or orbit_mats")
     mats, N, m = state.mats, model.n_sites, model.m
-    if mats.shape != (N, m, m) or not np.all(np.isfinite(mats)):
-        raise ConfigError(f"the state needs {N} finite {m}x{m} orbit matrices, one per "
+    if mats.shape != (N, m, m):
+        raise ConfigError(f"the state needs {N} {m}x{m} orbit matrices, one per "
                           f"site; got an array of shape {mats.shape}")
     # cond with p = 1 goes through inv, not an SVD, and is inf when singular
     if state.phis is not None:
         singular = ~(np.linalg.cond(mats, 1) * np.finfo(float).eps < 1.0)
         if singular.any():
             raise ConfigError(f"group point phi_{np.argmax(singular)} is singular")
-    if model.genus == 1:
-        rk = (model.basis.rank,)
-        if state.q is None or state.p is None or state.q.shape != rk \
-                or state.p.shape != rk:
-            raise ConfigError(f"genus-1 states need q and p with {rk[0]} coordinates")
+    if model.genus == 0 and ("q" in d or "p" in d):
+        raise ConfigError("genus-0 states carry no q or p")
+    rk = model.basis.rank
+    if model.genus == 1 and not np.shape(state.q) == np.shape(state.p) == (rk,):
+        raise ConfigError(f"genus-1 states need q and p with {rk} coordinates")
     return state

@@ -64,6 +64,16 @@ class TestSimulate:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.json")]) == 2
 
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        # Python's JSON decoder refuses an integer of more than 4300 digits
+        # with a ValueError that is not a JSONDecodeError
+        text = (CONFIG_DIR / "rational_sl2_n3.json").read_text()
+        path = tmp_path / "config.json"
+        path.write_text(text.replace('"step": 0.002', '"step": ' + "1" * 5000))
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_pole_collision_aborts(self, tmp_path, capsys):
         # steer the Calogero-Moser coordinate into the lattice: u = 2 q^1
         # shrinks under a negative real momentum
@@ -249,6 +259,24 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: cfg.update(step=0.6)),
         ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][1].update(
             degree=10 ** 400)),
+        # the curve and the state's times follow the run-level number rule,
+        # and "random" is a JSON bool
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(
+            curve=[["0", "0"], ["0.5", "0"], ["0.5", "0.5"]])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["curve"][0].__setitem__(1, False)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(t=["0", "0"])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(t=[0.0, True])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(
+            initial_state={"random": "no", "seed": 3})),
+        # a state has one kind: orbit matrices (here twice the residues of
+        # the group points) next to group points would be a second state
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(
+            orbit_mats=[[[[-2 * x for x in z] for z in row] for row in L]
+                        for L in cfg["model"]["orbit_seeds"]])),
+        # genus 0 has no cotangent pair (q, p)
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(q=[[0.1, 0.0]])),
+        # an initial state that is not a JSON object
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(initial_state=[1, 2])),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
@@ -265,7 +293,9 @@ class TestSimulate:
             "point_int_overflow", "q_int_overflow", "t_int_overflow", "curve_int_overflow",
             "z_sample_far_from_cell", "z_sample_next_cell", "marked_point_far_from_cell",
             "ham_point_far_from_cell", "elliptic_step_past_curve",
-            "step_past_curve", "degree_huge"])
+            "step_past_curve", "degree_huge", "curve_text", "curve_bool", "t_text",
+            "t_bool", "random_text", "phis_and_orbit_mats", "genus0_q",
+            "state_not_object"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err

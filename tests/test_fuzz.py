@@ -54,6 +54,14 @@ def _numeric_paths(node, path=()):
 
 
 PATHS = {name: list(_numeric_paths(cfg)) for name, cfg in BASES.items()}
+# the numeric leaves of each config, grouped by field (the path without its
+# list indices), so that a field of few leaves such as `step` or
+# `initial_state.t` is drawn as often as one of many, such as a matrix
+FIELDS = {name: {} for name in BASES}
+for _name, _paths in PATHS.items():
+    for _path in _paths:
+        _field = tuple(key for key in _path if isinstance(key, str))
+        FIELDS[_name].setdefault(_field, []).append(_path)
 
 NUMBERS = st.one_of(
     st.floats(),                                    # NaN, +-inf, subnormals, huge
@@ -106,3 +114,29 @@ def test_mutated_configs_end_in_a_documented_exit(data):
         assert code in (0, 2, 3), (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
         _assert_finite_outputs(folder)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50,
+          phases=[Phase.explicit, Phase.generate], suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_number_given_as_text_or_a_bool_is_a_config_error(data):
+    name = data.draw(st.sampled_from(sorted(BASES)), label="config")
+    field = data.draw(st.sampled_from(sorted(FIELDS[name])), label="field")
+    path = data.draw(st.sampled_from(FIELDS[name][field]), label="path")
+    cfg = json.loads(json.dumps(BASES[name]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    # the same number written as text, a bool, or any text
+    node[path[-1]] = data.draw(st.one_of(st.just(repr(node[path[-1]])), st.booleans(),
+                                         st.text(max_size=6)), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        cfg["outputs"] = {"trajectory_csv": str(folder / "traj.csv"),
+                          "diagnostics_json": str(folder / "diag.json")}
+        (folder / "config.json").write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["simulate", str(folder / "config.json")])
+        assert code == 2 and err.getvalue().startswith("config error:"), (code, err.getvalue())
+        assert not (folder / "traj.csv").exists() and not (folder / "diag.json").exists()
