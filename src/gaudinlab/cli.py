@@ -26,6 +26,7 @@ from .models import (
     orbit_elements,
     random_phase_state,
     read_int,
+    read_object,
     read_pair,
     read_real,
     state_from_dict,
@@ -40,6 +41,12 @@ EXIT_NUMERICAL = 3
 
 # the most steps one simulate run may take along its whole curve
 MAX_STEPS = 100_000
+# the keys of a config, of its outputs and of a random initial_state (an
+# explicit one is read by models.state_from_dict)
+CONFIG_KEYS = ("model", "initial_state", "curve", "step", "outputs", "seed", "method",
+               "projection", "resonance_margin", "z_samples", "checks")
+OUTPUT_KEYS = ("trajectory_csv", "diagnostics_json")
+RANDOM_STATE_KEYS = ("random", "seed", "spread")
 
 
 def _load_config(path):
@@ -64,8 +71,7 @@ def _output_path(outputs, key, default):
 
 
 def _build_run(cfg):
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+    read_object(cfg, "config", CONFIG_KEYS)
     for key in ("model", "initial_state", "curve", "step", "outputs"):
         if key not in cfg:
             raise ConfigError(f"config is missing required key {key!r}")
@@ -80,6 +86,7 @@ def _build_run(cfg):
     if not isinstance(random, bool):
         raise ConfigError(f"initial_state.random must be true or false, got {random!r}")
     if random:
+        read_object(st_cfg, "a random initial_state", RANDOM_STATE_KEYS)
         seed = read_int(st_cfg.get("seed", 0), "initial_state.seed", 0)
         rng = np.random.default_rng(seed)
         spread = read_real(st_cfg.get("spread", 0.4), "initial_state.spread")
@@ -144,9 +151,7 @@ def cmd_simulate(args):
     cfg = _load_config(args.config)
     model, state, curve, h, z_samples, projection, method, margin, checks, \
         seed = _build_run(cfg)
-    outputs = cfg["outputs"]
-    if not isinstance(outputs, dict):
-        raise ConfigError("outputs must be an object")
+    outputs = read_object(cfg["outputs"], "outputs", OUTPUT_KEYS)
     csv_path = _output_path(outputs, "trajectory_csv", "trajectory.csv")
     json_path = _output_path(outputs, "diagnostics_json", "diagnostics.json")
     try:

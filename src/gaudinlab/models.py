@@ -33,7 +33,10 @@ entrywise, plus gram^{-1} p on the Cartan diagonal in genus 1, where the
 kernel weights W_alpha are 1/(z - p_alpha) on the sphere, and on the torus
 the twisted kernel on the root entries and zeta(z - p_alpha) + zeta(p_alpha)
 on the diagonal.  The gradients and the M matrices reuse the same weights;
-the genus enters only through them, the pi constant and dH/dq.
+the genus enters only through them, the pi constant and dH/dq.  At the
+Hamiltonian points q_i, which the model fixes, everything but the genus-1
+root entries is built once with the model, so a gradient evaluates only
+what depends on the state.
 
 Hamiltonians are H_i = P_i(L(q_i)); their q/p/orbit gradients and the
 companion matrices M_i (simple pole at q_i with residue grad P_i(L(q_i)),
@@ -65,10 +68,12 @@ from .weierstrass import (  # noqa: F401
     EllipticCache,
     build_cache,
     in_centred_cell,
+    kernel_at_known_z,
     kernel_phi,
     kernel_table,
     lattice_distance,
     sigma_eval,
+    weierstrass_eval,
     zeta_eval,
 )
 
@@ -96,6 +101,15 @@ __all__ = [
 
 # Points closer than this (mod lattice / absolutely) are treated as coincident.
 SEPARATION_TOL = 1e-8
+# The largest modulus of an orbit-seed, group-point, orbit-matrix, q or p
+# entry that a config may give; far past it the products and norms of the
+# model and the state overflow double precision.
+MAX_ENTRY = 1e6
+# The keys of a config's model and Hamiltonian objects and of an explicit
+# initial_state
+MODEL_KEYS = ("genus", "m", "tau", "marked_points", "orbit_seeds", "hamiltonians")
+HAMILTONIAN_KEYS = ("point", "degree")
+STATE_KEYS = ("random", "phis", "orbit_mats", "q", "p", "t")
 
 
 @dataclass(frozen=True)
@@ -111,9 +125,12 @@ class GaudinModel:
     cache: EllipticCache = None        # genus 1 only
     zeta_poles: np.ndarray = field(default=None, repr=False)
     zeta_hampts: np.ndarray = field(default=None, repr=False)
-    # genus 0: the (n, N, 1, 1) kernel weights 1 / (q_i - p_a) at the
-    # Hamiltonian points, which no state changes
+    # what no state changes of the Lax weights at the Hamiltonian points:
+    # genus 0, the (n, N, 1, 1) weights 1 / (q_i - p_a); genus 1, the
+    # (n, N, m, m) diagonals zeta(q_i - p_a) + zeta(p_a), root entries 0
     ham_weights: np.ndarray = field(default=None, repr=False, compare=False)
+    # genus 1: the (n, N) sigma(q_i - p_a) of the twisted kernel at q_i
+    ham_sigma: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_sites(self) -> int:
@@ -219,16 +236,21 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
     for k, z in enumerate(hpts):
         check_point(cache, z, pts, SEPARATION_TOL, f"Hamiltonian point {k}")
 
-    zp = zh = wh = None
+    # no pole check needed: every q_i - p_a is at least SEPARATION_TOL >
+    # POLE_TOL from 0 (mod the lattice in genus 1)
+    zp = zh = sh = None
     if genus == 1:
         zp = np.asarray(zeta_eval(cache, pts))
         zh = np.asarray(zeta_eval(cache, hpts))
+        _, zeta_hp, sh = weierstrass_eval(cache, hpts[:, None] - pts)
+        wh = np.zeros((len(hpts), len(pts), m, m), dtype=complex)
+        wh[..., np.arange(m), np.arange(m)] = (zeta_hp + zp)[..., None]
     else:
-        # no pole check needed: every |q_i - p_a| >= SEPARATION_TOL > POLE_TOL
         wh = (1.0 / (hpts[:, None] - pts))[..., None, None]
     return GaudinModel(genus=genus, basis=basis, marked_points=pts,
                        orbit_seeds=np.array(seeds), ham_points=hpts, polys=polys,
-                       cache=cache, zeta_poles=zp, zeta_hampts=zh, ham_weights=wh)
+                       cache=cache, zeta_poles=zp, zeta_hampts=zh, ham_weights=wh,
+                       ham_sigma=sh)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +271,7 @@ def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
     if model.genus == 0:
         return np.inf
     u = (model.basis.roots @ state.q[..., None])[..., 0]
-    return float(np.min(lattice_distance(model.cache, u)))
+    return float(lattice_distance(model.cache, u).min())
 
 
 def _residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
@@ -257,10 +279,10 @@ def _residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
     guard: q, p and every residue must be finite before any kernel work."""
     if model.genus == 0:
         return orbit_elements(model, state)
-    if not (np.all(np.isfinite(state.q)) and np.all(np.isfinite(state.p))):
+    if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
         raise ValueError("non-finite Cartan coordinates q or momenta p")
     Ls = orbit_elements(model, state)
-    if not np.all(np.isfinite(Ls)):
+    if not np.isfinite(Ls).all():
         raise ValueError("non-finite residue L_alpha")
     return Ls
 
@@ -281,7 +303,10 @@ def _kernel_weights(model: GaudinModel, q, z, ham=None):
     as in kernel_table: q[..., None, :] with a (Z,) array z gives every
     state's weights at every point.  In genus 0, where q is None, z's axes
     lead.  PoleError at a pole and, in genus 1, at z = 0; genus 1 makes one
-    kernel_table call, so one lattice and resonance guard."""
+    kernel_table call, so one lattice and resonance guard.
+
+    The Lax weights at the Hamiltonian points themselves come from
+    _ham_weights, which reads the model's share of them."""
     poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
     if model.genus == 0:
         d = np.asarray(z)[..., None] - poles
@@ -291,16 +316,49 @@ def _kernel_weights(model: GaudinModel, q, z, ham=None):
             raise PoleError(f"z = {np.ravel(z)[k]} is at the pole {poles[a]}")
         return (1.0 / d)[..., None, None], None
     zeta_poles = model.zeta_poles if ham is None else model.zeta_hampts[ham:ham + 1]
-    basis, m = model.basis, model.m
-    u = (basis.roots @ q[..., None])[..., 0]
+    m = model.m
+    u = (model.basis.roots @ q[..., None])[..., 0]
     kt = kernel_table(model.cache, u, z, poles)
-    # per state and point, poles lead
-    value = (kt.value * np.exp(u[..., None] * zeta_poles)).swapaxes(-1, -2)
     cartan = kt.zeta_zp + zeta_poles if ham is None else kt.zeta_zp - kt.zeta_z[..., None]
-    W = np.empty((*value.shape[:-1], m, m), dtype=complex)
-    W[..., basis.root_entries[0], basis.root_entries[1]] = value
+    W = np.empty(kt.value.shape[:-2] + (len(poles), m, m), dtype=complex)
     W[..., np.arange(m), np.arange(m)] = cartan[..., None]
-    return W, value * (kt.dlog_du.swapaxes(-1, -2) + zeta_poles[:, None])
+    return _fill_roots(model, W, u, kt.value, kt.dlog_du, zeta_poles)
+
+
+def _fill_roots(model: GaudinModel, W, u, value, dlog_du, zeta_poles):
+    """Write the twisted kernel value (..., R, P) times e^{u_r zeta(p_a)}
+    into the root entries of W (..., P, m, m), poles leading; return W and
+    the (..., P, R) u-derivatives of those entries."""
+    value = (value * np.exp(u[..., None] * zeta_poles)).swapaxes(-1, -2)
+    W[..., model.basis.root_entries[0], model.basis.root_entries[1]] = value
+    return W, value * (dlog_du.swapaxes(-1, -2) + zeta_poles[:, None])
+
+
+def _ham_weights(model: GaudinModel, q, i):
+    """The Lax weights at the Hamiltonian point q_i (i an int, or one flow
+    index per state along q's leading axis) and their u-derivatives, bit
+    for bit those of _kernel_weights(model, q, model.ham_points[i]).
+
+    Only the root entries move with the state.  Genus 0 returns the model's
+    weights (None for the derivatives); genus 1 copies the model's
+    diagonals and fills the roots from one array-core call over u and
+    u + q_i - p_a, with zeta(q_i) and sigma(q_i - p_a) from the model.  No
+    z guard: construction keeps each q_i off the lattice and the poles."""
+    if model.genus == 0:
+        return model.ham_weights[i], None
+    u = (model.basis.roots @ q[..., None])[..., 0]
+    value, dlog_du = kernel_at_known_z(model.cache, u, model.ham_points[i], model.marked_points,
+                                       model.zeta_hampts[i], model.ham_sigma[i])
+    W = np.empty(value.shape[:-2] + model.ham_weights.shape[1:], dtype=complex)
+    W[...] = model.ham_weights[i]
+    return _fill_roots(model, W, u, value, dlog_du, model.zeta_poles)
+
+
+def _ham_lax(model: GaudinModel, state: PhaseState, i):
+    """(Ls, L(q_i), W, dW_du): one residue pass and the weights at q_i."""
+    Ls = _residues(model, state)
+    W, dW_du = _ham_weights(model, state.q, i)
+    return Ls, _lax(model, Ls, state.p, W), W, dW_du
 
 
 def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
@@ -309,7 +367,7 @@ def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
     the diagonal.  Leading axes of Ls (..., N, m, m), p (..., rk) and W
     broadcast; each state's products have one state's shapes, so a stack
     of states gives each one's own bits."""
-    L = np.sum(Ls * W, axis=-3)
+    L = (Ls * W).sum(axis=-3)
     if model.genus == 1:
         basis, diag = model.basis, np.arange(model.m)
         L[..., diag, diag] += (p[..., None, :] @ basis.gram_inv.T @ basis.cartan_diag)[..., 0, :]
@@ -355,9 +413,8 @@ def transition_gamma(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def hamiltonian(model: GaudinModel, state: PhaseState, i: int) -> complex:
-    """H_i = P_i(L(q_i))."""
-    L = lax_matrix(model, state, model.ham_points[i])
-    return model.polys[i].evaluate(L)
+    """H_i = P_i(L(q_i)), from the model's weights at q_i."""
+    return model.polys[i].evaluate(_ham_lax(model, state, i)[1])
 
 
 def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
@@ -369,7 +426,10 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
     genus 0).
 
     With G = grad P_i(L(q_i)), which is traceless, dH_dL[alpha] is
-    G * W_alpha(q_i)^T entrywise, and so traceless itself.
+    G * W_alpha(q_i)^T entrywise, and so traceless itself.  The weights
+    W(q_i) are the model's (_ham_weights): genus 0 evaluates no kernel, and
+    genus 1 only the twisted kernel's u side, in one array-core call with
+    no z guard; the result equals the _kernel_weights route bit for bit.
 
     i may also be an array of flow indices, one per state along the leading
     axis of a state stack (the members of a lockstep evolve); the partials
@@ -378,13 +438,9 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
     call per degree.
     """
     # one residue pass and one set of weights at q_i serve L(q_i) and every
-    # partial derivative; in genus 0 the weights are the model's own
-    Ls = _residues(model, state)
-    if model.genus == 0:
-        W, dW_du = model.ham_weights[i], None
-    else:
-        W, dW_du = _kernel_weights(model, state.q, model.ham_points[i])
-    L = _lax(model, Ls, state.p, W)
+    # partial derivative; the weights are the model's, and in genus 1 only
+    # their root entries are evaluated, at u and u + q_i - p_a
+    Ls, L, W, dW_du = _ham_lax(model, state, i)
     if not isinstance(i, np.ndarray):
         G = model.polys[i].gradient(L)
     else:
@@ -400,7 +456,7 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
         return dH_dL, empty, empty
     basis = model.basis
     rows, cols = basis.root_entries
-    s = np.sum(Ls[..., rows, cols] * dW_du, axis=-2)
+    s = (Ls[..., rows, cols] * dW_du).sum(axis=-2)
     # row-vector products, one per state, so a stack keeps each state's bits
     dH_dq = ((G[..., cols, rows] * s)[..., None, :] @ basis.roots)[..., 0, :]
     # Tr(G H_mu) from diag(G): each H_mu has two nonzero entries
@@ -421,7 +477,7 @@ def m_matrix(model: GaudinModel, state: PhaseState, i: int, z) -> np.ndarray:
     shape: the result is the (..., *z.shape, m, m) stack, leading axes of
     the state first, from one gradient and one set of weights, and each
     matrix equals its own one-point call bit for bit."""
-    G = model.polys[i].gradient(lax_matrix(model, state, model.ham_points[i]))
+    G = model.polys[i].gradient(_ham_lax(model, state, i)[1])
     # the weights at z have the single pole q_i; they raise PoleError at
     # q_i and, in genus 1, at the gluing point z = 0
     q = None if state.q is None else state.q[..., None, :]
@@ -622,6 +678,27 @@ def read_pair(value, what):
     return complex(read_real(value[0], what), read_real(value[1], what))
 
 
+def read_entry(value, what):
+    """A complex matrix entry or Cartan coordinate from a JSON [re, im]
+    pair, of modulus at most MAX_ENTRY."""
+    z = read_pair(value, what)
+    if abs(z) > MAX_ENTRY:
+        raise ConfigError(f"{what} must have modulus at most {MAX_ENTRY:g}, got {value!r}")
+    return z
+
+
+def read_object(value, what, keys):
+    """A JSON object whose keys are all among keys, so that a misspelt or
+    misplaced key is a ConfigError rather than a default silently kept."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    unknown = [k for k in value if k not in keys]
+    if unknown:
+        raise ConfigError(f"{what} takes no key {', '.join(map(repr, unknown))}; "
+                          f"its keys are {', '.join(keys)}")
+    return value
+
+
 def read_int(value, what, minimum=None):
     """A JSON integer (not a bool), at least minimum if one is given."""
     if isinstance(value, bool) or not isinstance(value, int) \
@@ -641,7 +718,7 @@ def _mat2j(M):
 
 
 def _read_mat(rows, what):
-    return np.array([[read_pair(x, what) for x in row] for row in rows], dtype=complex)
+    return np.array([[read_entry(x, what) for x in row] for row in rows], dtype=complex)
 
 
 def model_to_dict(model: GaudinModel) -> dict:
@@ -660,8 +737,11 @@ def model_to_dict(model: GaudinModel) -> dict:
 
 def model_from_dict(d: dict) -> GaudinModel:
     """The model of a JSON spec; every bad value in it is a ConfigError."""
+    read_object(d, "model", MODEL_KEYS)
     try:
         hams = d["hamiltonians"]
+        for k, h in enumerate(hams):
+            read_object(h, f"model.hamiltonians[{k}]", HAMILTONIAN_KEYS)
         return make_gaudin_model(
             genus=read_int(d["genus"], "model.genus"),
             m=read_int(d["m"], "model.m"),
@@ -695,15 +775,14 @@ def state_to_dict(state: PhaseState) -> dict:
 
 def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
     """The state of a JSON spec for the model; every bad value is a ConfigError."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"initial_state must be an object, got {d!r}")
+    read_object(d, "initial_state", STATE_KEYS)
 
     def each(key, read):
         return np.array([read(x, f"initial_state.{key}") for x in d[key]]) if key in d else None
 
     try:
         state = PhaseState(phis=each("phis", _read_mat), orbit_mats=each("orbit_mats", _read_mat),
-                           q=each("q", read_pair), p=each("p", read_pair),
+                           q=each("q", read_entry), p=each("p", read_entry),
                            t=each("t", read_real) if "t" in d else np.zeros(model.n_hams))
     except ConfigError:
         raise

@@ -15,7 +15,8 @@ Two independent evaluation routes are provided:
   Every evaluation goes through one private array core (`_core`), which
   treats a whole array of arguments in one pass; the scalar functions are
   thin wrappers over it, and `kernel_table` evaluates the twisted kernel
-  for all (u, pole) pairs at one or many points z with a single call.
+  for all (u, pole) pairs at one or many points z with a single call
+  (`kernel_at_known_z` only its u side, at a point whose z side is known).
 
 * `LatticeSumOracle` evaluates the same three functions from symmetrised
   truncated lattice sums.  Lattice points are grouped in +/- pairs, which
@@ -49,6 +50,7 @@ __all__ = [
     "quasi_periodicity_check",
     "kernel_phi",
     "kernel_table",
+    "kernel_at_known_z",
     "KernelTable",
     "LatticeSumOracle",
     "POLE_TOL",
@@ -111,13 +113,13 @@ def _cell(cache: EllipticCache, z):
     cell, and the distance from z to the nearest lattice point.  A
     non-finite argument raises ValueError before any arithmetic."""
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError(f"non-finite argument to an elliptic function: {z}")
-    n2 = np.round(z.imag / cache.tau.imag)
+    n2 = (z.imag / cache.tau.imag).round()
     zp = z - n2 * cache.tau
-    n1 = np.round(zp.real)
+    n1 = zp.real.round()
     z0 = zp - n1
-    dist = np.min(np.abs(z0[..., None] + cache.near), axis=-1)
+    dist = np.abs(z0[..., None] + cache.near).min(axis=-1)
     return z0, n1, n2, dist
 
 
@@ -217,6 +219,40 @@ class KernelTable(NamedTuple):
     zeta_zp: np.ndarray
 
 
+def _shifted(us, z, poles):
+    """u + z - pole over (..., R, P), added in that order."""
+    return (us[..., None] + z[..., None, None]) - poles
+
+
+def _u_side(us, z, poles, shifted, ze, sig, dist, zeta_z, sig_zp):
+    """The kernel's u side from the array core's zeta, sigma and lattice
+    distance over u and then u + z - pole (flattened, in that order):
+    ResonanceError when a u is within POLE_TOL of the lattice, then
+    PoleError when a u + z - pole is, each naming the offending arguments;
+    then (value, dlog_du, zeta(u + z - pole)) with zeta(z) and
+    sigma(z - pole) given, shaped as kernel_table's."""
+    c = us.size
+    near = dist < POLE_TOL
+    if near.any():
+        k = int(np.argmax(near))
+        if k < c:
+            raise ResonanceError(f"kernel: u = {us.ravel()[k]} is on the lattice")
+        *at, r, pole = np.unravel_index(k - c, shifted.shape)
+        u_at = np.broadcast_to(us, shifted.shape[:-1])[(*at, r)]
+        z_at = np.broadcast_to(z, shifted.shape[:-2])[tuple(at)]
+        raise PoleError(f"kernel: u + z - pole is on the lattice "
+                        f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
+    zeta_u, sig_u = ze[:c].reshape(us.shape), sig[:c].reshape(us.shape)
+    zeta_s, sig_s = ze[c:].reshape(shifted.shape), sig[c:].reshape(shifted.shape)
+    u, zeta_zc = us[..., None], zeta_z[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sig_s / (sig_u[..., None] * sig_zp[..., None, :]) * np.exp(-u * zeta_zc)
+    if not np.isfinite(value).all():
+        raise ValueError(f"kernel: a sigma quotient overflows "
+                         f"(largest |u| = {np.abs(us).max():.3g})")
+    return value, zeta_s - zeta_u[..., None] - zeta_zc, zeta_s
+
+
 def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
     """Twisted sigma-quotient kernel and its two log-derivatives for every
     u in `us` and every pole in `poles` at the point z:
@@ -245,39 +281,38 @@ def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
     z = np.asarray(z, dtype=complex)
     poles = np.asarray(poles, dtype=complex)
     zp = z[..., None] - poles
-    shifted = (us[..., None] + z[..., None, None]) - poles
+    shifted = _shifted(us, z, poles)
     wp, ze, sig, dist = _core(cache, np.concatenate(
         (z.ravel(), zp.ravel(), us.ravel(), shifted.ravel())))
     a = z.size
     b = a + zp.size
-    c = b + us.size
-    if (dist < POLE_TOL).any():
-        k = int(np.argmax(dist < POLE_TOL))
+    near = dist[:b] < POLE_TOL
+    if near.any():
+        k = int(np.argmax(near))
         if k < a:
             raise PoleError(f"kernel: z = {z.ravel()[k]} is on the lattice")
-        if k < b:
-            *at, pole = np.unravel_index(k - a, zp.shape)
-            raise PoleError(f"kernel: z = {z[tuple(at)]} is at the pole {poles[pole]}")
-        if k < c:
-            raise ResonanceError(f"kernel: u = {us.ravel()[k - b]} is on the lattice")
-        *at, r, pole = np.unravel_index(k - c, shifted.shape)
-        u_at = np.broadcast_to(us, shifted.shape[:-1])[(*at, r)]
-        z_at = np.broadcast_to(z, shifted.shape[:-2])[tuple(at)]
-        raise PoleError(f"kernel: u + z - pole is on the lattice "
-                        f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
+        *at, pole = np.unravel_index(k - a, zp.shape)
+        raise PoleError(f"kernel: z = {z[tuple(at)]} is at the pole {poles[pole]}")
     zeta_z, wp_z = ze[:a].reshape(z.shape), wp[:a].reshape(z.shape)
     zeta_zp, sig_zp = ze[a:b].reshape(zp.shape), sig[a:b].reshape(zp.shape)
-    zeta_u, sig_u = ze[b:c].reshape(us.shape), sig[b:c].reshape(us.shape)
-    zeta_s, sig_s = ze[c:].reshape(shifted.shape), sig[c:].reshape(shifted.shape)
-    u, zeta_zc = us[..., None], zeta_z[..., None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = sig_s / (sig_u[..., None] * sig_zp[..., None, :]) * np.exp(-u * zeta_zc)
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"kernel: a sigma quotient overflows "
-                         f"(largest |u| = {np.max(np.abs(us)):.3g})")
-    dlog_du = zeta_s - zeta_u[..., None] - zeta_zc
-    dlog_dz = zeta_s - zeta_zp[..., None, :] + u * wp_z[..., None, None]
+    value, dlog_du, zeta_s = _u_side(us, z, poles, shifted, ze[b:], sig[b:], dist[b:],
+                                     zeta_z, sig_zp)
+    dlog_dz = zeta_s - zeta_zp[..., None, :] + us[..., None] * wp_z[..., None, None]
     return KernelTable(value, dlog_du, dlog_dz, zeta_z, zeta_zp)
+
+
+def kernel_at_known_z(cache: EllipticCache, us, z, poles, zeta_z, sigma_zp):
+    """(value, dlog_du) of kernel_table(cache, us, z, poles), bit for bit,
+    for a point z whose zeta(z) and sigma(z - pole) (z's shape, then the
+    poles') are known: one call of the array core over u and u + z - pole,
+    under kernel_table's ResonanceError and PoleError guard of those
+    arguments.  z itself is not checked: the caller keeps it off the
+    lattice and off the poles."""
+    us = np.asarray(us, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    shifted = _shifted(us, z, poles)
+    _, ze, sig, dist = _core(cache, np.concatenate((us.ravel(), shifted.ravel())))
+    return _u_side(us, z, poles, shifted, ze, sig, dist, np.asarray(zeta_z), sigma_zp)[:2]
 
 
 def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):

@@ -277,6 +277,35 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(q=[[0.1, 0.0]])),
         # an initial state that is not a JSON object
         ("rational_sl2_n3.json", lambda cfg: cfg.update(initial_state=[1, 2])),
+        # a misspelt key at any level, which would leave its default in place
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(z_sample=[[3.0, 2.0]])),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(resonance_margn=0.5)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"].update(taus=[0.0, 1.1])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["hamiltonians"][1].update(
+            degre=3)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(
+            T=[0.0, 0.0])),
+        ("rational_sl2_n3.json", lambda cfg: cfg["outputs"].update(
+            diagnostics="diag.json")),
+        # a state is random or explicit, not both
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(random=True)),
+        ("rational_sl2_n3.json", lambda cfg: cfg.update(
+            initial_state={"random": True, "t": [0.0, 0.0]})),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(seed=3)),
+        ("rational_sl2_n3.json", lambda cfg: cfg["initial_state"].update(
+            random=False, spread=0.3)),
+        # matrix entries and Cartan coordinates are at most MAX_ENTRY = 1e6 in
+        # modulus (an entry of 1e200 overflowed the traceless check's norm)
+        ("rational_sl2_n3.json", lambda cfg: cfg["model"]["orbit_seeds"][0][0].__setitem__(
+            1, [1e200, 0.0])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["model"]["orbit_seeds"][0][0].__setitem__(
+            1, [0.0, 1.5e6])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["initial_state"]["phis"][0][0].__setitem__(
+            1, [-2e6, 0.0])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["initial_state"]["q"].__setitem__(
+            0, [1e6, 1e3])),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg["initial_state"]["p"].__setitem__(
+            0, [3e7, 0.0])),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
@@ -295,7 +324,11 @@ class TestSimulate:
             "ham_point_far_from_cell", "elliptic_step_past_curve",
             "step_past_curve", "degree_huge", "curve_text", "curve_bool", "t_text",
             "t_bool", "random_text", "phis_and_orbit_mats", "genus0_q",
-            "state_not_object"])
+            "state_not_object", "z_sample", "resonance_margn", "model_key_typo",
+            "hamiltonian_key_typo", "state_key_typo", "outputs_key_typo",
+            "random_with_phis", "random_with_t", "explicit_with_seed",
+            "explicit_with_spread", "orbit_seed_1e200", "orbit_seed_past_bound",
+            "phi_past_bound", "q_past_bound", "p_past_bound"])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err

@@ -351,9 +351,10 @@ class TestKernelTableReuse:
         self.count(monkeypatch, models, "kernel_table", counts)
         L, Ls = lax_matrix(model, state, zs), lax_matrix(model, stack, zs)
         M, Ms = m_matrix(model, state, 1, zs), m_matrix(model, stack, 1, zs)
-        # two L calls, and two M calls that each take a second set for L(q_i)
-        assert counts == ({"_kernel_weights": 6} if genus == 0 else
-                          {"_kernel_weights": 6, "kernel_table": 6})
+        # two L calls and two M calls; L(q_i) inside M reads the model's
+        # weights at q_i, so it takes no set of its own
+        assert counts == ({"_kernel_weights": 4} if genus == 0 else
+                          {"_kernel_weights": 4, "kernel_table": 4})
         assert L.shape == M.shape == (2, 3, 3, 3) and Ls.shape == Ms.shape == (2, 2, 3, 3, 3)
         for k in np.ndindex(zs.shape):
             z = zs[k]
@@ -401,6 +402,73 @@ class TestKernelTableReuse:
             with pytest.raises(ValueError):
                 call()
         assert counts == {}
+
+
+class TestHamiltonianPointWeights:
+    """The Lax weights at a Hamiltonian point q_i read the model's data
+    there (zeta(q_i), sigma(q_i - p_a) and the Cartan diagonals) and
+    evaluate only u and u + q_i - p_a; every result equals the route
+    through _kernel_weights(model, q, q_i) bit for bit."""
+
+    @staticmethod
+    def draw(m, n_sites):
+        rng = np.random.default_rng(53)
+        model, state = random_elliptic_ensemble(rng, m, n_sites, (2, 3), max_gradient=1e3)
+        state = PhaseState(phis=[np.eye(m, dtype=complex) + 0.05 * random_traceless(rng, m)
+                                 for _ in range(n_sites)],
+                           q=state.q, p=state.p, t=state.t)
+        # three lockstep members with their own phis, q and p
+        shift = 0.02 * (rng.standard_normal((3, m - 1)) + 1j * rng.standard_normal((3, m - 1)))
+        stack = PhaseState(phis=np.stack([state.phis + 0.01 * k for k in range(3)]),
+                           q=state.q + shift, p=state.p - shift, t=np.zeros((3, 2)))
+        return model, state, stack
+
+    @staticmethod
+    def kernel_route(model, q, i):
+        return models._kernel_weights(model, q, model.ham_points[i])
+
+    @pytest.mark.parametrize("m, n_sites", [(2, 1), (3, 3), (4, 2)])
+    def test_weights_and_results_equal_the_kernel_route(self, monkeypatch, m, n_sites):
+        model, state, stack = self.draw(m, n_sites)
+        zs = np.array([0.11 + 0.31j, -0.33 + 0.17j])
+        # W, dW/du and the three partials, for one state and for one flow
+        # index per lockstep member; then H_i and M_i
+        calls = [lambda st=st, i=i: models._ham_weights(model, st.q, i)
+                 + grad_hamiltonian(model, st, i)
+                 for st, i in ((state, 0), (state, 1), (stack, 1), (stack, np.array([1, 0, 1])))]
+        calls += [lambda st=st, i=i: (hamiltonian(model, st, i), m_matrix(model, st, i, zs))
+                  for st in (state, stack) for i in (0, 1)]
+        stored = [call() for call in calls]
+        # H_i as it was defined before the model held the weights at q_i
+        for st in (state, stack):
+            for i in (0, 1):
+                np.testing.assert_array_equal(
+                    hamiltonian(model, st, i),
+                    model.polys[i].evaluate(lax_matrix(model, st, model.ham_points[i])))
+        monkeypatch.setattr(models, "_ham_weights", self.kernel_route)
+        for results, call in zip(stored, calls):
+            for got, ref in zip(results, call(), strict=True):
+                assert np.shape(got) == np.shape(ref)
+                np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("m, n_sites", [(2, 1), (3, 3), (4, 2)])
+    def test_guards_equal_the_kernel_route(self, m, n_sites):
+        model, state, _ = self.draw(m, n_sites)
+        roots = model.basis.roots
+        # u = rho(Q) = 0 for every root; then rho_0(Q) = p_0 - q_1 exactly
+        # enough to put u + q_1 - p_0 on the lattice
+        target = model.marked_points[0] - model.ham_points[1]
+        on_pole = np.linalg.pinv(roots[:1]) @ np.array([target])
+        for q, error in ((np.zeros(m - 1, dtype=complex), ResonanceError),
+                         (on_pole, PoleError)):
+            with pytest.raises(error) as stored:
+                models._ham_weights(model, q, 1)
+            with pytest.raises(error) as kernel:
+                self.kernel_route(model, q, 1)
+            assert type(stored.value) is type(kernel.value) is error
+            assert str(stored.value) == str(kernel.value)
+            with pytest.raises(error):
+                grad_hamiltonian(model, PhaseState(phis=state.phis, q=q, p=state.p), 1)
 
 
 class TestSharedAssembly:
