@@ -29,6 +29,7 @@ from .models import (
     read_object,
     read_pair,
     read_real,
+    residue_constraint,
     state_from_dict,
 )
 from .verify import SUITES, run_suite
@@ -124,16 +125,18 @@ def _build_run(cfg):
     projection = cfg.get("projection", "monitor")
     if projection not in ("monitor", "project"):
         raise ConfigError("projection must be 'monitor' or 'project'")
-    if projection == "monitor" and model.genus == 0:
-        # the residue-sum constraint is monitored, not projected, so a
-        # grossly violating initial state is a configuration error
+    if projection == "monitor":
+        # the residue-sum constraint (its Cartan part in genus 1) is
+        # monitored, not projected, so a grossly violating initial state is
+        # a configuration error; genus 1 has no projection
         Ls = orbit_elements(model, state)
-        total = np.linalg.norm(sum(Ls))
+        total = np.linalg.norm(residue_constraint(model, Ls))
         scale = max(np.linalg.norm(L) for L in Ls) or 1.0
         if total > 1e-6 * scale:
-            raise ConfigError(
-                f"initial state violates sum L_a = 0 (|sum| = {total:.2e}); "
-                "fix the state or set projection = 'project'")
+            part, fix = (("sum", "fix the state or set projection = 'project'")
+                         if model.genus == 0 else ("Cartan part of the sum", "fix the state"))
+            raise ConfigError(f"initial state violates sum L_a = 0 (|{part}| = "
+                              f"{total:.2e}); {fix}")
     # evolve rejects an unknown method before its first step
     method = cfg.get("method", "rk4")
     margin = read_real(cfg.get("resonance_margin", 1e-3), "resonance_margin")

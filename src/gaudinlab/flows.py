@@ -39,6 +39,7 @@ from .models import (
     lax_matrix,
     m_matrix,
     orbit_elements,
+    residue_constraint,
     resonance_margin,
 )
 
@@ -257,6 +258,11 @@ def evolve(model, state, curve, h, method="rk4",
     bit for bit to evolving curve b alone.  A numerical abort in any member
     aborts the call.
 
+    Every trajectory starts on its curve, at its first waypoint.  A state
+    may carry no time t; one whose t is not that waypoint (in lockstep, the
+    first waypoint of each member's curve) to 1e-9, relative or absolute,
+    is a ConfigError.
+
     project_residue_sum (genus 0, rk4 only): after every step subtract the
     mean residue from the orbit matrices; the state then evolves in the
     matrix representation and Casimirs are preserved only to integrator
@@ -279,6 +285,14 @@ def evolve(model, state, curve, h, method="rk4",
     lengths = [[abs(delta) for _, _, delta in segs] for segs in legs]
     if any(other != lengths[0] for other in lengths[1:]):
         raise ConfigError(f"lockstep curves need the same segment lengths, got {lengths}")
+    starts = np.array([c.waypoints[0] for c in curves], dtype=float)
+    if state.t is not None:
+        t = np.asarray(state.t, dtype=float)
+        for b, start in enumerate(starts):
+            # up to the rounding that a trajectory's own steps leave in its t
+            if t.shape != start.shape or not np.allclose(t, start, rtol=1e-9, atol=1e-9):
+                raise ConfigError(f"the state's time t = {t.tolist()} is not the first "
+                                  f"waypoint {start.tolist()} of curve {b}")
     cur = state.copy()
     if project_residue_sum:
         if model.genus != 0:
@@ -291,9 +305,7 @@ def evolve(model, state, curve, h, method="rk4",
     if lockstep:
         cur = PhaseState(**{k: None if v is None else np.stack([v] * len(curves))
                             for k, v in vars(cur).items()})
-    if cur.t is None:
-        starts = np.array([c.waypoints[0] for c in curves], dtype=float)
-        cur.t = starts if lockstep else starts[0]
+    cur.t = starts if lockstep else starts[0]
     arclen = 0.0
     states = [cur]
     seg_ids = [0]
@@ -444,9 +456,7 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
                                                   None, None, None))
         L = lax_matrix(model, PhaseState(orbit_mats=Ls, q=q, p=p), points)  # (C, n+Z, m, m)
         casimirs = charpoly(Ls)         # (C, N, m+1)
-        res = np.sum(Ls, axis=1)        # conserved: all of sum_a L_a on the
-        if model.genus == 1:            # sphere, its Cartan part on the torus
-            res = res * np.eye(model.m)
+        res = residue_constraint(model, Ls)     # conserved
         if lo == 0:
             casimirs0, res0 = casimirs[0], res[0]
         rows = slice(lo, lo + len(chunk))

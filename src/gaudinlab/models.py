@@ -82,6 +82,7 @@ __all__ = [
     "PhaseState",
     "make_gaudin_model",
     "orbit_elements",
+    "residue_constraint",
     "lax_matrix",
     "transition_gamma",
     "hamiltonian",
@@ -263,6 +264,16 @@ def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
     if state.orbit_mats is not None:
         return state.orbit_mats
     return -(state.phis @ model.orbit_seeds @ np.linalg.inv(state.phis))
+
+
+def residue_constraint(model: GaudinModel, Ls: np.ndarray) -> np.ndarray:
+    """The constrained part of sum_a L_a over the sites axis of a (..., N,
+    m, m) stack of residues: all of the sum on the sphere, its Cartan
+    (diagonal) part on the torus, where the root parts are free."""
+    res = np.sum(Ls, axis=-3)
+    if model.genus == 1:
+        res = res * np.eye(model.m)
+    return res
 
 
 def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
@@ -637,7 +648,8 @@ def random_elliptic_ensemble(rng, m, n_sites, ham_degrees, tau=1.1j, max_gradien
 
 def random_phase_state(model: GaudinModel, rng, spread=0.4) -> PhaseState:
     """Random state on the constraint surface of a given model: a single
-    global conjugation (needs sum Lambda_alpha = 0) plus random (q, p)."""
+    global conjugation (needs sum Lambda_alpha = 0) plus random (q, p).  It
+    carries no time t, so `evolve` starts it at its curve's first waypoint."""
     total = sum(model.orbit_seeds)
     if np.linalg.norm(total) > 1e-8 * max(1.0, max(np.linalg.norm(s) for s in model.orbit_seeds)):
         raise ConfigError(
@@ -646,14 +658,13 @@ def random_phase_state(model: GaudinModel, rng, spread=0.4) -> PhaseState:
     g = matrix_exponential(random_traceless(rng, model.m, spread))
     phis = [g.copy() for _ in range(model.n_sites)]
     if model.genus == 0:
-        return PhaseState(phis=phis, t=np.zeros(model.n_hams))
+        return PhaseState(phis=phis)
     rk = model.basis.rank
     while True:
         state = PhaseState(
             phis=phis,
             q=(rng.standard_normal(rk) + 1j * rng.standard_normal(rk)) * 0.2 + 0.15,
-            p=(rng.standard_normal(rk) + 1j * rng.standard_normal(rk)) * spread,
-            t=np.zeros(model.n_hams))
+            p=(rng.standard_normal(rk) + 1j * rng.standard_normal(rk)) * spread)
         if resonance_margin(model, state) > 0.05:
             return state
 
@@ -762,7 +773,7 @@ def model_from_dict(d: dict) -> GaudinModel:
 
 
 def state_to_dict(state: PhaseState) -> dict:
-    d = {"t": list(np.asarray(state.t, dtype=float))}
+    d = {} if state.t is None else {"t": list(np.asarray(state.t, dtype=float))}
     if state.phis is not None:
         d["phis"] = [_mat2j(f) for f in state.phis]
     if state.orbit_mats is not None:
@@ -774,7 +785,9 @@ def state_to_dict(state: PhaseState) -> dict:
 
 
 def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
-    """The state of a JSON spec for the model; every bad value is a ConfigError."""
+    """The state of a JSON spec for the model; every bad value is a ConfigError.
+    Without "t" it carries no time, so `evolve` starts it at its curve's
+    first waypoint."""
     read_object(d, "initial_state", STATE_KEYS)
 
     def each(key, read):
@@ -783,12 +796,12 @@ def state_from_dict(d: dict, model: GaudinModel) -> PhaseState:
     try:
         state = PhaseState(phis=each("phis", _read_mat), orbit_mats=each("orbit_mats", _read_mat),
                            q=each("q", read_entry), p=each("p", read_entry),
-                           t=each("t", read_real) if "t" in d else np.zeros(model.n_hams))
+                           t=each("t", read_real))
     except ConfigError:
         raise
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad state spec: {exc}") from exc
-    if state.t.shape != (model.n_hams,):
+    if state.t is not None and state.t.shape != (model.n_hams,):
         raise ConfigError(f"state t must be {model.n_hams} finite times, one per "
                           f"Hamiltonian, got {d.get('t')!r}")
     mats, N, m = state.mats, model.n_sites, model.m

@@ -65,8 +65,7 @@ class ToySystem:
         return len(self.generators)
 
 
-def make_toy_system(dim, hamiltonians, generators, structure,
-                    check_invariance=True) -> ToySystem:
+def make_toy_system(dim, hamiltonians, generators, structure) -> ToySystem:
     """Build and validate: generator algebra must close on the given
     structure constants to 1e-12, and each Hamiltonian must be invariant
     under every lifted generator (finite-difference Lie derivative 1e-8)."""
@@ -86,18 +85,17 @@ def make_toy_system(dim, hamiltonians, generators, structure,
                 raise ConfigError(f"generator algebra does not close at ({a}, {b})")
     sys = ToySystem(dim=dim, hamiltonians=tuple(hamiltonians),
                     generators=gens, structure=structure)
-    if check_invariance:
-        rng = np.random.default_rng(1234)
-        for _ in range(4):
-            p = rng.standard_normal(dim)
-            q = rng.standard_normal(dim)
-            for i, H in enumerate(sys.hamiltonians):
-                for a, X in enumerate(gens):
-                    lie = _lie_derivative(H, X, p, q)
-                    if abs(lie) > 1e-8 * max(1.0, abs(H.value(p, q))):
-                        raise ConfigError(
-                            f"H_{i} is not invariant under generator {a} "
-                            f"(Lie derivative {lie:.2e})")
+    rng = np.random.default_rng(1234)
+    for _ in range(4):
+        p = rng.standard_normal(dim)
+        q = rng.standard_normal(dim)
+        for i, H in enumerate(sys.hamiltonians):
+            for a, X in enumerate(gens):
+                lie = _lie_derivative(H, X, p, q)
+                if abs(lie) > 1e-8 * max(1.0, abs(H.value(p, q))):
+                    raise ConfigError(
+                        f"H_{i} is not invariant under generator {a} "
+                        f"(Lie derivative {lie:.2e})")
     return sys
 
 
@@ -274,8 +272,7 @@ def canonical_noncommuting_pair() -> ToySystem:
                         lambda p, q: (np.eye(2)[0], np.zeros(2)))
     H2 = ToyHamiltonian(lambda p, q: q[0],
                         lambda p, q: (np.zeros(2), np.eye(2)[0]))
-    return make_toy_system(2, [H1, H2], [np.zeros((2, 2))],
-                           np.zeros((1, 1, 1)), check_invariance=False)
+    return make_toy_system(2, [H1, H2], [np.zeros((2, 2))], np.zeros((1, 1, 1)))
 
 
 def so3_generators():

@@ -47,7 +47,7 @@ from .models import (
 from .weierstrass import (
     LatticeSumOracle,
     build_cache,
-    kernel_phi,
+    kernel_table,
     quasi_periodicity_check,
     sigma_eval,
     weierstrass_eval,
@@ -103,10 +103,17 @@ def _fit_order(values, ratio=2.0):
 
 
 def _five_point(f, x):
-    """f'(x) by the five-point central stencil at h = 1e-4: truncation O(h^4)
-    and roundoff about eps |f| / h, which is 2e-12 relative."""
+    """f'(x) by the five-point stencil at h = 1e-4 from one call of f on x + h [-2, -1, 1, 2]
+    (a new leading axis): truncation O(h^4), roundoff about eps |f| / h = 2e-12 relative."""
     h = 1e-4
-    return (f(x - 2 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2 * h)) / (12.0 * h)
+    f2, f1, g1, g2 = f(np.add.outer(h * np.array([-2.0, -1.0, 1.0, 2.0]), x))
+    return (f2 - 8.0 * f1 + 8.0 * g1 - g2) / (12.0 * h)
+
+
+def _closure_square(model, state, T, h, method="rk4"):
+    """Flow 1 then flow 2, and flow 2 then flow 1, for times T in lockstep."""
+    return evolve(model, state, [FlowCurve([[0.0, 0.0], [T, 0.0], [T, T]]),
+                                 FlowCurve([[0.0, 0.0], [0.0, T], [T, T]])], h, method=method)
 
 
 def _norms(stack):
@@ -216,25 +223,27 @@ def suite_weierstrass(seed=0):
                 np.max(np.abs(s1 + s2) / np.maximum(1.0, np.abs(s1))))
     rows.append(_residual("weier/parity", "p even; zeta, sigma odd", 1e-12, worst))
 
-    # kernel: residue value and log-derivatives
+    # kernel: residue value and log-derivatives, one table per job, a z per row
     u, pole = 0.21 + 0.13j, 0.17 + 0.31j
     eps = 1e-4
-    v_plus = kernel_phi(cache, u, pole + eps, pole)[0] * eps
-    v_minus = kernel_phi(cache, u, pole - eps, pole)[0] * (-eps)
+
+    def phi(us, zs):
+        return kernel_table(cache, us, zs, [pole]).value[..., 0, 0]
+
+    v_plus, v_minus = phi([[u], [u]], [pole + eps, pole - eps]) * [eps, -eps]
     expected = np.exp(-u * zeta_eval(cache, pole))
     rows.append(_residual("weier/kernel_residue",
                           "lim (z - pole) phi = exp(-u zeta(pole))",
                           1e-7, abs(0.5 * (v_plus + v_minus) - expected)))
-    worst_du = worst_dz = 0.0
-    for z in rand_z(cache, n=10):
-        if abs(z - pole) < 0.1 or abs(z - pole - u) < 0.1:
-            continue
-        val, dlu, dlz = kernel_phi(cache, u, z, pole)
-        # differentiate phi itself, not log phi: no branch cut to cross
-        fdu = _five_point(lambda x: kernel_phi(cache, x, z, pole)[0], u) / val
-        fdz = _five_point(lambda x: kernel_phi(cache, u, x, pole)[0], z) / val
-        worst_du = max(worst_du, abs(fdu - dlu))
-        worst_dz = max(worst_dz, abs(fdz - dlz))
+    zs = np.array([z for z in rand_z(cache, n=10)
+                   if abs(z - pole) >= 0.1 and abs(z - pole - u) >= 0.1])
+    table = kernel_table(cache, [[u]], zs, [pole])
+    # differentiate phi itself, not log phi: no branch cut to cross
+    fdu = _five_point(lambda x: phi(x[:, None, None], zs), u) / table.value[:, 0, 0]
+    fdz = _five_point(lambda x: phi([[u]], x), zs) / table.value[:, 0, 0]
+    # abs of one entry at a time: np.abs of an array rounds some moduli differently
+    worst_du = max([0.0, *map(abs, fdu - table.dlog_du[:, 0, 0])])
+    worst_dz = max([0.0, *map(abs, fdz - table.dlog_dz[:, 0, 0])])
     rows.append(_residual("weier/kernel_dlog_du",
                           "d log phi / du = zeta(u+z-pole) - zeta(u) - zeta(z)",
                           1e-7, worst_du))
@@ -559,10 +568,7 @@ def suite_elliptic(seed=0):
     zs_comm = rand_cell_z(model, 3)
 
     def comm_gap(h):
-        T = 0.1
-        cAB = FlowCurve([[0, 0], [T, 0], [T, T]])
-        cBA = FlowCurve([[0, 0], [0, T], [T, T]])
-        end = evolve(model, state, [cAB, cBA], h).states[-1]
+        end = _closure_square(model, state, 0.1, h).states[-1]
         gap = max(np.max(np.abs(end.q[0] - end.q[1])), np.max(np.abs(end.p[0] - end.p[1])))
         polyAB, polyBA = charpoly(lax_matrix(model, end, zs_comm))
         return max(gap, np.max(np.abs(polyAB - polyBA)))
@@ -772,9 +778,7 @@ def suite_multiform(seed=0):
     rows = []
 
     def gap(model, state, h, T, method="rk4"):
-        cAB = FlowCurve([[0.0, 0.0], [T, 0.0], [T, T]])
-        cBA = FlowCurve([[0.0, 0.0], [0.0, T], [T, T]])
-        both = evolve(model, state, [cAB, cBA], h, method=method)
+        both = _closure_square(model, state, T, h, method)
         a, b = (action_along_curve(model, both.member(k)) for k in (0, 1))
         return abs(a - b)
 

@@ -48,7 +48,6 @@ __all__ = [
     "lattice_distance",
     "in_centred_cell",
     "quasi_periodicity_check",
-    "kernel_phi",
     "kernel_table",
     "kernel_at_known_z",
     "KernelTable",
@@ -78,9 +77,17 @@ class EllipticCache:
 
 def _theta_terms(tau: complex):
     """Coefficient arrays for theta1; cutoff keeps the tail below 1e-16
-    for arguments reduced to the fundamental cell."""
+    for arguments reduced to the fundamental cell.  PoleError, before any
+    series term is evaluated, for a modulus whose largest term overflows."""
     im = float(np.imag(tau))
     nmax = int(np.ceil(np.sqrt(46.0 / (np.pi * im)))) + 6
+    # theta1 takes sin and cos of pi z0 (2n + 1), with |Im z0| up to Im(tau)/2
+    # (eta2 = zeta(tau/2) reaches it); they overflow once that imaginary
+    # part passes log(float max), at Im(tau) = 34.76 for the 7 terms there
+    limit = 2.0 * np.log(np.finfo(float).max) / (np.pi * (2 * nmax - 1))
+    if im > limit:
+        raise PoleError(f"modulus tau = {tau} is out of range: the theta series "
+                        f"overflows past Im(tau) = {limit:.4g}")
     n = np.arange(nmax)
     q = np.exp(1j * np.pi * tau)
     coeffs = (-1.0) ** n * q ** ((n + 0.5) ** 2)
@@ -317,7 +324,8 @@ def kernel_at_known_z(cache: EllipticCache, us, z, poles, zeta_z, sigma_zp):
 
 def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):
     """Twisted sigma-quotient kernel and its two log-derivatives at one u
-    and one pole; `kernel_table` gives the formulas."""
+    and one pole; `kernel_table` gives the formulas.  Uncalled: kept for the
+    benchmark's tracing, which binds it by name (ROADMAP item 1)."""
     table = kernel_table(cache, [u], z, [pole])
     return table.value[0, 0], table.dlog_du[0, 0], table.dlog_dz[0, 0]
 

@@ -24,6 +24,28 @@ def run_config(tmp_path, name, mutate=None):
     return main(["simulate", str(path)]), tmp_path
 
 
+def _unbalance_cartan(cfg):
+    seed = cfg["model"]["orbit_seeds"][0]
+    seed[0][0], seed[1][1] = [0.3, 0.0], [-0.3, 0.0]
+
+
+# configs that ran before the rules that reject them at load: a modulus
+# whose theta series overflows (it exited 3 at t = 0), a state whose time is
+# not its curve's start, and a genus-1 state whose residues' Cartan parts do
+# not sum to zero (both exited 0)
+NAMED_REJECTIONS = {
+    "tau_im_50": ("elliptic_cm_sl2.json", lambda cfg: cfg["model"].update(tau=[0.0, 50.0])),
+    "t_off_curve": ("rational_sl2_n3.json",
+                    lambda cfg: cfg["initial_state"].update(t=[0.3, 0.0])),
+    "genus1_cartan_unbalanced": ("elliptic_cm_sl2.json", _unbalance_cartan),
+}
+NAMED_IN_MESSAGE = {
+    "tau_im_50": "tau = 50j",
+    "t_off_curve": "t = [0.3, 0.0] is not the first waypoint [0.0, 0.0] of curve 0",
+    "genus1_cartan_unbalanced": "violates sum L_a = 0 (|Cartan part of the sum| = 4.24e-01)",
+}
+
+
 class TestSimulate:
     def test_rational_smoke(self, tmp_path, capsys):
         code, out = run_config(tmp_path, "rational_sl2_n3.json")
@@ -306,6 +328,7 @@ class TestSimulate:
             0, [1e6, 1e3])),
         ("elliptic_cm_sl2.json", lambda cfg: cfg["initial_state"]["p"].__setitem__(
             0, [3e7, 0.0])),
+        *NAMED_REJECTIONS.values(),
     ], ids=["step_text", "step_nan", "z_sample_short", "checks_string",
             "curve_nan", "output_unwritable", "phi_singular", "phi_missing",
             "q_too_long", "t_too_short", "t_2d", "t_too_long", "t_nan",
@@ -328,7 +351,7 @@ class TestSimulate:
             "hamiltonian_key_typo", "state_key_typo", "outputs_key_typo",
             "random_with_phis", "random_with_t", "explicit_with_seed",
             "explicit_with_spread", "orbit_seed_1e200", "orbit_seed_past_bound",
-            "phi_past_bound", "q_past_bound", "p_past_bound"])
+            "phi_past_bound", "q_past_bound", "p_past_bound", *NAMED_REJECTIONS])
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, name, mutate):
         code, out = run_config(tmp_path, name, mutate=mutate)
         err = capsys.readouterr().err
@@ -336,6 +359,13 @@ class TestSimulate:
         assert err.startswith("config error:")
         assert "Traceback" not in err
         assert not (out / "traj.csv").exists() and not (out / "diag.json").exists()
+
+    @pytest.mark.parametrize("name", NAMED_REJECTIONS)
+    def test_rejection_names_the_input(self, tmp_path, capsys, name):
+        # a RuntimeWarning is an error here (pyproject.toml)
+        code, _ = run_config(tmp_path, *NAMED_REJECTIONS[name])
+        assert code == 2
+        assert NAMED_IN_MESSAGE[name] in capsys.readouterr().err
 
     def test_failed_step_aborts(self, tmp_path, capsys):
         # an rk4 stage of this sl3 torus run goes non-finite at h = 0.005

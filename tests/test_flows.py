@@ -233,6 +233,39 @@ class TestEvolve:
         np.testing.assert_array_equal(times, np.stack([s.t for s in traj.states]))
         np.testing.assert_array_equal(times[-1], [0.05, -0.03])
 
+    def test_every_trajectory_starts_on_its_curve(self, rational):
+        # a state without t starts at the curve's first waypoint; a t off it
+        # is a ConfigError, taken before any step
+        model, state = rational
+        curve = FlowCurve([[0.3, 0.0], [0.32, 0.0]])
+        free = PhaseState(phis=state.phis)
+        traj = evolve(model, free, curve, 0.01)
+        np.testing.assert_array_equal(traj.times[[0, -1]], [[0.3, 0.0], [0.32, 0.0]])
+        assert free.t is None
+        on = PhaseState(phis=state.phis, t=np.array([0.3, 0.0]))
+        np.testing.assert_array_equal(evolve(model, on, curve, 0.01).states[-1].phis,
+                                      traj.states[-1].phis)
+        with pytest.raises(ConfigError, match=r"t = \[0.0, 0.0\] is not the first "
+                                              r"waypoint \[0.3, 0.0\] of curve 0"):
+            evolve(model, state, curve, 0.01)
+        # a trajectory's end state continues on a curve from its nominal end,
+        # which its t matches only up to the rounding of the steps
+        end = evolve(model, state, FlowCurve([[0.0, 0.0], [0.3, 0.0]]), 0.01).states[-1]
+        assert end.t[0] != 0.3
+        np.testing.assert_array_equal(evolve(model, end, curve, 0.01).states[0].t, [0.3, 0.0])
+
+    def test_lockstep_members_start_on_their_own_curves(self, rational, monkeypatch):
+        model, state = rational
+        # legs of 2^-6, so both have the same length to the bit
+        curves = [FlowCurve([[0.0, 0.0], [0.015625, 0.0]]),
+                  FlowCurve([[0.0, 0.5], [0.0, 0.515625]])]
+        both = evolve(model, PhaseState(phis=state.phis), curves, 0.0078125)
+        np.testing.assert_array_equal(both.states[0].t, [[0.0, 0.0], [0.0, 0.5]])
+        np.testing.assert_array_equal(both.states[-1].t, [[0.015625, 0.0], [0.0, 0.515625]])
+        monkeypatch.setattr(flows, "grad_hamiltonian", None)   # any step fails
+        with pytest.raises(ConfigError, match="of curve 1"):
+            evolve(model, state, curves, 0.0078125)
+
     def test_order_exchange_gap_is_integrator_error(self, rational):
         model, state = rational
         T = 0.4

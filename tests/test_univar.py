@@ -61,8 +61,7 @@ class TestClosure:
     def test_single_hamiltonian(self):
         zeroH = ToyHamiltonian(lambda p, q: 0.5 * p @ p,
                                lambda p, q: (p.copy(), np.zeros(2)))
-        sys = make_toy_system(2, [zeroH], [np.zeros((2, 2))],
-                              np.zeros((1, 1, 1)), check_invariance=False)
+        sys = make_toy_system(2, [zeroH], [np.zeros((2, 2))], np.zeros((1, 1, 1)))
         F = check_closure(sys, np.array([0.1, 0.2]), np.array([0.3, 0.4]))
         assert F.shape == (1, 1) and F[0, 0] == 0.0
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,17 @@ class TestCache:
     def test_rejects_lower_half_plane(self, tau):
         with pytest.raises(PoleError):
             build_cache(tau)
+
+    def test_largest_modulus(self):
+        # past Im(tau) = 34.76 the theta series' sin and cos of pi (tau/2)
+        # 13 overflow; up to there eta1 and eta2 are finite and exact
+        c = build_cache(34j)
+        assert np.isfinite(c.eta1) and np.isfinite(c.eta2)
+        assert abs(34j * c.eta1 - c.eta2 - 1j * np.pi) < 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PoleError, match=r"tau = 36j .* Im\(tau\) = 34.76"):
+                build_cache(36j)
 
     def test_square_lattice(self):
         c = build_cache(1j)
@@ -111,19 +124,19 @@ class TestDualAlgorithm:
 
 class TestKernel:
     def test_double_periodicity_in_z(self, cache):
-        u, pole = 0.21 + 0.13j, 0.17 + 0.31j
+        us, poles = [0.21 + 0.13j, -0.1 + 0.05j], [0.17 + 0.31j, -0.2 - 0.1j]
         z = -0.31 + 0.52j
-        v0 = kernel_phi(cache, u, z, pole)[0]
-        assert kernel_phi(cache, u, z + 1, pole)[0] == pytest.approx(v0, rel=1e-10)
-        assert kernel_phi(cache, u, z + TAU, pole)[0] == pytest.approx(v0, rel=1e-10)
+        v = kernel_table(cache, us, [z, z + 1, z + TAU], poles).value
+        np.testing.assert_allclose(v[1:], [v[0], v[0]], rtol=1e-10)
 
     def test_pole_guards(self, cache):
+        us = [0.2, 0.15 + 0.1j]
         with pytest.raises(PoleError):
-            kernel_phi(cache, 1e-13, 0.3, 0.1)       # u on the lattice
+            kernel_table(cache, [1e-13, 0.2], 0.3, [0.1])     # u on the lattice
         with pytest.raises(PoleError):
-            kernel_phi(cache, 0.2, 0.1, 0.1)          # z at the pole
+            kernel_table(cache, us, 0.1, [0.3, 0.1])          # z at a pole
         with pytest.raises(PoleError):
-            kernel_phi(cache, 0.2, 1.0 + TAU, 0.1)    # z on the lattice
+            kernel_table(cache, us, 1.0 + TAU, [0.1])         # z on the lattice
 
 
 class TestArrayCore:
@@ -179,10 +192,6 @@ class TestArrayCore:
             assert zeta_eval(cache, z) == pytest.approx(ze[k], rel=1e-14)
             assert sigma_eval(cache, z) == pytest.approx(sig[k], rel=1e-14)
             assert lattice_distance(cache, z) == pytest.approx(dist[k], rel=1e-14)
-        u, pole, z = 0.21 + 0.13j, 0.17 + 0.31j, -0.31 + 0.52j
-        table = kernel_table(cache, [u], z, [pole])
-        assert kernel_phi(cache, u, z, pole) == pytest.approx(
-            (table.value[0, 0], table.dlog_du[0, 0], table.dlog_dz[0, 0]), rel=1e-15)
 
     def test_arguments_near_the_lattice_raise(self, cache):
         near = 0.5 * POLE_TOL
@@ -284,3 +293,35 @@ class TestArrayCore:
                      lambda: kernel_table(cache, [0.2 + 0.1j], bad, [0.1])):
             with pytest.raises(ValueError, match="non-finite"):
                 call()
+
+
+class TestVerifyKernelRoute:
+    def test_kernel_rows_go_through_tables(self, monkeypatch):
+        # the weier/kernel_* rows take one kernel table each for the residue,
+        # the values at the sample points and each of their two stencils;
+        # every five-point stencil calls its function once, on all offsets
+        import gaudinlab
+        from gaudinlab import verify
+
+        assert not hasattr(gaudinlab, "kernel_phi") and not hasattr(verify, "kernel_phi")
+        tables, stencils = [], []
+
+        def counted_table(*args):
+            tables.append(np.shape(args[2]))
+            return kernel_table(*args)
+
+        def counted_stencil(f, x):
+            calls = []
+            stencils.append(calls)
+            return five_point(lambda xs: calls.append(np.shape(xs)) or f(xs), x)
+
+        five_point = verify._five_point
+        monkeypatch.setattr(verify, "kernel_table", counted_table)
+        monkeypatch.setattr(verify, "_five_point", counted_stencil)
+        rows = verify.suite_weierstrass(seed=1)
+        assert all(r.passed for r in rows)
+        # zeta' and sigma' on 50 points, then d/du and d/dz at n kernel points
+        n = tables[1][0]
+        assert 0 < n <= 10
+        assert stencils == [[(4, 50)], [(4, 50)], [(4,)], [(4, n)]]
+        assert tables == [(2,), (n,), (n,), (4, n)]
