@@ -84,21 +84,43 @@ class FlowCurve:
         return self.waypoints.shape[1]
 
     def segments(self):
-        """Yield (axis, start_waypoint, delta) for each non-trivial segment."""
+        """Yield (axis, end_waypoint, delta) for each non-trivial segment."""
         pts = self.waypoints
         for k in range(len(pts) - 1):
             delta = pts[k + 1] - pts[k]
             moved = np.nonzero(np.abs(delta) > 0)[0]
             if len(moved) == 0:
                 continue
-            yield int(moved[0]), pts[k], float(delta[moved[0]])
+            yield int(moved[0]), pts[k + 1], float(delta[moved[0]])
+
+    def plan(self, h):
+        """The walk at step h: (times, segment_ids, axes, dts).  A segment
+        of signed length delta takes n = max(1, round(|delta| / h)) steps of
+        delta / n; axes and dts hold the K - 1 steps, segment_ids (a list)
+        the segment of each of the K samples and times their (K, n) times,
+        each row the one before plus its step, except that a segment's last
+        row is its end waypoint."""
+        rows, seg_ids, axes, dts = [self.waypoints[:1]], [0], [], []
+        for seg_no, (axis, end, delta) in enumerate(self.segments()):
+            n = max(1, int(round(abs(delta) / h)))
+            seg = np.repeat(rows[-1][-1:], n, axis=0)
+            # np.cumsum adds in sequence: t, t + dt, (t + dt) + dt, ...
+            seg[:, axis] = np.cumsum(np.append(seg[0, axis], np.full(n, delta / n)))[1:]
+            seg[-1] = end
+            rows.append(seg)
+            seg_ids += [seg_no] * n
+            axes += [axis] * n
+            dts += [delta / n] * n
+        return np.concatenate(rows), seg_ids, np.array(axes, dtype=int), np.array(dts)
 
 
 @dataclass
 class Trajectory:
     model: GaudinModel
-    states: list                # PhaseState per sample
+    states: list                # PhaseState per sample; its t is a row of times
     segment_ids: list           # which curve segment produced each sample
+    times: np.ndarray           # (K, n) multi-time of every sample, from the plan
+    axes: np.ndarray            # (K - 1,) flow index of every step
     h: float
     method: str
     projection_used: bool = False
@@ -106,25 +128,20 @@ class Trajectory:
     observables: tuple = field(default=None, repr=False, compare=False)
 
     @property
-    def times(self) -> np.ndarray:
-        """(K, n) multi-time of every sample, stacked from the states' t."""
-        return np.array([s.t for s in self.states], dtype=float)
-
-    @property
     def lockstep(self) -> bool:
-        """Whether the states carry the member axis of a lockstep evolve."""
-        return np.ndim(self.states[0].t) == 2
+        """Whether the states, times and axes carry lockstep members."""
+        return self.times.ndim == 3
 
     def member(self, b: int) -> "Trajectory":
         """The trajectory of curve b of a lockstep evolve: views of its
-        slice of every state."""
+        slice of every state, of the times and of the axes."""
         if not self.lockstep:
             raise ConfigError("only a lockstep trajectory has members")
         states = [PhaseState(**{k: None if v is None else v[b] for k, v in vars(s).items()})
                   for s in self.states]
         return Trajectory(model=self.model, states=states, segment_ids=self.segment_ids,
-                          h=self.h, method=self.method,
-                          projection_used=self.projection_used)
+                          times=self.times[:, b], axes=self.axes[:, b], h=self.h,
+                          method=self.method, projection_used=self.projection_used)
 
 
 @dataclass
@@ -136,11 +153,9 @@ class DiagnosticsReport:
     closure_values: np.ndarray
     zero_curvature_residual: float
     projection_used: bool = False
-    abort_reason: str = None
-    last_good_time: float = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "hamiltonian_drift": [float(x) for x in self.hamiltonian_drift],
             "casimir_drift": [float(x) for x in self.casimir_drift],
             "residue_sum_drift": float(self.residue_sum_drift),
@@ -149,22 +164,9 @@ class DiagnosticsReport:
             "zero_curvature_residual": float(self.zero_curvature_residual),
             "projection_used": bool(self.projection_used),
         }
-        if self.abort_reason is not None:
-            d["abort_reason"] = self.abort_reason
-            d["last_good_time"] = self.last_good_time
-        return d
 
 
 STEPPERS = ("rk4", "conjugation")
-
-
-def _advance_t(state, i, h):
-    t = np.array(state.t, dtype=float)
-    if isinstance(i, np.ndarray):
-        t[np.arange(len(t)), i] += h
-    else:
-        t[i] += h
-    return t
 
 
 def _times(c, x):
@@ -188,7 +190,7 @@ def _step_conjugation(model, state, i, h):
         phis=matrix_exponential(_times(-h, dH_dL2)) @ state.phis,
         q=None if state.q is None else state.q + _times(h, dH_dp2),
         p=None if state.p is None else state.p - _times(h, dH_dq2),
-        t=_advance_t(state, i, h))
+        t=state.t)
 
 
 def _rhs_tuple(model, state, i):
@@ -215,11 +217,12 @@ def _step_rk4(model, state, i, h):
     k4 = _rhs_tuple(model, _shifted(state, k3, h), i)
     new = [None if x is None else x + _times(h / 6.0, a + 2 * b + 2 * c + d)
            for x, a, b, c, d in zip((state.mats, state.q, state.p), k1, k2, k3, k4)]
-    return state.moved(*new, _advance_t(state, i, h))
+    return state.moved(*new, state.t)
 
 
 def step(model, state, i, h, method="rk4"):
-    """One step of signed, nonzero size h along the flow of H_i.
+    """One step of signed, nonzero size h along the flow of H_i.  The
+    result keeps the input's t: evolve sets t from the curve's plan.
 
     On a state whose arrays carry a leading member axis, i and h may be
     arrays of one flow index and one step per member (a lockstep evolve);
@@ -248,15 +251,15 @@ def _guard(model, state, t_scalar, margin):
 
 def evolve(model, state, curve, h, method="rk4",
            project_residue_sum=False, resonance_margin_min=1e-3) -> Trajectory:
-    """Integrate along an axis-aligned curve, one Hamiltonian per segment.
+    """Integrate along an axis-aligned curve by its plan at step h.
 
-    curve may also be a sequence of curves with the same segment lengths
-    (their axes and directions may differ).  They are evolved in lockstep
-    from the one start with the one h: each time step is one `step` on a
-    state whose arrays carry a leading member axis, so the returned states
-    carry it too, and `Trajectory.member(b)` is curve b's trajectory, equal
-    bit for bit to evolving curve b alone.  A numerical abort in any member
-    aborts the call.
+    curve may also be a sequence of curves whose plans have the same step
+    counts (axes, directions and lengths may differ).  They are evolved in
+    lockstep from the one start with the one h: each time step is one
+    `step` on a state whose arrays carry a leading member axis, so the
+    returned states carry it too, and `Trajectory.member(b)` is curve b's
+    trajectory, equal bit for bit to evolving curve b alone.  A numerical
+    abort in any member aborts the call.
 
     Every trajectory starts on its curve, at its first waypoint.  A state
     may carry no time t; one whose t is not that waypoint (in lockstep, the
@@ -281,15 +284,18 @@ def evolve(model, state, curve, h, method="rk4",
         if c.n_times != model.n_hams:
             raise ConfigError(
                 f"curve lives in R^{c.n_times} but the model has {model.n_hams} flows")
-    legs = [list(c.segments()) for c in curves]
-    lengths = [[abs(delta) for _, _, delta in segs] for segs in legs]
-    if any(other != lengths[0] for other in lengths[1:]):
-        raise ConfigError(f"lockstep curves need the same segment lengths, got {lengths}")
-    starts = np.array([c.waypoints[0] for c in curves], dtype=float)
+    plans = [c.plan(h) for c in curves]
+    times, seg_ids, axes, dts = plans[0]
+    if any(p[1] != seg_ids for p in plans[1:]):
+        counts = [np.bincount(p[1][1:]).tolist() for p in plans]
+        raise ConfigError(f"lockstep curves need the same step counts, got {counts}")
+    if lockstep:
+        # the member axis follows the sample (or step) axis
+        times, axes, dts = (np.stack([p[x] for p in plans], axis=1) for x in (0, 2, 3))
     if state.t is not None:
         t = np.asarray(state.t, dtype=float)
-        for b, start in enumerate(starts):
-            # up to the rounding that a trajectory's own steps leave in its t
+        for b, start in enumerate(times[0].reshape(-1, model.n_hams)):
+            # up to the rounding of a time typed by hand
             if t.shape != start.shape or not np.allclose(t, start, rtol=1e-9, atol=1e-9):
                 raise ConfigError(f"the state's time t = {t.tolist()} is not the first "
                                   f"waypoint {start.tolist()} of curve {b}")
@@ -305,35 +311,30 @@ def evolve(model, state, curve, h, method="rk4",
     if lockstep:
         cur = PhaseState(**{k: None if v is None else np.stack([v] * len(curves))
                             for k, v in vars(cur).items()})
-    cur.t = starts if lockstep else starts[0]
+    cur.t = times[0]
+    # an abort reports the arc length walked along curve 0
+    lengths = np.abs(plans[0][3]).tolist()
     arclen = 0.0
     states = [cur]
-    seg_ids = [0]
-    for seg_no, seg in enumerate(zip(*legs)):
-        n_steps = max(1, int(round(lengths[0][seg_no] / h)))
-        axis, dt = seg[0][0], seg[0][2] / n_steps
-        if lockstep:
-            axis = np.array([a for a, _, _ in seg])
-            dt = np.array([delta for _, _, delta in seg]) / n_steps
-        for _ in range(n_steps):
-            _guard(model, cur, arclen, resonance_margin_min)
-            try:
-                cur = step(model, cur, axis, dt, method)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                # a stage hit a pole or a resonance, went non-finite, or met
-                # a singular matrix (LinAlgError is a ValueError)
-                raise NumericalAbort(f"step failed: {exc}", arclen) from exc
-            if project_residue_sum:     # cur is new, so it may be changed
-                cur.orbit_mats -= np.sum(cur.orbit_mats, axis=-3, keepdims=True) / model.n_sites
-            arclen += lengths[0][seg_no] / n_steps
-            # a step builds a new state and never writes into the old one
-            states.append(cur)
-            seg_ids.append(seg_no)
+    for k in range(len(axes)):
+        _guard(model, cur, arclen, resonance_margin_min)
+        try:
+            cur = step(model, cur, axes[k], dts[k], method)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            # a stage hit a pole or a resonance, went non-finite, or met
+            # a singular matrix (LinAlgError is a ValueError)
+            raise NumericalAbort(f"step failed: {exc}", arclen) from exc
+        if project_residue_sum:     # cur is new, so it may be changed
+            cur.orbit_mats -= np.sum(cur.orbit_mats, axis=-3, keepdims=True) / model.n_sites
+        # a step builds a new state and never writes into the old one
+        cur.t = times[k + 1]
+        arclen += lengths[k]
+        states.append(cur)
     _guard(model, cur, arclen, resonance_margin_min)
-    return Trajectory(model=model, states=states, segment_ids=seg_ids, h=float(h),
-                      method=method, projection_used=bool(project_residue_sum))
+    return Trajectory(model=model, states=states, segment_ids=seg_ids, times=times, axes=axes,
+                      h=float(h), method=method, projection_used=bool(project_residue_sum))
 
 
 def action_along_curve(model, traj: Trajectory) -> complex:
@@ -356,8 +357,8 @@ def action_along_curve(model, traj: Trajectory) -> complex:
             total += trace
         if model.genus == 1:
             total += 0.5 * np.sum((s0.p + s1.p) * (s1.q - s0.q))
-        for i in np.nonzero(dt[k])[0]:
-            total -= 0.5 * (H[k, i] + H[k + 1, i]) * dt[k, i]
+        i = traj.axes[k]
+        total -= 0.5 * (H[k, i] + H[k + 1, i]) * dt[k, i]
     return complex(total)
 
 
@@ -486,15 +487,9 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
 
     zc = 0.0
     if not traj.projection_used:
-        seg = traj.segment_ids
-        moved = np.abs(np.diff(traj.times, axis=0)) > 0
-        axes = {seg[k + 1]: int(np.argmax(row)) for k, row in enumerate(moved) if row.any()}
-        boundaries = [k for k in range(1, len(states)) if seg[k] != seg[k - 1]]
-        for k in boundaries:
-            i, j = axes.get(seg[k - 1]), axes.get(seg[k])
-            if i is None or j is None or i == j:
-                continue
-            zc = max(zc, plaquette_residual(model, states[k - 1], i, j,
+        # a plaquette at every sample where the walk turns to another axis
+        for k in np.flatnonzero(np.diff(traj.axes)) + 1:
+            zc = max(zc, plaquette_residual(model, states[k], traj.axes[k - 1], traj.axes[k],
                                             traj.h, z_samples, traj.method))
     return DiagnosticsReport(
         hamiltonian_drift=ham_drift,

@@ -413,7 +413,7 @@ def transition_gamma(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if (z == 0).any():
         raise PoleError("transition function is singular at z = 0")
-    Qdiag = state.q @ np.diagonal(model.basis.cartan, axis1=1, axis2=2)
+    Qdiag = state.q @ model.basis.cartan_diag
     gamma = np.zeros(z.shape + (model.m, model.m), dtype=complex)
     gamma[..., np.arange(model.m), np.arange(model.m)] = np.exp(Qdiag / z[..., None])
     return gamma
@@ -518,7 +518,7 @@ def retrivialization_factor(model: GaudinModel, state: PhaseState,
     Q = 0."""
     if model.genus != 1:
         raise ConfigError("retrivialization_factor needs a genus-1 model")
-    Qdiag = state.q @ np.diagonal(model.basis.cartan, axis1=1, axis2=2)
+    Qdiag = state.q @ model.basis.cartan_diag
     return np.diag(np.exp(_f1_exponent(model, complex(z)) * Qdiag))
 
 

@@ -57,6 +57,10 @@ class TestSimulate:
         assert "t1" in cols and "t2" in cols and "H1_re" in cols
         assert "casimir_drift" in cols and "residue_sum_norm" in cols
         assert any(c.startswith("z0_c") for c in cols)
+        # each segment ends on its waypoint: 250 steps of 0.002 would add up
+        # to t1 = 0.50000000000000033
+        assert header[2 + 250].startswith("250,0,0.5,0,")
+        assert header[2 + 500].startswith("500,1,0.5,0.5,")
         diag = json.loads((out / "diag.json").read_text())
         assert max(diag["hamiltonian_drift"]) < 1e-8
         assert diag["residue_sum_drift"] < 1e-8

@@ -51,6 +51,33 @@ class TestCurve:
     def test_zero_length(self):
         c = FlowCurve([[0.25, -0.5]])
         assert list(c.segments()) == []
+        # a curve of zero length is walked in one sample and no step
+        times, seg_ids, axes, dts = FlowCurve([[0.25, -0.5], [0.25, -0.5]]).plan(0.1)
+        np.testing.assert_array_equal(times, [[0.25, -0.5]])
+        assert seg_ids == [0] and len(axes) == len(dts) == 0
+
+    def test_plan(self):
+        # the zero-length segment takes no step; 0.0105 / 0.002 rounds to 5
+        # steps of -0.0021
+        c = FlowCurve([[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, -0.0105]])
+        times, seg_ids, axes, dts = c.plan(0.002)
+        assert times.shape == (256, 2)
+        assert seg_ids == [0] * 251 + [1] * 5
+        np.testing.assert_array_equal(axes, [0] * 250 + [1] * 5)
+        np.testing.assert_array_equal(dts, [0.5 / 250] * 250 + [-0.0105 / 5] * 5)
+        # each time is the one before plus its step, bit for bit, and each
+        # segment ends on its waypoint, where the steps add up to t1 =
+        # 0.50000000000000033
+        t = np.zeros(2)
+        for k in range(250):
+            np.testing.assert_array_equal(times[k], t)
+            t[0] += 0.5 / 250
+        assert t[0] != 0.5
+        t = np.array([0.5, 0.0])
+        for k in range(250, 255):
+            np.testing.assert_array_equal(times[k], t)
+            t[1] += -0.0105 / 5
+        np.testing.assert_array_equal(times[[250, 255]], [[0.5, 0.0], [0.5, -0.0105]])
 
 
 def orbit_tangent(model, state, i):
@@ -248,15 +275,14 @@ class TestEvolve:
         with pytest.raises(ConfigError, match=r"t = \[0.0, 0.0\] is not the first "
                                               r"waypoint \[0.3, 0.0\] of curve 0"):
             evolve(model, state, curve, 0.01)
-        # a trajectory's end state continues on a curve from its nominal end,
-        # which its t matches only up to the rounding of the steps
+        # a trajectory's end state is on its curve's last waypoint, so it
+        # continues on a curve from there
         end = evolve(model, state, FlowCurve([[0.0, 0.0], [0.3, 0.0]]), 0.01).states[-1]
-        assert end.t[0] != 0.3
+        assert end.t[0] == 0.3
         np.testing.assert_array_equal(evolve(model, end, curve, 0.01).states[0].t, [0.3, 0.0])
 
     def test_lockstep_members_start_on_their_own_curves(self, rational, monkeypatch):
         model, state = rational
-        # legs of 2^-6, so both have the same length to the bit
         curves = [FlowCurve([[0.0, 0.0], [0.015625, 0.0]]),
                   FlowCurve([[0.0, 0.5], [0.0, 0.515625]])]
         both = evolve(model, PhaseState(phis=state.phis), curves, 0.0078125)
@@ -379,27 +405,34 @@ class TestLockstep:
             model, state = random_rational_ensemble(rng, 2, 3, degrees)
         else:
             model, state = random_elliptic_ensemble(rng, 3, 2, degrees, tau=1.1j)
-        curves = lockstep_curves(0.02)
-        both = evolve(model, state, curves, 0.005, method=method)
-        assert both.lockstep and both.states[-1].mats.shape[0] == len(curves)
-        for b, curve in enumerate(curves):
-            alone = evolve(model, state, curve, 0.005, method=method)
-            member = both.member(b)
-            assert member.segment_ids == alone.segment_ids
-            assert len(member.states) == len(alone.states)
-            for s, ref in zip(member.states, alone.states):
-                for key in ("phis", "q", "p", "t"):
-                    got, want = getattr(s, key), getattr(ref, key)
-                    assert (got is None and want is None) or np.array_equal(got, want)
-            assert action_along_curve(model, member) == action_along_curve(model, alone)
+        # the second pair's legs are 0.02 and 0.01999999999999999 long, the
+        # same step count at h = 0.005; a state without t starts on each
+        state = PhaseState(phis=state.phis, q=state.q, p=state.p)
+        for curves in (lockstep_curves(0.02),
+                       [FlowCurve([[0, 0], [0.02, 0]]), FlowCurve([[0, 0.1], [0, 0.12]])]):
+            both = evolve(model, state, curves, 0.005, method=method)
+            assert both.lockstep and both.states[-1].mats.shape[0] == len(curves)
+            for b, curve in enumerate(curves):
+                alone = evolve(model, state, curve, 0.005, method=method)
+                member = both.member(b)
+                assert member.segment_ids == alone.segment_ids
+                assert len(member.states) == len(alone.states)
+                np.testing.assert_array_equal(member.times, alone.times)
+                np.testing.assert_array_equal(member.axes, alone.axes)
+                for s, ref in zip(member.states, alone.states):
+                    for key in ("phis", "q", "p", "t"):
+                        got, want = getattr(s, key), getattr(ref, key)
+                        assert (got is None and want is None) or np.array_equal(got, want)
+                assert action_along_curve(model, member) == action_along_curve(model, alone)
 
     @pytest.mark.parametrize("waypoints", [
         [[0.0, 0.0], [0.02, 0.0]],
         [[0.0, 0.0], [0.0, 0.01], [0.01, 0.01]]])
-    def test_different_segment_lengths_take_no_step(self, rational, monkeypatch, waypoints):
+    def test_different_step_counts_take_no_step(self, rational, monkeypatch, waypoints):
+        # 2 steps against 4, and 1 segment against 2
         model, state = rational
         monkeypatch.setattr(flows, "grad_hamiltonian", None)   # any step fails
-        with pytest.raises(ConfigError, match="same segment lengths"):
+        with pytest.raises(ConfigError, match="same step counts"):
             evolve(model, state, [FlowCurve([[0.0, 0.0], [0.01, 0.0]]),
                                   FlowCurve(waypoints)], 0.005)
 
