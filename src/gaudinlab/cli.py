@@ -140,6 +140,9 @@ def _build_run(cfg):
     # evolve rejects an unknown method before its first step
     method = cfg.get("method", "rk4")
     margin = read_real(cfg.get("resonance_margin", 1e-3), "resonance_margin")
+    if margin < 0:
+        # a negative distance would switch the genus-1 guard off
+        raise ConfigError(f"resonance_margin must be non-negative, got {margin!r}")
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError(f"checks must be a list of suite names, got {checks!r}")

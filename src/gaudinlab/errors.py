@@ -24,7 +24,8 @@ class ResonanceError(PoleError):
 
 class NumericalAbort(GaudinLabError, RuntimeError):
     """A flow ran into a pole during integration.  Carries the last time at
-    which the state was still valid."""
+    which the state was still valid: the arc length of the last state that
+    passed the finiteness and resonance guard, or of a failed step's start."""
 
     def __init__(self, reason, last_good_time):
         super().__init__(reason)

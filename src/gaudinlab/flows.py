@@ -259,7 +259,10 @@ def evolve(model, state, curve, h, method="rk4",
     `step` on a state whose arrays carry a leading member axis, so the
     returned states carry it too, and `Trajectory.member(b)` is curve b's
     trajectory, equal bit for bit to evolving curve b alone.  A numerical
-    abort in any member aborts the call.
+    abort in any member aborts the call; its last_good_time is the arc
+    length along curve 0 of the last state that was finite and (genus 1)
+    kept rho(Q) resonance_margin_min from the lattice, or of a failed step's
+    start.
 
     Every trajectory starts on its curve, at its first waypoint.  A state
     may carry no time t; one whose t is not that waypoint (in lockstep, the
@@ -312,12 +315,12 @@ def evolve(model, state, curve, h, method="rk4",
         cur = PhaseState(**{k: None if v is None else np.stack([v] * len(curves))
                             for k, v in vars(cur).items()})
     cur.t = times[0]
-    # an abort reports the arc length walked along curve 0
+    # an abort reports the arc length walked along curve 0 to the last good state
     lengths = np.abs(plans[0][3]).tolist()
     arclen = 0.0
+    _guard(model, cur, arclen, resonance_margin_min)
     states = [cur]
     for k in range(len(axes)):
-        _guard(model, cur, arclen, resonance_margin_min)
         try:
             cur = step(model, cur, axes[k], dts[k], method)
         except ConfigError:
@@ -328,11 +331,11 @@ def evolve(model, state, curve, h, method="rk4",
             raise NumericalAbort(f"step failed: {exc}", arclen) from exc
         if project_residue_sum:     # cur is new, so it may be changed
             cur.orbit_mats -= np.sum(cur.orbit_mats, axis=-3, keepdims=True) / model.n_sites
+        _guard(model, cur, arclen, resonance_margin_min)
         # a step builds a new state and never writes into the old one
         cur.t = times[k + 1]
         arclen += lengths[k]
         states.append(cur)
-    _guard(model, cur, arclen, resonance_margin_min)
     return Trajectory(model=model, states=states, segment_ids=seg_ids, times=times, axes=axes,
                       h=float(h), method=method, projection_used=bool(project_residue_sum))
 

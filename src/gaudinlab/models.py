@@ -33,10 +33,11 @@ entrywise, plus gram^{-1} p on the Cartan diagonal in genus 1, where the
 kernel weights W_alpha are 1/(z - p_alpha) on the sphere, and on the torus
 the twisted kernel on the root entries and zeta(z - p_alpha) + zeta(p_alpha)
 on the diagonal.  The gradients and the M matrices reuse the same weights;
-the genus enters only through them, the pi constant and dH/dq.  At the
-Hamiltonian points q_i, which the model fixes, everything but the genus-1
-root entries is built once with the model, so a gradient evaluates only
-what depends on the state.
+the genus enters only through them, the pi constant and dH/dq.  In genus
+1 the weights at any point are the kernel's z side there plus one shared
+fill from its u side; at the Hamiltonian points q_i, which the model
+fixes, the z side is built once with the model by the same function, so a
+gradient evaluates only the u side, which depends on the state.
 
 Hamiltonians are H_i = P_i(L(q_i)); their q/p/orbit gradients and the
 companion matrices M_i (simple pole at q_i with residue grad P_i(L(q_i)),
@@ -70,10 +71,9 @@ from .weierstrass import (  # noqa: F401
     in_centred_cell,
     kernel_at_known_z,
     kernel_phi,
-    kernel_table,
+    kernel_z_side,
     lattice_distance,
     sigma_eval,
-    weierstrass_eval,
     zeta_eval,
 )
 
@@ -125,13 +125,13 @@ class GaudinModel:
     polys: tuple                       # n InvariantPolynomial
     cache: EllipticCache = None        # genus 1 only
     zeta_poles: np.ndarray = field(default=None, repr=False)
-    zeta_hampts: np.ndarray = field(default=None, repr=False)
-    # what no state changes of the Lax weights at the Hamiltonian points:
-    # genus 0, the (n, N, 1, 1) weights 1 / (q_i - p_a); genus 1, the
-    # (n, N, m, m) diagonals zeta(q_i - p_a) + zeta(p_a), root entries 0
+    # genus 0: the (n, N, 1, 1) Lax weights 1 / (q_i - p_a) at the
+    # Hamiltonian points, which no state changes
     ham_weights: np.ndarray = field(default=None, repr=False, compare=False)
-    # genus 1: the (n, N) sigma(q_i - p_a) of the twisted kernel at q_i
-    ham_sigma: np.ndarray = field(default=None, repr=False, compare=False)
+    # genus 1: the twisted kernel's z side at the Hamiltonian points,
+    # kernel_z_side(cache, q, p): zeta(q_i), p(q_i) (n,), then
+    # zeta(q_i - p_a), sigma(q_i - p_a) (n, N)
+    ham_z_side: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def n_sites(self) -> int:
@@ -239,19 +239,15 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
 
     # no pole check needed: every q_i - p_a is at least SEPARATION_TOL >
     # POLE_TOL from 0 (mod the lattice in genus 1)
-    zp = zh = sh = None
+    zp = wh = zh = None
     if genus == 1:
         zp = np.asarray(zeta_eval(cache, pts))
-        zh = np.asarray(zeta_eval(cache, hpts))
-        _, zeta_hp, sh = weierstrass_eval(cache, hpts[:, None] - pts)
-        wh = np.zeros((len(hpts), len(pts), m, m), dtype=complex)
-        wh[..., np.arange(m), np.arange(m)] = (zeta_hp + zp)[..., None]
+        zh = kernel_z_side(cache, hpts, pts)
     else:
         wh = (1.0 / (hpts[:, None] - pts))[..., None, None]
     return GaudinModel(genus=genus, basis=basis, marked_points=pts,
                        orbit_seeds=np.array(seeds), ham_points=hpts, polys=polys,
-                       cache=cache, zeta_poles=zp, zeta_hampts=zh, ham_weights=wh,
-                       ham_sigma=sh)
+                       cache=cache, zeta_poles=zp, ham_weights=wh, ham_z_side=zh)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +309,11 @@ def _kernel_weights(model: GaudinModel, q, z, ham=None):
     (None in genus 0).  The leading axes of q (..., rk) and of z broadcast,
     as in kernel_table: q[..., None, :] with a (Z,) array z gives every
     state's weights at every point.  In genus 0, where q is None, z's axes
-    lead.  PoleError at a pole and, in genus 1, at z = 0; genus 1 makes one
-    kernel_table call, so one lattice and resonance guard.
+    lead.  PoleError at a pole and, in genus 1, at z = 0; genus 1 makes two
+    array-core calls, kernel_z_side's and then _twisted_weights'.
 
     The Lax weights at the Hamiltonian points themselves come from
-    _ham_weights, which reads the model's share of them."""
+    _ham_weights, which reads the model's z side there."""
     poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
     if model.genus == 0:
         d = np.asarray(z)[..., None] - poles
@@ -326,43 +322,41 @@ def _kernel_weights(model: GaudinModel, q, z, ham=None):
             k, a = divmod(int(np.argmax(near)), len(poles))
             raise PoleError(f"z = {np.ravel(z)[k]} is at the pole {poles[a]}")
         return (1.0 / d)[..., None, None], None
-    zeta_poles = model.zeta_poles if ham is None else model.zeta_hampts[ham:ham + 1]
-    m = model.m
-    u = (model.basis.roots @ q[..., None])[..., 0]
-    kt = kernel_table(model.cache, u, z, poles)
-    cartan = kt.zeta_zp + zeta_poles if ham is None else kt.zeta_zp - kt.zeta_z[..., None]
-    W = np.empty(kt.value.shape[:-2] + (len(poles), m, m), dtype=complex)
-    W[..., np.arange(m), np.arange(m)] = cartan[..., None]
-    return _fill_roots(model, W, u, kt.value, kt.dlog_du, zeta_poles)
-
-
-def _fill_roots(model: GaudinModel, W, u, value, dlog_du, zeta_poles):
-    """Write the twisted kernel value (..., R, P) times e^{u_r zeta(p_a)}
-    into the root entries of W (..., P, m, m), poles leading; return W and
-    the (..., P, R) u-derivatives of those entries."""
-    value = (value * np.exp(u[..., None] * zeta_poles)).swapaxes(-1, -2)
-    W[..., model.basis.root_entries[0], model.basis.root_entries[1]] = value
-    return W, value * (dlog_du.swapaxes(-1, -2) + zeta_poles[:, None])
+    zeta_z, _, zeta_zp, sigma_zp = kernel_z_side(model.cache, z, poles)
+    return _twisted_weights(model, q, z, ham, zeta_z, zeta_zp, sigma_zp)
 
 
 def _ham_weights(model: GaudinModel, q, i):
     """The Lax weights at the Hamiltonian point q_i (i an int, or one flow
-    index per state along q's leading axis) and their u-derivatives, bit
-    for bit those of _kernel_weights(model, q, model.ham_points[i]).
-
-    Only the root entries move with the state.  Genus 0 returns the model's
-    weights (None for the derivatives); genus 1 copies the model's
-    diagonals and fills the roots from one array-core call over u and
-    u + q_i - p_a, with zeta(q_i) and sigma(q_i - p_a) from the model.  No
-    z guard: construction keeps each q_i off the lattice and the poles."""
+    index per state along q's leading axis) and their u-derivatives:
+    _kernel_weights(model, q, model.ham_points[i]) bit for bit at every tau,
+    with the model's weights (genus 0) or z side (genus 1, which then
+    evaluates only the u side, in one array-core call).  No z guard:
+    construction keeps each q_i off the lattice and the poles."""
     if model.genus == 0:
         return model.ham_weights[i], None
+    zeta_z, _, zeta_zp, sigma_zp = model.ham_z_side
+    return _twisted_weights(model, q, model.ham_points[i], None, zeta_z[i], zeta_zp[i],
+                            sigma_zp[i])
+
+
+def _twisted_weights(model: GaudinModel, q, z, ham, zeta_z, zeta_zp, sigma_zp):
+    """Genus-1 weights W (..., P, m, m) at z and their (..., P, R)
+    u-derivatives, as _kernel_weights returns them, from the kernel's z
+    side at z (zeta(z), zeta(z - pole), sigma(z - pole) of kernel_z_side)
+    and its u side, kernel_at_known_z over u = rho(Q)."""
+    poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
+    zeta_poles = model.zeta_poles if ham is None else model.ham_z_side[0][ham:ham + 1]
+    cartan = zeta_zp + zeta_poles if ham is None else zeta_zp - zeta_z[..., None]
     u = (model.basis.roots @ q[..., None])[..., 0]
-    value, dlog_du = kernel_at_known_z(model.cache, u, model.ham_points[i], model.marked_points,
-                                       model.zeta_hampts[i], model.ham_sigma[i])
-    W = np.empty(value.shape[:-2] + model.ham_weights.shape[1:], dtype=complex)
-    W[...] = model.ham_weights[i]
-    return _fill_roots(model, W, u, value, dlog_du, model.zeta_poles)
+    value, dlog_du, _ = kernel_at_known_z(model.cache, u, z, poles, zeta_z, sigma_zp)
+    value = (value * np.exp(u[..., None] * zeta_poles)).swapaxes(-1, -2)
+    m = model.m
+    W = np.empty(value.shape[:-1] + (m, m), dtype=complex)
+    # the diagonal: every (m + 1)-th entry of a flattened matrix (a view)
+    W.reshape(W.shape[:-2] + (m * m,))[..., ::m + 1] = cartan[..., None]
+    W[..., model.basis.root_entries[0], model.basis.root_entries[1]] = value
+    return W, value * (dlog_du.swapaxes(-1, -2) + zeta_poles[:, None])
 
 
 def _ham_lax(model: GaudinModel, state: PhaseState, i):
@@ -397,8 +391,9 @@ def lax_matrix(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
     at z = 0 in genus 1), ResonanceError when rho(Q) is on the lattice for
     some root.  z may have any shape: the result is the (..., *z.shape, m, m)
     stack, leading axes of the state first, from one residue pass and one
-    set of weights (in genus 1 one kernel table for every state and point),
-    and each matrix equals its own one-point call bit for bit."""
+    set of weights (in genus 1 one z side and one u side for every state
+    and point: two array-core calls), and each matrix equals its own
+    one-point call bit for bit."""
     Ls = _residues(model, state)
     q = None if state.q is None else state.q[..., None, :]
     p = None if state.p is None else state.p[..., None, :]
@@ -438,9 +433,11 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
 
     With G = grad P_i(L(q_i)), which is traceless, dH_dL[alpha] is
     G * W_alpha(q_i)^T entrywise, and so traceless itself.  The weights
-    W(q_i) are the model's (_ham_weights): genus 0 evaluates no kernel, and
-    genus 1 only the twisted kernel's u side, in one array-core call with
-    no z guard; the result equals the _kernel_weights route bit for bit.
+    W(q_i) come from _ham_weights: genus 0 reads the model's and evaluates
+    no kernel; genus 1 reads the model's z side at q_i and evaluates only
+    the twisted kernel's u side, in one array-core call with no z guard.
+    The result equals the _kernel_weights(model, q, q_i) route bit for bit
+    at every tau.
 
     i may also be an array of flow indices, one per state along the leading
     axis of a state stack (the members of a lockstep evolve); the partials

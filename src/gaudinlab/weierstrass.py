@@ -14,9 +14,10 @@ Two independent evaluation routes are provided:
   restore the values at the original point, so accuracy is uniform in |z|.
   Every evaluation goes through one private array core (`_core`), which
   treats a whole array of arguments in one pass; the scalar functions are
-  thin wrappers over it, and `kernel_table` evaluates the twisted kernel
-  for all (u, pole) pairs at one or many points z with a single call
-  (`kernel_at_known_z` only its u side, at a point whose z side is known).
+  thin wrappers over it.  The twisted kernel has one z side
+  (`kernel_z_side`: z and z - pole) and one u side (`kernel_at_known_z`:
+  u and u + z - pole), each one call; `kernel_table` is both, for all
+  (u, pole) pairs at one or many points z.
 
 * `LatticeSumOracle` evaluates the same three functions from symmetrised
   truncated lattice sums.  Lattice points are grouped in +/- pairs, which
@@ -49,6 +50,7 @@ __all__ = [
     "in_centred_cell",
     "quasi_periodicity_check",
     "kernel_table",
+    "kernel_z_side",
     "kernel_at_known_z",
     "KernelTable",
     "LatticeSumOracle",
@@ -226,18 +228,41 @@ class KernelTable(NamedTuple):
     zeta_zp: np.ndarray
 
 
-def _shifted(us, z, poles):
-    """u + z - pole over (..., R, P), added in that order."""
-    return (us[..., None] + z[..., None, None]) - poles
+def kernel_z_side(cache: EllipticCache, z, poles):
+    """The twisted kernel's z side at the point z: (zeta(z), p(z),
+    zeta(z - pole), sigma(z - pole)), the first two of z's shape and the
+    last two of z's shape followed by the poles', from one call of the array
+    core over the flat array of z and then z - pole.  PoleError when z is
+    within POLE_TOL of the lattice or of a pole, naming it."""
+    z = np.asarray(z, dtype=complex)
+    poles = np.asarray(poles, dtype=complex)
+    zp = z[..., None] - poles
+    wp, ze, sig, dist = _core(cache, np.concatenate((z.ravel(), zp.ravel())))
+    a = z.size
+    near = dist < POLE_TOL
+    if near.any():
+        k = int(np.argmax(near))
+        if k < a:
+            raise PoleError(f"kernel: z = {z.ravel()[k]} is on the lattice")
+        *at, pole = np.unravel_index(k - a, zp.shape)
+        raise PoleError(f"kernel: z = {z[tuple(at)]} is at the pole {poles[pole]}")
+    return (ze[:a].reshape(z.shape), wp[:a].reshape(z.shape),
+            ze[a:].reshape(zp.shape), sig[a:].reshape(zp.shape))
 
 
-def _u_side(us, z, poles, shifted, ze, sig, dist, zeta_z, sig_zp):
-    """The kernel's u side from the array core's zeta, sigma and lattice
-    distance over u and then u + z - pole (flattened, in that order):
-    ResonanceError when a u is within POLE_TOL of the lattice, then
-    PoleError when a u + z - pole is, each naming the offending arguments;
-    then (value, dlog_du, zeta(u + z - pole)) with zeta(z) and
-    sigma(z - pole) given, shaped as kernel_table's."""
+def kernel_at_known_z(cache: EllipticCache, us, z, poles, zeta_z, sigma_zp):
+    """The twisted kernel's u side at a point z: (value, dlog_du,
+    zeta(u + z - pole)) of kernel_table's shapes, from kernel_z_side's
+    zeta(z) and sigma(z - pole) and one call of the array core over the flat
+    array of u and then u + z - pole (added in that order).  ResonanceError
+    when a u is within POLE_TOL of the lattice, then PoleError when a
+    u + z - pole is, each naming the offending arguments; ValueError when a
+    sigma quotient is not representable.  z itself is not checked."""
+    us = np.asarray(us, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    poles = np.asarray(poles, dtype=complex)
+    shifted = (us[..., None] + z[..., None, None]) - poles
+    _, ze, sig, dist = _core(cache, np.concatenate((us.ravel(), shifted.ravel())))
     c = us.size
     near = dist < POLE_TOL
     if near.any():
@@ -251,9 +276,9 @@ def _u_side(us, z, poles, shifted, ze, sig, dist, zeta_z, sig_zp):
                         f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
     zeta_u, sig_u = ze[:c].reshape(us.shape), sig[:c].reshape(us.shape)
     zeta_s, sig_s = ze[c:].reshape(shifted.shape), sig[c:].reshape(shifted.shape)
-    u, zeta_zc = us[..., None], zeta_z[..., None, None]
+    u, zeta_zc = us[..., None], np.asarray(zeta_z)[..., None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = sig_s / (sig_u[..., None] * sig_zp[..., None, :]) * np.exp(-u * zeta_zc)
+        value = sig_s / (sig_u[..., None] * sigma_zp[..., None, :]) * np.exp(-u * zeta_zc)
     if not np.isfinite(value).all():
         raise ValueError(f"kernel: a sigma quotient overflows "
                          f"(largest |u| = {np.abs(us).max():.3g})")
@@ -274,52 +299,22 @@ def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
 
     `us` has shape (..., R), one group of roots per leading index, and z
     broadcasts against the leading axes, so each group may have its own
-    point.  z, z - pole and u are evaluated at their own shapes and
-    u + z - pole at the broadcast one, in one call of the array core under
-    one lattice guard: PoleError when z, z - pole or u + z - pole is within
-    POLE_TOL of the lattice, ResonanceError (a PoleError) when u is, each
-    naming the offending arguments.  An entry has the same bits in any
-    table, except in a one-entry table whose z has fewer axes than the
+    point.  The table is the z side (kernel_z_side: z and z - pole in one
+    call of the array core) and then the u side (kernel_at_known_z: u and
+    u + z - pole in one more), with their guards in that order: PoleError
+    when z or z - pole is within POLE_TOL of the lattice, then
+    ResonanceError (a PoleError) when u is and PoleError when u + z - pole
+    is, each naming the offending arguments.  An entry has the same bits in
+    any table, except in a one-entry table whose z has fewer axes than the
     groups (numpy rounds a one-element complex product of operands of
     unequal rank its own way).  A sigma quotient that is not representable
     raises ValueError.
     """
     us = np.asarray(us, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    poles = np.asarray(poles, dtype=complex)
-    zp = z[..., None] - poles
-    shifted = _shifted(us, z, poles)
-    wp, ze, sig, dist = _core(cache, np.concatenate(
-        (z.ravel(), zp.ravel(), us.ravel(), shifted.ravel())))
-    a = z.size
-    b = a + zp.size
-    near = dist[:b] < POLE_TOL
-    if near.any():
-        k = int(np.argmax(near))
-        if k < a:
-            raise PoleError(f"kernel: z = {z.ravel()[k]} is on the lattice")
-        *at, pole = np.unravel_index(k - a, zp.shape)
-        raise PoleError(f"kernel: z = {z[tuple(at)]} is at the pole {poles[pole]}")
-    zeta_z, wp_z = ze[:a].reshape(z.shape), wp[:a].reshape(z.shape)
-    zeta_zp, sig_zp = ze[a:b].reshape(zp.shape), sig[a:b].reshape(zp.shape)
-    value, dlog_du, zeta_s = _u_side(us, z, poles, shifted, ze[b:], sig[b:], dist[b:],
-                                     zeta_z, sig_zp)
+    zeta_z, wp_z, zeta_zp, sigma_zp = kernel_z_side(cache, z, poles)
+    value, dlog_du, zeta_s = kernel_at_known_z(cache, us, z, poles, zeta_z, sigma_zp)
     dlog_dz = zeta_s - zeta_zp[..., None, :] + us[..., None] * wp_z[..., None, None]
     return KernelTable(value, dlog_du, dlog_dz, zeta_z, zeta_zp)
-
-
-def kernel_at_known_z(cache: EllipticCache, us, z, poles, zeta_z, sigma_zp):
-    """(value, dlog_du) of kernel_table(cache, us, z, poles), bit for bit,
-    for a point z whose zeta(z) and sigma(z - pole) (z's shape, then the
-    poles') are known: one call of the array core over u and u + z - pole,
-    under kernel_table's ResonanceError and PoleError guard of those
-    arguments.  z itself is not checked: the caller keeps it off the
-    lattice and off the poles."""
-    us = np.asarray(us, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    shifted = _shifted(us, z, poles)
-    _, ze, sig, dist = _core(cache, np.concatenate((us.ravel(), shifted.ravel())))
-    return _u_side(us, z, poles, shifted, ze, sig, dist, np.asarray(zeta_z), sigma_zp)[:2]
 
 
 def kernel_phi(cache: EllipticCache, u: complex, z: complex, pole: complex):

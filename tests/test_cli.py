@@ -254,6 +254,7 @@ class TestSimulate:
         ("rational_sl2_n3.json", lambda cfg: cfg.update(step=True)),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(step=10 ** 400)),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(resonance_margin="0.001")),
+        ("elliptic_cm_sl2.json", lambda cfg: cfg.update(resonance_margin=-0.001)),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(z_samples=[["3", "2"]])),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(z_samples=[[True, 1.0]])),
         ("rational_sl2_n3.json", lambda cfg: cfg.update(
@@ -344,7 +345,8 @@ class TestSimulate:
             "m_float", "degree_float", "genus_text", "degree_bool", "degree_one",
             "m_one", "tau_lower_half_plane", "step_count_1e9", "step_denormal",
             "method_unknown_on_still_curve", "step_numeric_text", "step_bool",
-            "step_int_overflow", "margin_text", "z_sample_text", "z_sample_bool",
+            "step_int_overflow", "margin_text", "margin_negative", "z_sample_text",
+            "z_sample_bool",
             "spread_text", "ham_point_5e-9_from_marked", "elliptic_ham_point_5e-9_from_marked",
             "point_int_overflow", "q_int_overflow", "t_int_overflow", "curve_int_overflow",
             "z_sample_far_from_cell", "z_sample_next_cell", "marked_point_far_from_cell",

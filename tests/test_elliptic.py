@@ -319,12 +319,21 @@ class TestKernelTableReuse:
         assert counts == {"orbit_elements": 1, "inv": 1}
 
     def test_elliptic_lax_builds_one_table(self, monkeypatch, ensembles):
+        # one table is one z side and one u side, one array-core call each,
+        # however many points and states the call takes
         model, state = ensembles[(3, 2)]
+        stack = PhaseState(phis=np.stack([state.phis] * 3),
+                           q=np.stack([state.q, state.q + 0.01, state.q - 0.02]),
+                           p=np.stack([state.p] * 3))
         counts = {}
         self.count(monkeypatch, models, "_kernel_weights", counts)
         self.count(monkeypatch, weierstrass, "_core", counts)
-        lax_matrix(model, state, 0.11 + 0.31j)
-        assert counts == {"_kernel_weights": 1, "_core": 1}
+        for st, z in ((state, 0.11 + 0.31j),
+                      (stack, np.array([[0.11 + 0.31j, -0.33 + 0.17j],
+                                        [0.21 - 0.38j, 0.42 - 0.05j]]))):
+            counts.clear()
+            lax_matrix(model, st, z)
+            assert counts == {"_kernel_weights": 1, "_core": 2}
 
     @pytest.mark.parametrize("genus", [0, 1])
     def test_points_equal_the_calls_per_point(self, monkeypatch, genus):
@@ -348,13 +357,13 @@ class TestKernelTableReuse:
                                q=np.stack([state.q, other.q]), p=np.stack([state.p, other.p]))
         counts = {}
         self.count(monkeypatch, models, "_kernel_weights", counts)
-        self.count(monkeypatch, models, "kernel_table", counts)
+        self.count(monkeypatch, models, "kernel_z_side", counts)
         L, Ls = lax_matrix(model, state, zs), lax_matrix(model, stack, zs)
         M, Ms = m_matrix(model, state, 1, zs), m_matrix(model, stack, 1, zs)
         # two L calls and two M calls; L(q_i) inside M reads the model's
         # weights at q_i, so it takes no set of its own
         assert counts == ({"_kernel_weights": 4} if genus == 0 else
-                          {"_kernel_weights": 4, "kernel_table": 4})
+                          {"_kernel_weights": 4, "kernel_z_side": 4})
         assert L.shape == M.shape == (2, 3, 3, 3) and Ls.shape == Ms.shape == (2, 2, 3, 3, 3)
         for k in np.ndindex(zs.shape):
             z = zs[k]
@@ -367,7 +376,7 @@ class TestKernelTableReuse:
     @pytest.mark.parametrize("ham", [None, 0, 1])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_kernel_weights_batch_over_states(self, monkeypatch, m, ham):
-        # a (C, rk) stack of Cartan coordinates takes one kernel table and
+        # a (C, rk) stack of Cartan coordinates takes one kernel z side and
         # gives every state's weights and u-derivatives bit for bit
         rng = np.random.default_rng(41)
         model, state = random_elliptic_ensemble(rng, m, 2, (2, 3), max_gradient=1e3)
@@ -375,9 +384,9 @@ class TestKernelTableReuse:
                                + 1j * rng.standard_normal((5, m - 1)))
         z = 0.11 + 0.31j
         counts = {}
-        self.count(monkeypatch, models, "kernel_table", counts)
+        self.count(monkeypatch, models, "kernel_z_side", counts)
         W, dW_du = models._kernel_weights(model, qs, z, ham)
-        assert counts == {"kernel_table": 1}
+        assert counts == {"kernel_z_side": 1}
         n_poles = model.n_sites if ham is None else 1
         assert W.shape == (5, n_poles, m, m)
         assert dW_du.shape == (5, n_poles, m * (m - 1))
@@ -404,44 +413,60 @@ class TestKernelTableReuse:
         assert counts == {}
 
 
+# the (m, N, degrees, tau) of the draws: one marked point, several, and one
+# Hamiltonian point, each at a modulus without and with a real part; at the
+# second, one-element or (n, 1)-shaped array-core calls would round
+# differently from the flat ones of the kernel route
+HAM_POINT_DRAWS = [
+    pytest.param(m, n_sites, degrees, tau, id=f"{m}-{n_sites}{label}{suffix}")
+    for m, n_sites, degrees, label in ((2, 1, (2, 3), ""), (3, 3, (2, 3), ""),
+                                       (4, 2, (2, 3), ""), (3, 2, (2,), "-one_point"))
+    for tau, suffix in ((1.1j, ""), (0.3 + 1.5j, "-skew_tau"))]
+
+
+@pytest.mark.parametrize("m, n_sites, degrees, tau", HAM_POINT_DRAWS)
 class TestHamiltonianPointWeights:
-    """The Lax weights at a Hamiltonian point q_i read the model's data
-    there (zeta(q_i), sigma(q_i - p_a) and the Cartan diagonals) and
-    evaluate only u and u + q_i - p_a; every result equals the route
-    through _kernel_weights(model, q, q_i) bit for bit."""
+    """The Lax weights at a Hamiltonian point q_i read the model's z side
+    there (zeta(q_i), zeta(q_i - p_a) and sigma(q_i - p_a)) and evaluate
+    only u and u + q_i - p_a; every result equals the route through
+    _kernel_weights(model, q, q_i) bit for bit, at a modulus with and
+    without a real part."""
 
     @staticmethod
-    def draw(m, n_sites):
+    def draw(m, n_sites, degrees, tau):
         rng = np.random.default_rng(53)
-        model, state = random_elliptic_ensemble(rng, m, n_sites, (2, 3), max_gradient=1e3)
+        model, state = random_elliptic_ensemble(rng, m, n_sites, degrees, tau=tau,
+                                                max_gradient=1e3)
         state = PhaseState(phis=[np.eye(m, dtype=complex) + 0.05 * random_traceless(rng, m)
                                  for _ in range(n_sites)],
                            q=state.q, p=state.p, t=state.t)
         # three lockstep members with their own phis, q and p
         shift = 0.02 * (rng.standard_normal((3, m - 1)) + 1j * rng.standard_normal((3, m - 1)))
         stack = PhaseState(phis=np.stack([state.phis + 0.01 * k for k in range(3)]),
-                           q=state.q + shift, p=state.p - shift, t=np.zeros((3, 2)))
+                           q=state.q + shift, p=state.p - shift,
+                           t=np.zeros((3, len(degrees))))
         return model, state, stack
 
     @staticmethod
     def kernel_route(model, q, i):
         return models._kernel_weights(model, q, model.ham_points[i])
 
-    @pytest.mark.parametrize("m, n_sites", [(2, 1), (3, 3), (4, 2)])
-    def test_weights_and_results_equal_the_kernel_route(self, monkeypatch, m, n_sites):
-        model, state, stack = self.draw(m, n_sites)
+    def test_weights_and_results_equal_the_kernel_route(self, monkeypatch, m, n_sites,
+                                                        degrees, tau):
+        model, state, stack = self.draw(m, n_sites, degrees, tau)
+        n = model.n_hams
         zs = np.array([0.11 + 0.31j, -0.33 + 0.17j])
         # W, dW/du and the three partials, for one state and for one flow
         # index per lockstep member; then H_i and M_i
+        pairs = [(state, i) for i in range(n)] + [(stack, n - 1), (stack, np.arange(1, 4) % n)]
         calls = [lambda st=st, i=i: models._ham_weights(model, st.q, i)
-                 + grad_hamiltonian(model, st, i)
-                 for st, i in ((state, 0), (state, 1), (stack, 1), (stack, np.array([1, 0, 1])))]
+                 + grad_hamiltonian(model, st, i) for st, i in pairs]
         calls += [lambda st=st, i=i: (hamiltonian(model, st, i), m_matrix(model, st, i, zs))
-                  for st in (state, stack) for i in (0, 1)]
+                  for st in (state, stack) for i in range(n)]
         stored = [call() for call in calls]
         # H_i as it was defined before the model held the weights at q_i
         for st in (state, stack):
-            for i in (0, 1):
+            for i in range(n):
                 np.testing.assert_array_equal(
                     hamiltonian(model, st, i),
                     model.polys[i].evaluate(lax_matrix(model, st, model.ham_points[i])))
@@ -451,24 +476,24 @@ class TestHamiltonianPointWeights:
                 assert np.shape(got) == np.shape(ref)
                 np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("m, n_sites", [(2, 1), (3, 3), (4, 2)])
-    def test_guards_equal_the_kernel_route(self, m, n_sites):
-        model, state, _ = self.draw(m, n_sites)
+    def test_guards_equal_the_kernel_route(self, m, n_sites, degrees, tau):
+        model, state, _ = self.draw(m, n_sites, degrees, tau)
         roots = model.basis.roots
-        # u = rho(Q) = 0 for every root; then rho_0(Q) = p_0 - q_1 exactly
-        # enough to put u + q_1 - p_0 on the lattice
-        target = model.marked_points[0] - model.ham_points[1]
+        i = model.n_hams - 1
+        # u = rho(Q) = 0 for every root; then rho_0(Q) = p_0 - q_i exactly
+        # enough to put u + q_i - p_0 on the lattice
+        target = model.marked_points[0] - model.ham_points[i]
         on_pole = np.linalg.pinv(roots[:1]) @ np.array([target])
         for q, error in ((np.zeros(m - 1, dtype=complex), ResonanceError),
                          (on_pole, PoleError)):
             with pytest.raises(error) as stored:
-                models._ham_weights(model, q, 1)
+                models._ham_weights(model, q, i)
             with pytest.raises(error) as kernel:
-                self.kernel_route(model, q, 1)
+                self.kernel_route(model, q, i)
             assert type(stored.value) is type(kernel.value) is error
             assert str(stored.value) == str(kernel.value)
             with pytest.raises(error):
-                grad_hamiltonian(model, PhaseState(phis=state.phis, q=q, p=state.p), 1)
+                grad_hamiltonian(model, PhaseState(phis=state.phis, q=q, p=state.p), i)
 
 
 class TestSharedAssembly:

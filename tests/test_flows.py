@@ -26,6 +26,7 @@ from gaudinlab.models import (
     orbit_elements,
     random_elliptic_ensemble,
     random_rational_ensemble,
+    resonance_margin,
 )
 
 
@@ -338,11 +339,17 @@ class TestEvolve:
         model, state = random_elliptic_ensemble(rng, 2, 1, (2, 2))
         state = PhaseState(phis=state.phis, q=np.array([0.125 + 0.0j]),
                            p=np.array([-0.6 + 0.0j]), t=state.t)
-        with pytest.raises(NumericalAbort) as info:
+        with pytest.raises(NumericalAbort, match="resonance") as info:
             evolve(model, state, FlowCurve([[0.0, 0.0], [2.0, 0.0]]), 0.01,
                    resonance_margin_min=0.12)
-        assert 0.0 <= info.value.last_good_time < 2.0
-
+        end = info.value.last_good_time
+        assert 0.0 <= end < 2.0
+        # the state at the reported time keeps the margin, and one more step
+        # of the flow breaks it
+        last = evolve(model, state, FlowCurve([[0.0, 0.0], [end, 0.0]]), 0.01,
+                      resonance_margin_min=0.12).states[-1]
+        assert resonance_margin(model, last) >= 0.12
+        assert resonance_margin(model, step(model, last, 0, 0.01)) < 0.12
 
     def test_failed_stage_aborts(self):
         # at h = 0.005 an rk4 stage of this sl3 torus run throws rho(Q) so
@@ -656,9 +663,9 @@ class TestObservables:
         # the table is built in chunks of states: one residue pass and one
         # lax_matrix call per chunk, and no per-state H, L(z) or residue call
         counts = {"hamiltonian": 0, "orbit_elements": 0, "lax_matrix": 0,
-                  "kernel_table": 0}
+                  "kernel_z_side": 0}
         for name in counts:
-            module = models if name == "kernel_table" else flows
+            module = models if name == "kernel_z_side" else flows
             def counted(*args, _fn=getattr(module, name), _name=name):
                 counts[_name] += 1
                 return _fn(*args)
@@ -667,15 +674,15 @@ class TestObservables:
         monkeypatch.setattr(flows, "poisson_bracket", lambda *args: 0j)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, model, traj, zs, seed=1)
-        # genus 1: one kernel table per chunk, over every state at the n
-        # Hamiltonian points and the z samples; the plaquettes of the
-        # diagnostics are not counted
-        tables = counts["kernel_table"]
+        # genus 1: one kernel table (one z side) per chunk, over every state
+        # at the n Hamiltonian points and the z samples; the plaquettes of
+        # the diagnostics are not counted
+        tables = counts["kernel_z_side"]
         rep = diagnostics(model, traj, zs)
         K, n = len(traj.states), model.n_hams
         chunks = -(-K // flows._CHUNK)
         assert tables == (chunks if kind == "genus1" else 0)
-        del counts["kernel_table"]
+        del counts["kernel_z_side"]
         assert counts == {"hamiltonian": 0, "orbit_elements": chunks,
                           "lax_matrix": chunks}
 
