@@ -35,9 +35,12 @@ the twisted kernel on the root entries and zeta(z - p_alpha) + zeta(p_alpha)
 on the diagonal.  The gradients and the M matrices reuse the same weights;
 the genus enters only through them, the pi constant and dH/dq.  In genus
 1 the weights at any point are the kernel's z side there plus one shared
-fill from its u side; at the Hamiltonian points q_i, which the model
-fixes, the z side is built once with the model by the same function, so a
-gradient evaluates only the u side, which depends on the state.
+fill from its u side, whose one exponential exp(u (zeta(p_a) - zeta(z)))
+is the kernel's twist and the residue normalisation together; at the
+Hamiltonian points q_i, which the model fixes, the z side, the twist
+exponents and the Cartan diagonals are built once with the model by the
+same functions, so a gradient evaluates only the u side, which depends on
+the state.
 
 Hamiltonians are H_i = P_i(L(q_i)); their q/p/orbit gradients and the
 companion matrices M_i (simple pole at q_i with residue grad P_i(L(q_i)),
@@ -113,9 +116,14 @@ HAMILTONIAN_KEYS = ("point", "degree")
 STATE_KEYS = ("random", "phis", "orbit_mats", "q", "p", "t")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaudinModel:
-    """Immutable model definition; see module docstring."""
+    """Immutable model definition; see module docstring.  Two models are
+    equal only when they are the same object (the fields hold arrays), and
+    hash by identity.
+
+    The fields after cache are the data that no state changes, built once
+    by make_gaudin_model; every gradient, H_i and L(q_i) reads them."""
 
     genus: int
     basis: LieBasis
@@ -125,13 +133,23 @@ class GaudinModel:
     polys: tuple                       # n InvariantPolynomial
     cache: EllipticCache = None        # genus 1 only
     zeta_poles: np.ndarray = field(default=None, repr=False)
-    # genus 0: the (n, N, 1, 1) Lax weights 1 / (q_i - p_a) at the
-    # Hamiltonian points, which no state changes
+    # the Lax weights at the Hamiltonian points: genus 0 the (n, N, 1, 1)
+    # 1 / (q_i - p_a); genus 1 an (n, N, m, m) template holding the Cartan
+    # diagonals zeta(q_i - p_a) + zeta(p_a) and zero root entries, which a
+    # gradient copies and fills
     ham_weights: np.ndarray = field(default=None, repr=False, compare=False)
     # genus 1: the twisted kernel's z side at the Hamiltonian points,
-    # kernel_z_side(cache, q, p): zeta(q_i), p(q_i) (n,), then
+    # kernel_z_side(cache, q, p): zeta(q_i), p(q_i) (n,), then q_i - p_a,
     # zeta(q_i - p_a), sigma(q_i - p_a) (n, N)
     ham_z_side: tuple = field(default=None, repr=False, compare=False)
+    # genus 1: the (n, N) twist exponents zeta(p_a) - zeta(q_i) of the root
+    # weights at the Hamiltonian points
+    ham_twist: np.ndarray = field(default=None, repr=False, compare=False)
+    # genus 1: the (rk, m) maps gram^{-1}.T @ cartan_diag, from the momenta
+    # p to the diagonal of pi^mu H_mu, and gram^{-1} @ cartan_diag, from the
+    # diagonal of grad P_i to dH/dp
+    pi_diag: np.ndarray = field(default=None, repr=False, compare=False)
+    dp_diag: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def n_sites(self) -> int:
@@ -239,15 +257,20 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
 
     # no pole check needed: every q_i - p_a is at least SEPARATION_TOL >
     # POLE_TOL from 0 (mod the lattice in genus 1)
-    zp = wh = zh = None
-    if genus == 1:
-        zp = np.asarray(zeta_eval(cache, pts))
-        zh = kernel_z_side(cache, hpts, pts)
-    else:
-        wh = (1.0 / (hpts[:, None] - pts))[..., None, None]
+    if genus == 0:
+        return GaudinModel(genus=genus, basis=basis, marked_points=pts,
+                           orbit_seeds=np.array(seeds), ham_points=hpts, polys=polys,
+                           ham_weights=(1.0 / (hpts[:, None] - pts))[..., None, None])
+    zeta_p = np.asarray(zeta_eval(cache, pts))
+    z_side = kernel_z_side(cache, hpts, pts)
+    zeta_q, _, _, zeta_qp, _ = z_side
     return GaudinModel(genus=genus, basis=basis, marked_points=pts,
                        orbit_seeds=np.array(seeds), ham_points=hpts, polys=polys,
-                       cache=cache, zeta_poles=zp, ham_weights=wh, ham_z_side=zh)
+                       cache=cache, zeta_poles=zeta_p,
+                       ham_weights=_cartan_template(m, zeta_qp + zeta_p), ham_z_side=z_side,
+                       ham_twist=zeta_p - zeta_q[:, None],
+                       pi_diag=basis.gram_inv.T @ basis.cartan_diag,
+                       dp_diag=basis.gram_inv @ basis.cartan_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -322,41 +345,47 @@ def _kernel_weights(model: GaudinModel, q, z, ham=None):
             k, a = divmod(int(np.argmax(near)), len(poles))
             raise PoleError(f"z = {np.ravel(z)[k]} is at the pole {poles[a]}")
         return (1.0 / d)[..., None, None], None
-    zeta_z, _, zeta_zp, sigma_zp = kernel_z_side(model.cache, z, poles)
-    return _twisted_weights(model, q, z, ham, zeta_z, zeta_zp, sigma_zp)
+    zeta_poles = model.zeta_poles if ham is None else model.ham_z_side[0][ham:ham + 1]
+    zeta_z, _, z_pole, zeta_zp, sigma_zp = kernel_z_side(model.cache, z, poles)
+    cartan = zeta_zp + zeta_poles if ham is None else zeta_zp - zeta_z[..., None]
+    return _twisted_weights(model, q, z, poles, z_pole, sigma_zp,
+                            zeta_poles - zeta_z[..., None], _cartan_template(model.m, cartan))
 
 
 def _ham_weights(model: GaudinModel, q, i):
     """The Lax weights at the Hamiltonian point q_i (i an int, or one flow
     index per state along q's leading axis) and their u-derivatives:
     _kernel_weights(model, q, model.ham_points[i]) bit for bit at every tau,
-    with the model's weights (genus 0) or z side (genus 1, which then
-    evaluates only the u side, in one array-core call).  No z guard:
-    construction keeps each q_i off the lattice and the poles."""
+    from the model's weights (genus 0), or from its z side, twist exponents
+    and Cartan template (genus 1, which then evaluates only the u side, in
+    one array-core call).  No z guard: construction keeps each q_i off the
+    lattice and the poles."""
     if model.genus == 0:
         return model.ham_weights[i], None
-    zeta_z, _, zeta_zp, sigma_zp = model.ham_z_side
-    return _twisted_weights(model, q, model.ham_points[i], None, zeta_z[i], zeta_zp[i],
-                            sigma_zp[i])
+    _, _, z_pole, _, sigma_zp = model.ham_z_side
+    return _twisted_weights(model, q, model.ham_points[i], model.marked_points, z_pole[i],
+                            sigma_zp[i], model.ham_twist[i], model.ham_weights[i])
 
 
-def _twisted_weights(model: GaudinModel, q, z, ham, zeta_z, zeta_zp, sigma_zp):
+def _cartan_template(m, cartan):
+    """(..., P, m, m) matrices with cartan (..., P) on the diagonal and zero
+    root entries, which _twisted_weights fills."""
+    return cartan[..., None, None] * np.eye(m)
+
+
+def _twisted_weights(model: GaudinModel, q, z, poles, z_pole, sigma_zp, twist, template):
     """Genus-1 weights W (..., P, m, m) at z and their (..., P, R)
-    u-derivatives, as _kernel_weights returns them, from the kernel's z
-    side at z (zeta(z), zeta(z - pole), sigma(z - pole) of kernel_z_side)
-    and its u side, kernel_at_known_z over u = rho(Q)."""
-    poles = model.marked_points if ham is None else model.ham_points[ham:ham + 1]
-    zeta_poles = model.zeta_poles if ham is None else model.ham_z_side[0][ham:ham + 1]
-    cartan = zeta_zp + zeta_poles if ham is None else zeta_zp - zeta_z[..., None]
+    u-derivatives, as _kernel_weights returns them: a copy of the Cartan
+    template whose root entries take the kernel's u side over u = rho(Q),
+    kernel_at_known_z with z - pole, sigma(z - pole) and the twist exponent
+    zeta(pole) - zeta(z) of the z side at z."""
     u = (model.basis.roots @ q[..., None])[..., 0]
-    value, dlog_du, _ = kernel_at_known_z(model.cache, u, z, poles, zeta_z, sigma_zp)
-    value = (value * np.exp(u[..., None] * zeta_poles)).swapaxes(-1, -2)
-    m = model.m
-    W = np.empty(value.shape[:-1] + (m, m), dtype=complex)
-    # the diagonal: every (m + 1)-th entry of a flattened matrix (a view)
-    W.reshape(W.shape[:-2] + (m * m,))[..., ::m + 1] = cartan[..., None]
+    value, dlog_du, _ = kernel_at_known_z(model.cache, u, z, poles, z_pole, sigma_zp, twist)
+    value = value.swapaxes(-1, -2)
+    W = np.empty(value.shape[:-1] + template.shape[-2:], dtype=complex)
+    W[...] = template
     W[..., model.basis.root_entries[0], model.basis.root_entries[1]] = value
-    return W, value * (dlog_du.swapaxes(-1, -2) + zeta_poles[:, None])
+    return W, value * dlog_du.swapaxes(-1, -2)
 
 
 def _ham_lax(model: GaudinModel, state: PhaseState, i):
@@ -374,8 +403,8 @@ def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
     of states gives each one's own bits."""
     L = (Ls * W).sum(axis=-3)
     if model.genus == 1:
-        basis, diag = model.basis, np.arange(model.m)
-        L[..., diag, diag] += (p[..., None, :] @ basis.gram_inv.T @ basis.cartan_diag)[..., 0, :]
+        diag = np.arange(model.m)
+        L[..., diag, diag] += (p[..., None, :] @ model.pi_diag)[..., 0, :]
     return L
 
 
@@ -467,9 +496,9 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
     s = (Ls[..., rows, cols] * dW_du).sum(axis=-2)
     # row-vector products, one per state, so a stack keeps each state's bits
     dH_dq = ((G[..., cols, rows] * s)[..., None, :] @ basis.roots)[..., 0, :]
-    # Tr(G H_mu) from diag(G): each H_mu has two nonzero entries
-    t = basis.cartan_diag @ np.diagonal(G, axis1=-2, axis2=-1)[..., None]
-    return dH_dL, dH_dq, (basis.gram_inv @ t)[..., 0]
+    # dH/dp = gram^{-1} (Tr(G H_mu))_mu, from diag(G) in one product
+    dH_dp = model.dp_diag @ np.diagonal(G, axis1=-2, axis2=-1)[..., None]
+    return dH_dL, dH_dq, dH_dp[..., 0]
 
 
 # ---------------------------------------------------------------------------

@@ -333,9 +333,10 @@ def suite_rational(seed=0):
         w = model.ham_points[0]
         ps = model.marked_points[:, None, None]
         n_steps = int(round(T / h_fine))
+        w_p, p_w = w - ps, ps - w
 
         def rhs(Ls):
-            A = np.sum(Ls / (w - ps), axis=0) / (ps - w)
+            A = np.sum(Ls / w_p, axis=0) / p_w
             return A @ Ls - Ls @ A
 
         for _ in range(n_steps):

@@ -14,10 +14,11 @@ Two independent evaluation routes are provided:
   restore the values at the original point, so accuracy is uniform in |z|.
   Every evaluation goes through one private array core (`_core`), which
   treats a whole array of arguments in one pass; the scalar functions are
-  thin wrappers over it.  The twisted kernel has one z side
-  (`kernel_z_side`: z and z - pole) and one u side (`kernel_at_known_z`:
-  u and u + z - pole), each one call; `kernel_table` is both, for all
-  (u, pole) pairs at one or many points z.
+  thin wrappers over it; p is evaluated only for the callers that read it.
+  The twisted kernel has one z side (`kernel_z_side`: z and z - pole) and
+  one u side (`kernel_at_known_z`: u and u + (z - pole), no p), each one
+  call; `kernel_table` is both, for all (u, pole) pairs at one or many
+  points z.
 
 * `LatticeSumOracle` evaluates the same three functions from symmetrised
   truncated lattice sums.  Lattice points are grouped in +/- pairs, which
@@ -113,17 +114,25 @@ def build_cache(tau: complex) -> EllipticCache:
     # eta2 = zeta(tau/2), evaluated with the generic machinery: tau/2
     # reduces with n2 = round(1/2) = 0, so the placeholder eta2 is not used.
     # The Legendre relation is a test, not an input.
-    object.__setattr__(cache, "eta2", complex(_core(cache, tau / 2.0)[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta2 = _core(cache, np.asarray(tau / 2.0), with_wp=False)[1]
+    object.__setattr__(cache, "eta2", complex(eta2))
     return cache
+
+
+def _finite(z):
+    """z as a complex array; ValueError, before any arithmetic, unless every
+    entry is finite."""
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError(f"non-finite argument to an elliptic function: {z}")
+    return z
 
 
 def _cell(cache: EllipticCache, z):
     """Elementwise z = z0 + n1 + n2*tau with z0 in the centred fundamental
-    cell, and the distance from z to the nearest lattice point.  A
-    non-finite argument raises ValueError before any arithmetic."""
-    z = np.asarray(z, dtype=complex)
-    if not np.isfinite(z).all():
-        raise ValueError(f"non-finite argument to an elliptic function: {z}")
+    cell, and the distance from z to the nearest lattice point, for a
+    complex array z."""
     n2 = (z.imag / cache.tau.imag).round()
     zp = z - n2 * cache.tau
     n1 = zp.real.round()
@@ -132,54 +141,62 @@ def _cell(cache: EllipticCache, z):
     return z0, n1, n2, dist
 
 
-def _core(cache: EllipticCache, z):
-    """(p, zeta, sigma, lattice distance) at every entry of the array z.
+def _core(cache: EllipticCache, z, with_wp=True):
+    """(p, zeta, sigma, lattice distance) at every entry of the complex array
+    z; p is None unless with_wp is true.
 
-    Each argument is reduced to the centred cell.  theta1 and its first two
-    derivatives at pi*z0 take one sin/cos outer product over the series
-    terms and one matrix product each; the quasi-periodicity laws carry
-    zeta and sigma back from z0 to z.  p and zeta are NaN within POLE_TOL of
-    the lattice (callers guard with the distance); sigma grows like
-    exp(|z|^2) and saturates to inf far outside the cell.
+    Each argument is reduced to the centred cell.  theta1 and its first
+    derivative at pi*z0 (and its second, for p) take one sin/cos outer
+    product over the series terms and one matrix product each; the
+    quasi-periodicity laws carry zeta and sigma back from z0 to z, sigma's
+    two exponentials as one.  p and zeta are NaN within POLE_TOL of the
+    lattice (callers guard with the distance); sigma grows like exp(|z|^2)
+    and saturates to inf far outside the cell.  The callers check that z is
+    finite and hold np.errstate(over="ignore", invalid="ignore").
     """
     z0, n1, n2, dist = _cell(cache, z)
     w = np.multiply.outer(np.pi * z0, cache.odd)
     sin, cos = np.sin(w), np.cos(w)
     t1 = sin @ cache.weights[0]
     t1p = cos @ cache.weights[1]
-    t1pp = sin @ cache.weights[2]
     on_lattice = dist < POLE_TOL
     t1_safe = np.where(on_lattice, 1.0, t1)
     lam = t1p / t1_safe
-    wp = -2.0 * cache.eta1 - np.pi ** 2 * (t1pp / t1_safe - lam * lam)
+    wp = None
+    if with_wp:
+        t1pp = sin @ cache.weights[2]
+        wp = -2.0 * cache.eta1 - np.pi ** 2 * (t1pp / t1_safe - lam * lam)
+        wp = np.where(on_lattice, np.nan, wp)
     eta = 2.0 * n1 * cache.eta1 + 2.0 * n2 * cache.eta2
     ze = 2.0 * cache.eta1 * z0 + np.pi * lam + eta
-    wp = np.where(on_lattice, np.nan, wp)
     ze = np.where(on_lattice, np.nan, ze)
     omega = n1 + n2 * cache.tau
-    sign = np.where((n1 % 2 != 0) | (n2 % 2 != 0), -1.0, 1.0)
-    sig = np.exp(cache.eta1 * z0 * z0) * t1 / (np.pi * cache.theta1_prime0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sig = sign * sig * np.exp(eta * (z0 + omega / 2.0))
+    # (-1)^(n1 + n2 + n1 n2): -1 unless n1 and n2 are both even
+    sign = 1.0 - 2.0 * ((n1 + n2 + n1 * n2) % 2.0)
+    # sigma's two exponentials as one; in the centred cell eta = 0 and the
+    # exponent is eta1 z0^2 alone
+    sig = (sign * np.exp(cache.eta1 * z0 * z0 + eta * (z0 + omega / 2.0)) * t1
+           / (np.pi * cache.theta1_prime0))
     return wp, ze, sig, dist
 
 
 def lattice_distance(cache: EllipticCache, z):
     """Distance from z to the nearest lattice point (cell-reduced)."""
-    return _cell(cache, z)[3][()]
+    return _cell(cache, _finite(z))[3][()]
 
 
 def in_centred_cell(cache: EllipticCache, z):
     """Whether z lies in the centred fundamental cell, the one that the
     elliptic functions reduce their arguments to."""
-    _, n1, n2, _ = _cell(cache, z)
+    _, n1, n2, _ = _cell(cache, _finite(z))
     return ((n1 == 0) & (n2 == 0))[()]
 
 
 def weierstrass_eval(cache: EllipticCache, z):
     """(p(z), zeta(z), sigma(z)); raises PoleError within POLE_TOL of the
     lattice where p and zeta blow up.  Use sigma_eval for sigma alone."""
-    wp, ze, sig, dist = _core(cache, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wp, ze, sig, dist = _core(cache, _finite(z))
     if np.any(dist < POLE_TOL):
         raise PoleError(f"z = {z} is within {POLE_TOL} of a lattice point")
     return wp[()], ze[()], sig[()]
@@ -187,7 +204,8 @@ def weierstrass_eval(cache: EllipticCache, z):
 
 def sigma_eval(cache: EllipticCache, z):
     """sigma(z); entire, so no pole error (sigma vanishes on the lattice)."""
-    return _core(cache, z)[2][()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _core(cache, _finite(z), with_wp=False)[2][()]
 
 
 def zeta_eval(cache: EllipticCache, z):
@@ -229,15 +247,16 @@ class KernelTable(NamedTuple):
 
 
 def kernel_z_side(cache: EllipticCache, z, poles):
-    """The twisted kernel's z side at the point z: (zeta(z), p(z),
+    """The twisted kernel's z side at the point z: (zeta(z), p(z), z - pole,
     zeta(z - pole), sigma(z - pole)), the first two of z's shape and the
-    last two of z's shape followed by the poles', from one call of the array
-    core over the flat array of z and then z - pole.  PoleError when z is
-    within POLE_TOL of the lattice or of a pole, naming it."""
-    z = np.asarray(z, dtype=complex)
+    last three of z's shape followed by the poles', from one call of the
+    array core over the flat array of z and then z - pole.  PoleError when z
+    is within POLE_TOL of the lattice or of a pole, naming it."""
+    z = _finite(z)
     poles = np.asarray(poles, dtype=complex)
     zp = z[..., None] - poles
-    wp, ze, sig, dist = _core(cache, np.concatenate((z.ravel(), zp.ravel())))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wp, ze, sig, dist = _core(cache, np.concatenate((z.ravel(), zp.ravel())))
     a = z.size
     near = dist < POLE_TOL
     if near.any():
@@ -246,43 +265,52 @@ def kernel_z_side(cache: EllipticCache, z, poles):
             raise PoleError(f"kernel: z = {z.ravel()[k]} is on the lattice")
         *at, pole = np.unravel_index(k - a, zp.shape)
         raise PoleError(f"kernel: z = {z[tuple(at)]} is at the pole {poles[pole]}")
-    return (ze[:a].reshape(z.shape), wp[:a].reshape(z.shape),
+    return (ze[:a].reshape(z.shape), wp[:a].reshape(z.shape), zp,
             ze[a:].reshape(zp.shape), sig[a:].reshape(zp.shape))
 
 
-def kernel_at_known_z(cache: EllipticCache, us, z, poles, zeta_z, sigma_zp):
-    """The twisted kernel's u side at a point z: (value, dlog_du,
-    zeta(u + z - pole)) of kernel_table's shapes, from kernel_z_side's
-    zeta(z) and sigma(z - pole) and one call of the array core over the flat
-    array of u and then u + z - pole (added in that order).  ResonanceError
-    when a u is within POLE_TOL of the lattice, then PoleError when a
-    u + z - pole is, each naming the offending arguments; ValueError when a
-    sigma quotient is not representable.  z itself is not checked."""
+def kernel_at_known_z(cache: EllipticCache, us, z, poles, z_pole, sigma_zp, twist):
+    """The twisted kernel's u side at a point z, with the twist exponent c:
+    arrays of kernel_table's shapes
+
+    value    = sigma(u + z - pole) / (sigma(u) sigma(z - pole)) * exp(u c)
+    dlog_du  = zeta(u + z - pole) - zeta(u) + c
+
+    and zeta(u + z - pole).  It takes the z side, kernel_z_side's z - pole
+    and sigma(z - pole), and c of z's shape followed by the poles' (or by
+    1): c = -zeta(z) gives kernel_table's kernel, zeta(pole) - zeta(z) the
+    kernel times exp(u zeta(pole)), with the two exponentials as one.  One
+    call of the array core, without p, over the flat array of u and then
+    u + (z - pole); z and poles only name an offending argument.
+    ResonanceError when a u is within POLE_TOL of the lattice, then
+    PoleError when a u + z - pole is, each naming the offending arguments;
+    then ValueError when a value is not finite (a sigma quotient that
+    overflows).  The callers check that u is finite: kernel_table does, and
+    the model's weights take u = rho(Q) from a checked state."""
     us = np.asarray(us, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    poles = np.asarray(poles, dtype=complex)
-    shifted = (us[..., None] + z[..., None, None]) - poles
-    _, ze, sig, dist = _core(cache, np.concatenate((us.ravel(), shifted.ravel())))
-    c = us.size
-    near = dist < POLE_TOL
-    if near.any():
-        k = int(np.argmax(near))
-        if k < c:
-            raise ResonanceError(f"kernel: u = {us.ravel()[k]} is on the lattice")
-        *at, r, pole = np.unravel_index(k - c, shifted.shape)
-        u_at = np.broadcast_to(us, shifted.shape[:-1])[(*at, r)]
-        z_at = np.broadcast_to(z, shifted.shape[:-2])[tuple(at)]
-        raise PoleError(f"kernel: u + z - pole is on the lattice "
-                        f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
-    zeta_u, sig_u = ze[:c].reshape(us.shape), sig[:c].reshape(us.shape)
-    zeta_s, sig_s = ze[c:].reshape(shifted.shape), sig[c:].reshape(shifted.shape)
-    u, zeta_zc = us[..., None], np.asarray(zeta_z)[..., None, None]
+    shifted = us[..., None] + z_pole[..., None, :]
+    n_u = us.size
     with np.errstate(over="ignore", invalid="ignore"):
-        value = sig_s / (sig_u[..., None] * sigma_zp[..., None, :]) * np.exp(-u * zeta_zc)
+        _, ze, sig, dist = _core(cache, np.concatenate((us.ravel(), shifted.ravel())),
+                                 with_wp=False)
+        near = dist < POLE_TOL
+        if near.any():
+            k = int(np.argmax(near))
+            if k < n_u:
+                raise ResonanceError(f"kernel: u = {us.ravel()[k]} is on the lattice")
+            *at, r, pole = np.unravel_index(k - n_u, shifted.shape)
+            u_at = np.broadcast_to(us, shifted.shape[:-1])[(*at, r)]
+            z_at = np.broadcast_to(z, shifted.shape[:-2])[tuple(at)]
+            raise PoleError(f"kernel: u + z - pole is on the lattice "
+                            f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
+        zeta_u, sig_u = ze[:n_u].reshape(us.shape), sig[:n_u].reshape(us.shape)
+        zeta_s, sig_s = ze[n_u:].reshape(shifted.shape), sig[n_u:].reshape(shifted.shape)
+        twist = twist[..., None, :]
+        value = sig_s / (sig_u[..., None] * sigma_zp[..., None, :]) * np.exp(us[..., None] * twist)
     if not np.isfinite(value).all():
         raise ValueError(f"kernel: a sigma quotient overflows "
                          f"(largest |u| = {np.abs(us).max():.3g})")
-    return value, zeta_s - zeta_u[..., None] - zeta_zc, zeta_s
+    return value, zeta_s - zeta_u[..., None] + twist, zeta_s
 
 
 def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
@@ -300,8 +328,9 @@ def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
     `us` has shape (..., R), one group of roots per leading index, and z
     broadcasts against the leading axes, so each group may have its own
     point.  The table is the z side (kernel_z_side: z and z - pole in one
-    call of the array core) and then the u side (kernel_at_known_z: u and
-    u + z - pole in one more), with their guards in that order: PoleError
+    call of the array core) and then the u side (kernel_at_known_z with the
+    twist exponent -zeta(z): u and u + (z - pole) in one more), with their
+    guards in that order: ValueError when a u or z is not finite, PoleError
     when z or z - pole is within POLE_TOL of the lattice, then
     ResonanceError (a PoleError) when u is and PoleError when u + z - pole
     is, each naming the offending arguments.  An entry has the same bits in
@@ -310,9 +339,10 @@ def kernel_table(cache: EllipticCache, us, z, poles) -> KernelTable:
     unequal rank its own way).  A sigma quotient that is not representable
     raises ValueError.
     """
-    us = np.asarray(us, dtype=complex)
-    zeta_z, wp_z, zeta_zp, sigma_zp = kernel_z_side(cache, z, poles)
-    value, dlog_du, zeta_s = kernel_at_known_z(cache, us, z, poles, zeta_z, sigma_zp)
+    us = _finite(us)
+    zeta_z, wp_z, z_pole, zeta_zp, sigma_zp = kernel_z_side(cache, z, poles)
+    value, dlog_du, zeta_s = kernel_at_known_z(cache, us, z, poles, z_pole, sigma_zp,
+                                               -zeta_z[..., None])
     dlog_dz = zeta_s - zeta_zp[..., None, :] + us[..., None] * wp_z[..., None, None]
     return KernelTable(value, dlog_du, dlog_dz, zeta_z, zeta_zp)
 

@@ -19,6 +19,7 @@ from gaudinlab.models import (
     transition_gamma,
 )
 from gaudinlab.flows import poisson_bracket
+from gaudinlab.weierstrass import kernel_table
 
 TAU = 1.1j
 
@@ -394,6 +395,24 @@ class TestKernelTableReuse:
             Wk, dWk_du = models._kernel_weights(model, q, z, ham)
             np.testing.assert_array_equal(W[k], Wk)
             np.testing.assert_array_equal(dW_du[k], dWk_du)
+
+    @pytest.mark.parametrize("tau", [1.1j, 0.3 + 1.5j])
+    def test_root_weights_are_the_kernel_times_its_twist(self, tau):
+        # the weights take the kernel's exp(-u zeta(z)) and the residue
+        # normalisation exp(u zeta(p_a)) as one exponential, at any point
+        # and at the Hamiltonian points: equal to roundoff
+        rng = np.random.default_rng(59)
+        model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3), tau=tau, max_gradient=1e3)
+        rows, cols = model.basis.root_entries
+        u = model.basis.roots @ state.q
+        weights = [(z, models._kernel_weights(model, state.q, z)[0])
+                   for z in (0.11 + 0.31j, -0.33 + 0.17j)]
+        weights += [(q, models._ham_weights(model, state.q, i)[0])
+                    for i, q in enumerate(model.ham_points)]
+        for z, W in weights:
+            table = kernel_table(model.cache, u, z, model.marked_points)
+            ref = table.value * np.exp(u[:, None] * model.zeta_poles)
+            np.testing.assert_allclose(W[:, rows, cols], ref.T, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("field", ["q", "p", "phis"])
     def test_non_finite_state_stops_before_the_kernel(self, monkeypatch, ensembles, field):

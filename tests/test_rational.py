@@ -222,6 +222,16 @@ class TestSerialization:
         np.testing.assert_allclose(lax_matrix(model2, state2, z),
                                    lax_matrix(model, state, z), atol=1e-14)
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_models_compare_and_hash_by_identity(self, rng, genus):
+        # a model holds arrays, so it equals only itself; comparing it with
+        # an equal copy returns a bool instead of raising
+        model = (random_rational_ensemble(rng, 2, 3, (2, 3)) if genus == 0 else
+                 models.random_elliptic_ensemble(rng, 2, 2, (2, 3)))[0]
+        copy = model_from_dict(model_to_dict(model))
+        assert (model == copy) is False and (model == model) is True
+        assert hash(model) == hash(model) and len({model, copy, model}) == 2
+
     def test_state_requires_group_points_or_matrices(self, rng):
         model, _ = random_rational_ensemble(rng, 2, 2, (2,))
         with pytest.raises(ConfigError):

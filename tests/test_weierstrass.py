@@ -193,6 +193,28 @@ class TestArrayCore:
             assert sigma_eval(cache, z) == pytest.approx(sig[k], rel=1e-14)
             assert lattice_distance(cache, z) == pytest.approx(dist[k], rel=1e-14)
 
+    @pytest.mark.parametrize("tau", [1.1j, 0.3 + 1.5j])
+    def test_core_without_p_equals_the_full_core(self, rng, tau):
+        # the kernel's u side asks the array core for zeta, sigma and the
+        # lattice distance only: the full call's bits, also outside the
+        # centred cell, where the quasi-periodicity sign and factors apply
+        c = build_cache(tau)
+        shifts = np.array([0, 1, -2, tau, -tau, 3 - tau, 1 + tau, -1 - 2 * tau])
+        zs = np.array(random_cell_points(rng, tau, shifts.size)) + shifts
+        _, n1, n2, _ = weierstrass._cell(c, zs)
+        odd1, odd2 = n1 % 2 != 0, n2 % 2 != 0
+        assert (odd1 & ~odd2).any() and (odd2 & ~odd1).any() and (odd1 & odd2).any()
+        full = weierstrass._core(c, zs)
+        lean = weierstrass._core(c, zs, with_wp=False)
+        assert lean[0] is None and full[0].shape == zs.shape
+        for got, ref in zip(lean[1:], full[1:]):
+            np.testing.assert_array_equal(got, ref)
+        # the sign and the one exponential, against the lattice sums
+        oracle = LatticeSumOracle(tau)
+        for z, ze, sig in zip(zs, full[1], full[2]):
+            assert ze == pytest.approx(oracle.zeta(z), rel=1e-9)
+            assert sig == pytest.approx(oracle.sigma(z), rel=1e-9)
+
     def test_arguments_near_the_lattice_raise(self, cache):
         near = 0.5 * POLE_TOL
         with pytest.raises(PoleError):
