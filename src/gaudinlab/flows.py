@@ -8,9 +8,13 @@ single Hamiltonian H_i drives the dynamics
     dq^mu/dt^i    =  dH_i/dp_mu,
     dp_mu/dt^i    = -dH_i/dq^mu,
 
-integrated either with the orbit-exact conjugation stepper (group points
-are updated by exponentials, so the spectrum of every L_alpha is preserved
-to roundoff) or with a classical RK4 step on (phi, q, p).
+integrated either with the conjugation stepper (an explicit midpoint rule
+that moves the group points by exponentials of traceless matrices, so
+det phi_alpha is kept and the order is 2 by design) or with a classical
+RK4 step on (phi, q, p).  Both keep the spectrum of every L_alpha =
+-phi_alpha Lambda_alpha phi_alpha^{-1} to roundoff, whatever the step,
+since any invertible phi_alpha puts L_alpha on its orbit; only RK4 on the
+orbit matrices themselves (projection mode) moves the spectra.
 
 The action of the Lagrangian 1-form along a trajectory is accumulated with
 trapezoidal quadrature of
@@ -177,8 +181,8 @@ def _times(c, x):
 
 
 def _step_conjugation(model, state, i, h):
-    # explicit midpoint; the group points move by one stacked exponential,
-    # so orbit spectra are exact regardless of h
+    # explicit midpoint; the group points move by one stacked exponential
+    # of a traceless matrix, so det phi_a is kept and the step has order 2
     dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
     half = PhaseState(
         phis=matrix_exponential(_times(-(h / 2.0), dH_dL)) @ state.phis,

@@ -127,8 +127,12 @@ class GaugeField:
     components: tuple
 
     def evaluate(self, t) -> np.ndarray:
+        return np.array([self.row(i, t) for i in range(len(self.components))])
+
+    def row(self, i, t) -> np.ndarray:
+        """The coefficients along flow direction i alone."""
         t = np.asarray(t, dtype=float)
-        return np.array([[comp(t) for comp in row] for row in self.components])
+        return np.array([comp(t) for comp in self.components[i]])
 
 
 def gauged_rhs(sys: ToySystem, p, q, t, field: GaugeField = None):
@@ -139,15 +143,19 @@ def gauged_rhs(sys: ToySystem, p, q, t, field: GaugeField = None):
     A = field.evaluate(t) if field is not None else np.zeros((n, sys.dim_g))
     if A.shape != (n, sys.dim_g):
         raise DimensionError("gauge field has wrong shape")
-    dq = np.zeros((n, sys.dim))
-    dp = np.zeros((n, sys.dim))
-    for i, H in enumerate(sys.hamiltonians):
-        dHdp, dHdq = H.grad(p, q)
-        dq[i] = dHdp
-        dp[i] = -np.asarray(dHdq, dtype=float)
-        for a, X in enumerate(sys.generators):
-            dq[i] += A[i, a] * (X @ q)
-            dp[i] -= A[i, a] * (X.T @ p)
+    rows = [_flow_rhs(sys, p, q, i, A[i]) for i in range(n)]
+    return np.array([dq for dq, _ in rows]), np.array([dp for _, dp in rows])
+
+
+def _flow_rhs(sys: ToySystem, p, q, i, a_i):
+    """Gauged flow direction i alone, (dq, dp), with a_i the gauge field's
+    coefficients along it."""
+    dHdp, dHdq = sys.hamiltonians[i].grad(p, q)
+    dq = np.array(dHdp, dtype=float)
+    dp = -np.asarray(dHdq, dtype=float)
+    for a, X in enumerate(sys.generators):
+        dq += a_i[a] * (X @ q)
+        dp -= a_i[a] * (X.T @ p)
     return dq, dp
 
 
@@ -198,8 +206,9 @@ def integrate_toy(sys: ToySystem, p, q, i, T, h, field: GaugeField = None):
     ps, qs, ts = [p.copy()], [q.copy()], [t.copy()]
 
     def rhs(p, q, t):
-        dq, dp = gauged_rhs(sys, p, q, t, field)
-        return dp[i], dq[i]
+        a_i = field.row(i, t) if field is not None else np.zeros(sys.dim_g)
+        dq, dp = _flow_rhs(sys, p, q, i, a_i)
+        return dp, dq
 
     for _ in range(n_steps):
         e = np.zeros(sys.n_flows)

@@ -65,15 +65,14 @@ POLE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EllipticCache:
-    """Immutable per-tau data: theta1 series weights and quasi-periods."""
+    """Immutable per-tau data: theta1 series table and quasi-periods."""
 
     tau: complex
     eta1: complex
     eta2: complex
-    odd: np.ndarray = field(repr=False)      # 2n + 1
-    theta1_prime0: complex = field(repr=False)
-    # rows: the weights of sin, cos, sin in theta1, theta1', theta1''
-    weights: np.ndarray = field(repr=False)
+    # (2T, 3): the weights of the powers b^0 .. b^(T-1), b^0 .. b^-(T-1) of
+    # b = exp(2 pi i z0) in the theta1 sums of _core (see _series_table)
+    table: np.ndarray = field(repr=False)
     # offsets from a cell-reduced point to the lattice points around the cell
     near: np.ndarray = field(repr=False)
 
@@ -84,9 +83,11 @@ def _theta_terms(tau: complex):
     series term is evaluated, for a modulus whose largest term overflows."""
     im = float(np.imag(tau))
     nmax = int(np.ceil(np.sqrt(46.0 / (np.pi * im)))) + 6
-    # theta1 takes sin and cos of pi z0 (2n + 1), with |Im z0| up to Im(tau)/2
-    # (eta2 = zeta(tau/2) reaches it); they overflow once that imaginary
-    # part passes log(float max), at Im(tau) = 34.76 for the 7 terms there
+    # with |Im z0| up to Im(tau)/2 (eta2 = zeta(tau/2) reaches it), theta1's
+    # terms sin and cos of pi z0 (2n + 1) grow up to exp((2n + 1) pi Im(tau)
+    # / 2), and the powers b^n of b = exp(2 pi i z0) that _core sums them
+    # from up to exp(2n pi Im(tau) / 2); the last term passes float max
+    # past Im(tau) = 34.76 for the 7 terms there, the largest power later
     limit = 2.0 * np.log(np.finfo(float).max) / (np.pi * (2 * nmax - 1))
     if im > limit:
         raise PoleError(f"modulus tau = {tau} is out of range: the theta series "
@@ -97,6 +98,33 @@ def _theta_terms(tau: complex):
     return coeffs, 2.0 * n + 1.0
 
 
+def _series_table(coeffs, odd, th1p0):
+    """The (2T, 3) table of _core's theta sums.
+
+    With x = pi z0, b = e^(2ix) and sin((2n+1)x) = sin x sum_{|k| <= n} b^k,
+    theta1 = 2 sum_n c_n sin((2n+1)x) is sin x S(b) with S = sum_{|k| < T}
+    W_|k| b^k, W_k = 2 sum_{n >= k} c_n, and theta1'' (terms -2 c_n
+    (2n+1)^2 in place of 2 c_n) is sin x S2(b) likewise; theta1'/theta1 =
+    cot x + S'/S with S' = dS/dx = sum 2ik W_|k| b^k.  Rows: b^0 .. b^(T-1),
+    then b^0 .. b^-(T-1), with b^0's weight split between the halves.
+    Columns, all over theta1'(0) = S(1): S - theta1'(0), S' and pi^2 S2.
+    The first is small, so 1 + its sum keeps S / theta1'(0) to about an
+    ulp; its b^0 weight, W_0 - theta1'(0) = -4 sum_n n c_n, is summed as
+    such."""
+    t = coeffs.size
+    k = np.arange(t)
+    table = np.zeros((2, t, 3), dtype=complex)
+    for col, w in ((0, 2.0 * coeffs), (2, -2.0 * coeffs * odd ** 2)):
+        tail = np.cumsum(w[::-1])[::-1]
+        tail[0] /= 2.0
+        table[:, :, col] = tail
+    table[0, :, 1] = 2j * k * table[0, :, 0]
+    table[1, :, 1] = -2j * k * table[1, :, 0]
+    table[:, 0, 0] = -2.0 * np.sum(k * coeffs)
+    table[..., 2] *= np.pi ** 2
+    return table.reshape(2 * t, 3) / th1p0
+
+
 def build_cache(tau: complex) -> EllipticCache:
     tau = complex(tau)
     if not np.isfinite(tau) or np.imag(tau) <= 0:
@@ -105,10 +133,8 @@ def build_cache(tau: complex) -> EllipticCache:
     th1p0 = 2.0 * np.sum(coeffs * odd)
     th1ppp0 = -2.0 * np.sum(coeffs * odd ** 3)
     eta1 = -(np.pi ** 2 / 6.0) * th1ppp0 / th1p0
-    cache = EllipticCache(tau=tau, eta1=complex(eta1), eta2=0j, odd=odd,
-                          theta1_prime0=complex(th1p0),
-                          weights=np.array([2.0 * coeffs, 2.0 * coeffs * odd,
-                                            -2.0 * coeffs * odd ** 2]),
+    cache = EllipticCache(tau=tau, eta1=complex(eta1), eta2=0j,
+                          table=_series_table(coeffs, odd, th1p0),
                           near=np.array([0, -1, 1, -tau, tau, -1 - tau, 1 + tau,
                                          -1 + tau, 1 - tau]))
     # eta2 = zeta(tau/2), evaluated with the generic machinery: tau/2
@@ -137,7 +163,7 @@ def _cell(cache: EllipticCache, z):
     zp = z - n2 * cache.tau
     n1 = zp.real.round()
     z0 = zp - n1
-    dist = np.abs(z0[..., None] + cache.near).min(axis=-1)
+    dist = np.abs(np.add.outer(cache.near, z0)).min(axis=0)
     return z0, n1, n2, dist
 
 
@@ -145,38 +171,69 @@ def _core(cache: EllipticCache, z, with_wp=True):
     """(p, zeta, sigma, lattice distance) at every entry of the complex array
     z; p is None unless with_wp is true.
 
-    Each argument is reduced to the centred cell.  theta1 and its first
-    derivative at pi*z0 (and its second, for p) take one sin/cos outer
-    product over the series terms and one matrix product each; the
-    quasi-periodicity laws carry zeta and sigma back from z0 to z, sigma's
-    two exponentials as one.  p and zeta are NaN within POLE_TOL of the
-    lattice (callers guard with the distance); sigma grows like exp(|z|^2)
-    and saturates to inf far outside the cell.  The callers check that z is
-    finite and hold np.errstate(over="ignore", invalid="ignore").
+    Each argument is reduced to the centred cell, and theta1 is summed at
+    x = pi z0 from one sin, one cos and one exp per argument: with b =
+    exp(2ix) and the sums S, S' and S2 of _series_table,
+
+        theta1 / theta1'(0)  = sin x S / theta1'(0)
+        pi theta1' / theta1  = pi (cot x + S'/S)
+        pi^2 theta1''/theta1 = pi^2 S2 / S,
+
+    all three from the powers b^(+-k), |k| < T (one multiply.accumulate),
+    and one matrix product against cache.table.
+    sin x carries theta1's zero at the lattice point and cot x its pole, so
+    theta1, zeta and p keep their relative accuracy there (sin x as
+    (a - 1/a)/2i, a = e^(ix), would leave zeta and sigma 3e-8 off at
+    |z0| = 1e-9).  The transcendentals come before the matrix product: on
+    a host where a complex BLAS product leaves the AVX-512 state dirty,
+    glibc's complex sin and exp run 10-20 times slower until a numpy
+    vector op runs.  Each entry has the same bits in any array, a
+    one-element array too (a single argument fills two columns of the
+    product); a 0-d argument goes through numpy's scalar arithmetic, which
+    rounds its own way.  The quasi-periodicity laws carry zeta and sigma
+    back from z0 to z, sigma's two exponentials as one.  p and zeta are
+    NaN within POLE_TOL of the lattice (callers guard with the distance);
+    sigma grows like exp(|z|^2) and saturates to inf far outside the cell.
+    The callers check that z is finite and hold
+    np.errstate(over="ignore", invalid="ignore").
     """
     z0, n1, n2, dist = _cell(cache, z)
-    w = np.multiply.outer(np.pi * z0, cache.odd)
-    sin, cos = np.sin(w), np.cos(w)
-    t1 = sin @ cache.weights[0]
-    t1p = cos @ cache.weights[1]
+    x = np.pi * z0
+    sin, cos, b = np.sin(x), np.cos(x), np.exp(2j * x)
+    t, n = cache.table.shape[0] // 2, z.size
+    # b^j and b^-j, j < t, one column per argument; a single argument fills
+    # two, which keeps numpy's matrix-product route, and its rounding, that
+    # of longer arrays
+    powers = np.empty((2, t, max(n, 2)), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[0, 1:] = b.reshape(-1)
+    powers[1, 1:] = (1.0 / b).reshape(-1)
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    products = powers.reshape(2 * t, -1).T @ cache.table
+    m, ds, s2 = products[:n].T.reshape((3,) + z.shape)
+    s0 = 1.0 + m
     on_lattice = dist < POLE_TOL
-    t1_safe = np.where(on_lattice, 1.0, t1)
-    lam = t1p / t1_safe
+    # the masks are taken only when they change something: an np.where
+    # costs more than most of the arithmetic of a call on a few arguments
+    pole = np.count_nonzero(on_lattice)
+    # pi theta1'/theta1
+    lam = np.pi * (cos / (np.where(on_lattice, 1.0, sin) if pole else sin) + ds / s0)
     wp = None
     if with_wp:
-        t1pp = sin @ cache.weights[2]
-        wp = -2.0 * cache.eta1 - np.pi ** 2 * (t1pp / t1_safe - lam * lam)
-        wp = np.where(on_lattice, np.nan, wp)
-    eta = 2.0 * n1 * cache.eta1 + 2.0 * n2 * cache.eta2
-    ze = 2.0 * cache.eta1 * z0 + np.pi * lam + eta
-    ze = np.where(on_lattice, np.nan, ze)
-    omega = n1 + n2 * cache.tau
-    # (-1)^(n1 + n2 + n1 n2): -1 unless n1 and n2 are both even
-    sign = 1.0 - 2.0 * ((n1 + n2 + n1 * n2) % 2.0)
-    # sigma's two exponentials as one; in the centred cell eta = 0 and the
-    # exponent is eta1 z0^2 alone
-    sig = (sign * np.exp(cache.eta1 * z0 * z0 + eta * (z0 + omega / 2.0)) * t1
-           / (np.pi * cache.theta1_prime0))
+        wp = (-2.0 * cache.eta1 - s2 / s0) + lam * lam
+    # eta / 2, with eta = 2 n1 eta1 + 2 n2 eta2 the change of zeta from z0 to z
+    half_eta = n1 * cache.eta1 + n2 * cache.eta2
+    g = cache.eta1 * z0 + half_eta
+    ze = 2.0 * g + lam
+    if pole:
+        ze = np.where(on_lattice, np.nan, ze)
+        if with_wp:
+            wp = np.where(on_lattice, np.nan, wp)
+    # (-1)^(n1 + n2 + n1 n2) / pi: negative unless n1 and n2 are both even
+    sign_pi = 1.0 / np.pi - (2.0 / np.pi) * ((n1 + n2 + n1 * n2) % 2.0)
+    # sigma's two exponentials as one, exp(eta1 z0^2 + eta (z0 + z) / 2);
+    # in the centred cell eta = 0 and the exponent is eta1 z0^2 alone
+    sig = sign_pi * np.exp(g * z0 + half_eta * z) * (sin * s0)
     return wp, ze, sig, dist
 
 

@@ -347,3 +347,147 @@ class TestVerifyKernelRoute:
         assert 0 < n <= 10
         assert stencils == [[(4, 50)], [(4, 50)], [(4,)], [(4, n)]]
         assert tables == [(2,), (n,), (n,), (4, n)]
+
+
+# the theta series against 40-digit mpmath (theta1 and its derivatives,
+# DLMF 20.2) at the moduli of the verify rows and at both ends of Im(tau),
+# on cell points and at three distances from the lattice points 0 and
+# 1 + tau, where sigma(z) ~ z and zeta, p blow up.  SIN_COS_WORST holds the
+# worst relative errors of (p, zeta, sigma) that the earlier sin/cos outer
+# product measured on these points, rounded up to two digits; the bound is
+# 4 times that, or 4 ulps where it read less than one.  Near 1 + tau at
+# tau = 0.3 + 1.5i the error is the cell reduction's: z - tau - 1 rounds at
+# the ulp of |z|, which is 1e-7 of a distance of 1e-9.
+MPMATH_TAUS = [0.08j, 0.2j, 1.1j, 0.3 + 1.5j, 12j]
+NEAR_DISTANCES = (1e-9, 1e-6, 1e-3)
+SIN_COS_WORST = {
+    0.08j: {
+        "cell": (1.5e-13, 3.0e-13, 4.7e-12),
+        "1e-09 from 0": (6.7e-13, 3.4e-13, 4.6e-13),
+        "1e-06 from 0": (6.8e-13, 3.4e-13, 3.3e-13),
+        "0.001 from 0": (6.6e-13, 3.3e-13, 2.5e-13),
+        "1e-09 from 1+tau": (3.1e-13, 1.6e-13, 2.9e-11),
+        "1e-06 from 1+tau": (4.1e-13, 2.1e-13, 2.9e-11),
+        "0.001 from 1+tau": (7.8e-13, 4.8e-13, 2.9e-11),
+    },
+    0.2j: {
+        "cell": (2.4e-15, 1.6e-15, 2.7e-15),
+        "1e-09 from 0": (2.9e-15, 1.4e-15, 1.1e-15),
+        "1e-06 from 0": (1.7e-15, 9.1e-16, 1.2e-15),
+        "0.001 from 0": (3.4e-15, 1.7e-15, 1.5e-15),
+        "1e-09 from 1+tau": (4.3e-15, 2.1e-15, 2.6e-14),
+        "1e-06 from 1+tau": (1.7e-15, 9.2e-16, 2.7e-14),
+        "0.001 from 1+tau": (2.4e-15, 1.3e-15, 2.6e-14),
+    },
+    1.1j: {
+        "cell": (4.8e-15, 4.7e-16, 4.0e-16),
+        "1e-09 from 0": (7.0e-16, 3.0e-16, 2.1e-16),
+        "1e-06 from 0": (7.8e-16, 3.3e-16, 2.7e-16),
+        "0.001 from 0": (5.3e-16, 2.3e-16, 2.3e-16),
+        "1e-09 from 1+tau": (4.1e-16, 2.5e-16, 1.8e-15),
+        "1e-06 from 1+tau": (3.9e-16, 1.7e-16, 1.8e-15),
+        "0.001 from 1+tau": (5.9e-16, 3.9e-16, 2.0e-15),
+    },
+    0.3 + 1.5j: {
+        "cell": (3.3e-15, 8.2e-16, 4.2e-16),
+        "1e-09 from 0": (6.9e-16, 2.5e-16, 2.2e-16),
+        "1e-06 from 0": (6.2e-16, 3.0e-16, 2.4e-16),
+        "0.001 from 0": (6.3e-16, 2.9e-16, 3.5e-16),
+        "1e-09 from 1+tau": (1.2e-7, 5.6e-8, 5.6e-8),
+        "1e-06 from 1+tau": (1.2e-10, 5.6e-11, 5.6e-11),
+        "0.001 from 1+tau": (1.2e-13, 5.6e-14, 5.7e-14),
+    },
+    12j: {
+        "cell": (2.1e-15, 4.5e-16, 5.5e-15),
+        "1e-09 from 0": (3.2e-16, 1.7e-16, 0.0),
+        "1e-06 from 0": (7.9e-16, 3.7e-16, 2.2e-16),
+        "0.001 from 0": (5.9e-16, 3.1e-16, 2.2e-16),
+        "1e-09 from 1+tau": (3.2e-16, 1.7e-16, 2.9e-14),
+        "1e-06 from 1+tau": (6.3e-16, 3.7e-16, 3.8e-14),
+        "0.001 from 1+tau": (4.2e-16, 2.4e-16, 2.8e-14),
+    },
+}
+ULP = np.finfo(float).eps
+
+
+def mpmath_groups(tau):
+    """{group name: points}: 24 cell points, and 8 points at each distance
+    from 0 and from 1 + tau."""
+    groups = {"cell": np.array(random_cell_points(np.random.default_rng(11), tau, 24))}
+    angles = np.exp(1j * (0.3 + 2.0 * np.pi * np.arange(8) / 8))
+    for centre, label in ((0.0, "0"), (1.0 + tau, "1+tau")):
+        for d in NEAR_DISTANCES:
+            groups[f"{d:g} from {label}"] = centre + d * angles
+    return groups
+
+
+def mpmath_worst_errors(cache, mp):
+    """{group: (worst relative error of p, of zeta, of sigma)} of
+    weierstrass_eval against the theta-quotient formulas evaluated by mpmath
+    at 40 digits, at the exact double arguments."""
+    mp.mp.dps = 40
+    q = mp.exp(1j * mp.pi * mp.mpc(cache.tau))
+    th1p0 = mp.jtheta(1, 0, q, 1)
+    eta1 = -(mp.pi ** 2 / 6) * mp.jtheta(1, 0, q, 3) / th1p0
+
+    def reference(z):
+        z = mp.mpc(z)
+        t0, t1, t2 = (mp.jtheta(1, mp.pi * z, q, k) for k in (0, 1, 2))
+        lam = t1 / t0
+        return (complex(-2 * eta1 - mp.pi ** 2 * (t2 / t0 - lam * lam)),
+                complex(2 * eta1 * z + mp.pi * lam),
+                complex(mp.exp(eta1 * z * z) * t0 / (mp.pi * th1p0)))
+
+    out = {}
+    for name, zs in mpmath_groups(cache.tau).items():
+        got = weierstrass_eval(cache, zs)
+        ref = np.array([reference(z) for z in zs]).T
+        out[name] = tuple(float(np.max(np.abs(g - r) / np.abs(r))) for g, r in zip(got, ref))
+    return out
+
+
+class TestThetaSeries:
+    @pytest.mark.parametrize("tau", MPMATH_TAUS)
+    def test_against_mpmath(self, tau):
+        mp = pytest.importorskip("mpmath")
+        worst = mpmath_worst_errors(build_cache(tau), mp)
+        assert worst.keys() == SIN_COS_WORST[tau].keys()
+        for name, errors in worst.items():
+            for label, err, before in zip(("p", "zeta", "sigma"), errors, SIN_COS_WORST[tau][name]):
+                assert err <= 4.0 * max(before, ULP), (name, label, err, before)
+
+    @pytest.mark.parametrize("tau", [12j, 20j])
+    def test_trigonometric_limit(self, tau):
+        # as Im(tau) grows the lattice sums lose every row but m = 0, and the
+        # closed forms are exact up to O(exp(-2 pi (Im tau - |Im z|))), below
+        # double precision here (DLMF 23.8)
+        c = build_cache(tau)
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-0.5, 0.5, 60) + 1j * rng.uniform(-1.0, 1.0, 60)
+        z = z[np.abs(z) > 0.05]
+        wp, ze, sig = weierstrass_eval(c, z)
+        pz = np.pi * z
+        expected = (np.pi ** 2 / np.sin(pz) ** 2 - np.pi ** 2 / 3,
+                    np.pi / np.tan(pz) + np.pi ** 2 * z / 3,
+                    np.sin(pz) / np.pi * np.exp(pz ** 2 / 6))
+        for got, ref in zip((wp, ze, sig), expected):
+            np.testing.assert_allclose(got, ref, rtol=1e-13)
+        assert c.eta1 == pytest.approx(np.pi ** 2 / 6, rel=1e-15)
+
+    @pytest.mark.parametrize("tau", [12j, 20j, 1.1j, 0.3 + 1.5j])
+    def test_an_entry_has_the_same_bits_in_any_array(self, tau):
+        # alone, and first, in the middle or last in arrays of 4, 24 and
+        # 1950 arguments (the size of the observables table of a torus run);
+        # the others lie inside and outside the centred cell
+        c = build_cache(tau)
+        rng = np.random.default_rng(9)
+        entry = np.array([0.23 - 0.31j + 1.0 + tau])
+        alone = weierstrass_eval(c, entry)
+        for size in (4, 24, 1950):
+            others = (rng.uniform(-1.5, 1.5, size) + 1j * rng.uniform(-1.0, 1.0, size) * tau.imag
+                      + rng.uniform(-0.5, 0.5, size) * tau.real)
+            for k in (0, size // 2, size - 1):
+                zs = others.copy()
+                zs[k] = entry[0]
+                for got, ref in zip(weierstrass_eval(c, zs), alone):
+                    assert got[k].tobytes() == ref[0].tobytes()
