@@ -17,7 +17,6 @@ anywhere; every contraction goes through the Gram matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,19 +35,19 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _identity(m: int) -> np.ndarray:
-    """The read-only m x m identity, one per m."""
-    I = np.eye(m)
-    I.setflags(write=False)
-    return I
+def _subtract_trace(P):
+    """P minus its trace part, written into P (a (..., m, m) stack the caller
+    owns) or its contiguous copy; the trace sums the diagonal as np.trace."""
+    P = np.ascontiguousarray(P)     # so that the diagonals below are a view
+    m = P.shape[-1]
+    d = P.reshape(P.shape[:-2] + (m * m,))[..., ::m + 1]
+    d -= d.sum(axis=-1, keepdims=True) / m
+    return P
 
 
 def traceless_part(X):
     """X minus its trace part, for one matrix or a (..., m, m) stack."""
-    X = np.asarray(X, dtype=complex)
-    m = X.shape[-1]
-    return X - (np.trace(X, axis1=-2, axis2=-1) / m)[..., None, None] * _identity(m)
+    return _subtract_trace(np.array(X, dtype=complex))
 
 
 def _matrix_power(a, n: int) -> np.ndarray:
@@ -143,27 +142,13 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
-
-
-@lru_cache(maxsize=None)
-def _pade13_terms(m: int, ndim: int):
-    """The Pade-13 coefficients laid out for a (..., m, m) stack of ndim
-    axes, with U's in row 0 and V's in row 1 of a new leading axis: those
-    of A6, A4, A2 inside the product with A6, those of A6, A4, A2 outside
-    it, and b1 I, b0 I.  Read-only arrays, built once per (m, ndim)."""
-    b = np.array(_PADE13)
-    shape = (2,) + (1,) * ndim
-
-    def pair(k):
-        c = b[[k, k - 1]].reshape(shape)
-        c.setflags(write=False)
-        return c
-
-    inner = tuple(pair(k) for k in (13, 11, 9))
-    outer = tuple(pair(k) for k in (7, 5, 3))
-    bI = pair(1) * np.eye(m, dtype=complex)
-    bI.setflags(write=False)
-    return inner, outer, bI
+# The coefficients of A6, A4, A2: [0] inside the product with A6, [1] outside
+# it, each with U's in row 0 and V's in row 1; then U's b1 and V's b0
+_PADE13_TERMS = np.array(_PADE13)[[[[13, 11, 9], [12, 10, 8]],
+                                   [[7, 5, 3], [6, 4, 2]]]].reshape(2, 2, 3, 1, 1, 1)
+_PADE13_DIAG = np.array(_PADE13)[[1, 0]].reshape(2, 1, 1)
+_PADE13_TERMS.setflags(write=False)
+_PADE13_DIAG.setflags(write=False)
 
 
 def matrix_exponential(X) -> np.ndarray:
@@ -171,34 +156,47 @@ def matrix_exponential(X) -> np.ndarray:
     (..., m, m) stack.  Each matrix keeps its own scaling power, and only
     the matrices that still need squaring are squared.
 
-    U and V are evaluated side by side, as rows 0 and 1 of one stack: each
-    matrix's entries come out of the same operations, in the same order,
-    as when each is built alone.  A stack whose 1-norms are all at most
-    theta13 is not scaled (dividing by 2^0 is exact)."""
+    m max|x_ij| bounds every 1-norm: when it is under theta13, less a margin
+    for the rounding of the column sums, nothing is scaled and X is read
+    once (a NaN fails that test).  Otherwise a non-finite X or 1-norm
+    raises ValueError, and each matrix whose 1-norm exceeds theta13 is scaled.
+
+    U and V are rows 0 and 1 of one stack, built from the stacked A6, A4,
+    A2 by the operations, in the order, of the written-out formula, so
+    each matrix gets the bits it gets alone (the references pin them)."""
     X = np.asarray(X, dtype=complex)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise DimensionError(f"square matrix required, got shape {X.shape}")
-    if not np.all(np.isfinite(X.view(float))):
-        raise ValueError("matrix_exponential: non-finite entries")
-    nrm = np.abs(X).sum(axis=-2).max(axis=-1)        # the 1-norm of each matrix
+    m = X.shape[-1]
+    A = X.reshape(-1, m, m)
     squarings = 0
-    A = X
-    if (nrm > _THETA13).any():
+    if not np.abs(A).max(initial=0.0) <= 0.999 * _THETA13 / m:
+        if not np.isfinite(A).all():
+            raise ValueError("matrix_exponential: non-finite entries")
+        with np.errstate(over="ignore"):
+            nrm = np.abs(A).sum(axis=-2).max(axis=-1)    # the 1-norm of each matrix
+        if not np.isfinite(nrm).all():
+            raise ValueError("matrix_exponential: the 1-norm overflows")
         s = np.ceil(np.log2(np.maximum(nrm / _THETA13, 1.0))).astype(int)
-        A = X / (2.0 ** s)[..., None, None]
+        A = A / (2.0 ** s)[:, None, None]      # exact where s = 0
         squarings = int(s.max())
-    (c6, c4, c2), (d6, d4, d2), bI = _pade13_terms(X.shape[-1], X.ndim)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    T = A6 @ (c6 * A6 + c4 * A4 + c2 * A2) + d6 * A6 + d4 * A4 + d2 * A2 + bI
-    U = A @ T[0]
-    V = T[1]
+    P = np.empty((3,) + A.shape, dtype=complex)          # A6, A4, A2
+    np.matmul(A, A, out=P[2])
+    np.matmul(P[2], P[2], out=P[1])
+    np.matmul(P[1], P[2], out=P[0])
+    C = _PADE13_TERMS * P
+    T = P[0] @ C[0].sum(axis=1)
+    for k in range(3):      # the outer terms in place, left to right
+        T += C[1, :, k]
+    # b I on the diagonals of the contiguous T only: the +0 it adds elsewhere
+    # would change no entry, since matmul's sums start from +0, so none is -0
+    T.reshape(2, -1, m * m)[..., ::m + 1] += _PADE13_DIAG
+    U, V = A @ T[0], T[1]
     E = np.linalg.solve(V - U, V + U)
     for k in range(squarings):
-        todo = s > k    # boolean index over the leading axes (0-d for one matrix)
+        todo = s > k
         E[todo] = E[todo] @ E[todo]
-    return E
+    return E.reshape(X.shape)
 
 
 def charpoly(X) -> np.ndarray:
@@ -253,7 +251,8 @@ class InvariantPolynomial:
         does not change Tr(Y grad) for traceless Y.
         """
         X = np.asarray(X, dtype=complex)
-        return traceless_part(_matrix_power(X, self.degree - 1))
+        P = _matrix_power(X, self.degree - 1)
+        return _subtract_trace(X.copy() if P is X else P)
 
 
 def random_traceless(rng, m: int, scale: float = 1.0) -> np.ndarray:

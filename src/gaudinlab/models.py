@@ -114,6 +114,8 @@ MAX_ENTRY = 1e6
 MODEL_KEYS = ("genus", "m", "tau", "marked_points", "orbit_seeds", "hamiltonians")
 HAMILTONIAN_KEYS = ("point", "degree")
 STATE_KEYS = ("random", "phis", "orbit_mats", "q", "p", "t")
+_NO_PARTIALS = np.zeros(0, dtype=complex)       # genus 0's dH/dq and dH/dp
+_NO_PARTIALS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,8 +491,7 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
             G[rows] = poly.gradient(L[rows])
     dH_dL = G[..., None, :, :] * W.swapaxes(-1, -2)
     if model.genus == 0:
-        empty = np.zeros(0, dtype=complex)
-        return dH_dL, empty, empty
+        return dH_dL, _NO_PARTIALS, _NO_PARTIALS
     basis = model.basis
     rows, cols = basis.root_entries
     s = (Ls[..., rows, cols] * dW_du).sum(axis=-2)

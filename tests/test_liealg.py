@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gaudinlab.liealg import (
     matrix_exponential,
     random_traceless,
     trace_pairing,
+    traceless_part,
 )
 
 
@@ -182,8 +184,12 @@ def _expm_single(X):
     return E
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestStackedExponential:
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("lead", [(1,), (4,), (2, 3)])
     def test_equals_the_per_matrix_loop(self, rng, m, lead):
         # 1-norms from 2^5 times theta13 (five squarings) down to far below
@@ -220,6 +226,46 @@ class TestStackedExponential:
         X[2, 1, 0] = np.nan
         with pytest.raises(ValueError):
             matrix_exponential(X)
+
+    def test_entry_bound_above_theta13_with_every_norm_below(self, rng):
+        # m max|x_ij| exceeds theta13, so the 1-norms are taken, but none
+        # of them does, so nothing is scaled
+        X = 1e-3 * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+        X[:, 1, 2] = [3.0, -2.5j, 1.5 + 1.5j]
+        assert (4 * np.abs(X).max(axis=(-2, -1)) > _THETA13).all()
+        assert (np.linalg.norm(X, 1, axis=(-2, -1)) < _THETA13).all()
+        E = matrix_exponential(X)
+        assert all(_same_bits(e, _expm_single(x)) for e, x in zip(E, X))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_nonfinite_entry_in_a_tiny_stack(self, rng, bad):
+        X = 1e-3 * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+        X[1, 0, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_exponential(X)
+
+    @pytest.mark.parametrize("big", [1e308, 1.5e308 + 1.5e308j])
+    def test_overflowing_norm(self, big):
+        # finite entries whose 1-norm (or modulus) overflows: a ValueError
+        # and no RuntimeWarning on the way
+        X = np.full((2, 3, 3), 1e-3, dtype=complex)
+        X[1] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                matrix_exponential(X)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 4, 4)])
+    def test_empty_stack(self, shape):
+        assert matrix_exponential(np.zeros(shape)).shape == shape
+
+    @pytest.mark.parametrize("norm", [0.1, 40.0])
+    def test_transposed_matrix(self, rng, norm):
+        # a complex matrix whose last axis is not contiguous, unscaled and
+        # scaled
+        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        X *= norm / np.linalg.norm(X, 1)
+        assert _same_bits(matrix_exponential(X.T), _expm_single(X.T.copy()))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
     def test_non_square_shape(self, shape):
@@ -320,6 +366,19 @@ class TestInvariantPolynomials:
     def test_power_takes_the_products_of_matrix_power(self, rng, lead, n):
         X = rng.standard_normal(lead + (3, 3)) + 1j * rng.standard_normal(lead + (3, 3))
         assert np.array_equal(_matrix_power(X, n), np.linalg.matrix_power(X, n))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_gradient_is_the_traceless_power(self, rng, lead, k):
+        # bit for bit the traceless part of X^(k-1), also as the written-out
+        # P - (tr P / m) I, and X itself is left as it was
+        X = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
+        X0 = X.copy()
+        G = InvariantPolynomial(k).gradient(X)
+        P = _matrix_power(X, k - 1)
+        assert _same_bits(G, traceless_part(P))
+        assert _same_bits(G, P - (np.trace(P, axis1=-2, axis2=-1) / 4)[..., None, None] * np.eye(4))
+        assert _same_bits(X, X0)
 
     def test_quadratic_gradient_is_identity_map(self, rng):
         P = InvariantPolynomial(2)
