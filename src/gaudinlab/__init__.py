@@ -29,7 +29,6 @@ from .weierstrass import (
     EllipticCache,
     LatticeSumOracle,
     build_cache,
-    quasi_periodicity_check,
     sigma_eval,
     weierstrass_eval,
     zeta_eval,

@@ -159,7 +159,8 @@ def matrix_exponential(X) -> np.ndarray:
     m max|x_ij| bounds every 1-norm: when it is under theta13, less a margin
     for the rounding of the column sums, nothing is scaled and X is read
     once (a NaN fails that test).  Otherwise a non-finite X or 1-norm
-    raises ValueError, and each matrix whose 1-norm exceeds theta13 is scaled.
+    raises ValueError, and each matrix whose 1-norm exceeds theta13 is scaled,
+    with a ValueError if squaring it back overflows.
 
     U and V are rows 0 and 1 of one stack, built from the stacked A6, A4,
     A2 by the operations, in the order, of the written-out formula, so
@@ -193,9 +194,13 @@ def matrix_exponential(X) -> np.ndarray:
     T.reshape(2, -1, m * m)[..., ::m + 1] += _PADE13_DIAG
     U, V = A @ T[0], T[1]
     E = np.linalg.solve(V - U, V + U)
-    for k in range(squarings):
-        todo = s > k
-        E[todo] = E[todo] @ E[todo]
+    if squarings:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(squarings):
+                todo = s > k
+                E[todo] = E[todo] @ E[todo]
+        if not np.isfinite(E).all():
+            raise ValueError("matrix_exponential: the exponential overflows")
     return E.reshape(X.shape)
 
 

@@ -603,21 +603,25 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
 # random ensembles and serialization
 # ---------------------------------------------------------------------------
 
+def _scatter(rng, n, half, height, apart, avoid=(), origin=0.0):
+    """n points x + i y height, x and y uniform in (-half, half), each drawn
+    again until it lies farther than origin from 0 and farther than apart
+    from every point of avoid and every point drawn before it."""
+    pts = []
+    while len(pts) < n:
+        c = complex(rng.uniform(-half, half), rng.uniform(-half, half) * height)
+        if abs(c) > origin and all(abs(c - p) > apart for p in (*avoid, *pts)):
+            pts.append(c)
+    return pts
+
+
 def random_rational_ensemble(rng, m, n_sites, ham_degrees, spread=0.5):
     """Fresh genus-0 model + constrained state: random residues with
     sum L_alpha = 0 become the orbit seeds (phi_alpha = Id)."""
     Ls = [random_traceless(rng, m, spread) for _ in range(n_sites - 1)]
     Ls.append(-sum(Ls) if n_sites > 1 else np.zeros((m, m), dtype=complex))
-    pts = []
-    while len(pts) < n_sites:
-        c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        if all(abs(c - p) > 0.3 for p in pts):
-            pts.append(c)
-    hpts = []
-    while len(hpts) < len(ham_degrees):
-        c = complex(rng.uniform(-2.2, 2.2), rng.uniform(-2.2, 2.2))
-        if all(abs(c - p) > 0.3 for p in pts) and all(abs(c - q) > 0.3 for q in hpts):
-            hpts.append(c)
+    pts = _scatter(rng, n_sites, 1.5, 1.0, 0.3)
+    hpts = _scatter(rng, len(ham_degrees), 2.2, 1.0, 0.3, avoid=pts)
     model = make_gaudin_model(0, m, pts, [-L for L in Ls], hpts, ham_degrees)
     state = PhaseState(phis=[np.eye(m, dtype=complex) for _ in range(n_sites)],
                        t=np.zeros(len(ham_degrees)))
@@ -638,17 +642,8 @@ def random_elliptic_ensemble(rng, m, n_sites, ham_degrees, tau=1.1j, max_gradien
         Ls = [random_traceless(rng, m, 0.15) for _ in range(n_sites)]
         dmean = sum(np.diag(np.diag(L)) for L in Ls) / n_sites
         Ls = [L - dmean for L in Ls]
-        pts = []
-        while len(pts) < n_sites:
-            c = complex(rng.uniform(-0.36, 0.36), rng.uniform(-0.36, 0.36) * cell)
-            if abs(c) > 0.22 and all(abs(c - p) > 0.22 for p in pts):
-                pts.append(c)
-        hpts = []
-        while len(hpts) < len(ham_degrees):
-            c = complex(rng.uniform(-0.42, 0.42), rng.uniform(-0.42, 0.42) * cell)
-            if abs(c) > 0.2 and all(abs(c - p) > 0.18 for p in pts) \
-                    and all(abs(c - q) > 0.18 for q in hpts):
-                hpts.append(c)
+        pts = _scatter(rng, n_sites, 0.36, cell, 0.22, origin=0.22)
+        hpts = _scatter(rng, len(ham_degrees), 0.42, cell, 0.18, avoid=pts, origin=0.2)
         model = make_gaudin_model(1, m, pts, [-L for L in Ls], hpts, ham_degrees,
                                   tau=tau)
         rk = m - 1

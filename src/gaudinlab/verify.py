@@ -2,16 +2,23 @@
 
 Each suite runs a deterministic batch of numerical checks (all randomness
 flows from one seeded generator) and returns CheckResult rows carrying the
-identity under test, the tolerance, and the measured residual.  The pytest
+identity under test, the tolerance, and the measured value.  The pytest
 acceptance module consumes the same rows, so the CLI and the test suite
 cannot drift apart.
 
-Order-of-convergence checks report the fitted order as `measured` and the
-allowed deviation from `target` as the tolerance.
+A row is of one of three kinds, each built by its own constructor:
+
+- residual (`_residual`): target 0, passes when measured <= tolerance;
+- floor (`_floor`): target = tolerance, passes when measured >= tolerance;
+- order (`_order`): a fitted order as measured, passes when it lies within
+  tolerance of target.
+
+Every order, of a floor row or an order row, is measured by `_fit_order`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,7 +55,6 @@ from .weierstrass import (
     LatticeSumOracle,
     build_cache,
     kernel_table,
-    quasi_periodicity_check,
     sigma_eval,
     weierstrass_eval,
     zeta_eval,
@@ -93,11 +99,14 @@ def _floor(name, law, floor, measured):
 
 def _fit_order(values, ratio=2.0):
     """Least-squares slope of log(residual) against log(step) for a
-    geometric step sequence h, h/ratio, h/ratio^2, ..."""
-    vals = np.asarray(values, dtype=float)
-    k = np.arange(len(vals))
-    x = -k * np.log(ratio)
-    y = np.log(np.maximum(vals, 1e-300))
+    geometric step sequence h, h/ratio, h/ratio^2, ..., each residual
+    clamped at 1e-300.  Two residuals a, b give log2(a / b) / log2(ratio),
+    the same slope with the bits of a plain log2 quotient."""
+    vals = np.maximum(np.asarray(values, dtype=float), 1e-300)
+    if len(vals) == 2:
+        return float(np.log2(vals[0] / vals[1]) / np.log2(ratio))
+    x = -np.arange(len(vals)) * np.log(ratio)
+    y = np.log(vals)
     x = x - x.mean()
     return float((x @ (y - y.mean())) / (x @ x))
 
@@ -163,9 +172,13 @@ def suite_weierstrass(seed=0):
     rows.append(_residual("weier/zeta_derivative", "zeta'(z) = -p(z)", 1e-7, worst_zp))
     rows.append(_residual("weier/sigma_logderivative", "sigma'(z)/sigma(z) = zeta(z)", 1e-7, worst_sl))
 
-    # quasi-periodicity over both periods
-    for l in (1, 2):
-        worst = quasi_periodicity_check(cache, rand_z(cache, n=20), l)
+    # quasi-periodicity over both periods 2w_1 = 1 and 2w_2 = tau
+    for l, period, eta in ((1, 1.0, cache.eta1), (2, cache.tau, cache.eta2)):
+        z = np.array(rand_z(cache, n=20))
+        s0, s1 = sigma_eval(cache, z), sigma_eval(cache, z + period)
+        rs = abs(s1 + s0 * np.exp(2.0 * eta * (z + period / 2.0))) / abs(s0)
+        rz = abs(zeta_eval(cache, z + period) - zeta_eval(cache, z) - 2.0 * eta)
+        worst = max(np.max(rs), np.max(rz))
         rows.append(_residual(
             f"weier/quasi_periodicity_l{l}",
             "sigma(z + 2w_l) = -sigma(z) exp(2 eta_l (z + w_l)); zeta shifts by 2 eta_l",
@@ -257,9 +270,36 @@ def suite_weierstrass(seed=0):
 # rational suite
 # ---------------------------------------------------------------------------
 
-def _bracket_scale(model, state, i, j):
-    return max(abs(hamiltonian(model, state, i)),
-               abs(hamiltonian(model, state, j)), 1.0)
+def _worst_bracket(draws):
+    """Largest |{H_i, H_j}| / max(|H_i|, |H_j|, 1) over the (model, state)
+    pairs of draws and every pair i < j of their charges."""
+    worst = 0.0
+    for model, state in draws:
+        H = [abs(hamiltonian(model, state, i)) for i in range(model.n_hams)]
+        for i, j in itertools.combinations(range(model.n_hams), 2):
+            br = abs(poisson_bracket(model, state, i, j))
+            worst = max(worst, br / max(H[i], H[j], 1.0))
+    return worst
+
+
+def _directional_order(model, state, dirL, dirq=None, dirp=None):
+    """Fitted order in eps of H_1(x + eps d) - H_1(x) - eps <d, grad H_1>
+    at eps = 1e-3, 1e-4, 1e-5, which is 2 when the analytic gradient is
+    right; d moves the residues by dirL and, in genus 1, q and p by dirq
+    and dirp."""
+    dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, 0)
+    Ls = orbit_elements(model, state)
+    lin = sum(trace_pairing(Y, D) for Y, D in zip(dirL, dH_dL))
+    if dirq is not None:
+        lin = lin + np.sum(dirq * dH_dq) + np.sum(dirp * dH_dp)
+
+    def H_of(eps):
+        qp = {} if dirq is None else {"q": state.q + eps * dirq, "p": state.p + eps * dirp}
+        st = PhaseState(orbit_mats=[L + eps * Y for L, Y in zip(Ls, dirL)], t=state.t, **qp)
+        return hamiltonian(model, st, 0)
+
+    H0 = H_of(0.0)
+    return _fit_order([abs(H_of(e) - H0 - e * lin) for e in (1e-3, 1e-4, 1e-5)], ratio=10.0)
 
 
 def suite_rational(seed=0):
@@ -268,13 +308,7 @@ def suite_rational(seed=0):
 
     # involutivity across random constrained states
     for m, degrees, label in ((2, (2, 2), "sl2"), (3, (2, 3, 2), "sl3")):
-        worst = 0.0
-        for _ in range(50):
-            model, state = random_rational_ensemble(rng, m, 3, degrees)
-            for i in range(model.n_hams):
-                for j in range(i + 1, model.n_hams):
-                    br = abs(poisson_bracket(model, state, i, j))
-                    worst = max(worst, br / _bracket_scale(model, state, i, j))
+        worst = _worst_bracket(random_rational_ensemble(rng, m, 3, degrees) for _ in range(50))
         rows.append(_residual(f"rational/involutivity_{label}",
                               "{H_i, H_j} = 0 on the product of orbits",
                               1e-9, worst))
@@ -321,10 +355,9 @@ def suite_rational(seed=0):
     # spectral drifts accumulate without a secular term here and contract at
     # ~32x, so the 16x expectation is enforced as a floor
     for name, k in (("hamiltonian", 0), ("residue_sum", 1), ("isospectral", 2)):
-        ratio = coarse[k] / max(fine[k], 1e-300)
         rows.append(_floor(f"rational/drift_order_{name}",
                            "halving h cuts the drift by at least ~16x (rk4 order)",
-                           3.2, np.log2(max(ratio, 1e-300))))
+                           3.2, _fit_order([coarse[k], fine[k]])))
 
     # independent dense ODE oracle on the raw matrix entries, vectorised
     # over the sites (sums over them run in site order)
@@ -360,7 +393,7 @@ def suite_rational(seed=0):
     # Richardson-extrapolated curvature itself must vanish
     model, state = random_rational_ensemble(rng, 2, 3, (2, 2), spread=0.5)
     res = [plaquette_residual(model, state, 0, 1, h, zs[:3]) for h in (0.02, 0.01, 0.005)]
-    slopes = [np.log2(res[0] / res[1]), np.log2(res[1] / res[2])]
+    slopes = [_fit_order(res[:2]), _fit_order(res[1:])]
     mscale = max(1.0, max(_norms(m_matrix(model, state, i, zs[:3])).max()
                           for i in (0, 1)) ** 2)
     curvature = abs(2.0 * res[2] - res[1]) / mscale
@@ -386,20 +419,10 @@ def suite_rational(seed=0):
                        "P(X + eps Y) - P(X) - eps Tr(Y grad P) = O(eps^2)",
                        2.0, 0.2, 2.0 + worst_dev))
 
-    dH_dL, _, _ = grad_hamiltonian(model, state, 0)
-    Ls = orbit_elements(model, state)
-    direction = [random_traceless(rng, 2, 0.7) for _ in Ls]
-
-    def H_of(eps):
-        st = PhaseState(orbit_mats=[L + eps * Y for L, Y in zip(Ls, direction)],
-                        t=state.t)
-        return hamiltonian(model, st, 0)
-
-    lin = sum(trace_pairing(Y, D) for Y, D in zip(direction, dH_dL))
-    errs = [abs(H_of(e) - H_of(0.0) - e * lin) for e in (1e-3, 1e-4, 1e-5)]
+    dirL = [random_traceless(rng, 2, 0.7) for _ in range(model.n_sites)]
     rows.append(_order("grad/rational_directional_order",
                        "directional derivative of H matches dH/dL at second order",
-                       2.0, 0.2, _fit_order(errs, ratio=10.0)))
+                       2.0, 0.2, _directional_order(model, state, dirL)))
     return rows
 
 
@@ -544,11 +567,7 @@ def suite_elliptic(seed=0):
 
     # involutivity: spin Calogero-Moser (N = 1) and two-site Gaudin
     for N, label in ((1, "calogero_moser"), (2, "two_site")):
-        worst = 0.0
-        for _ in range(25):
-            mdl, st = random_elliptic_ensemble(rng, 2, N, (2, 2))
-            br = abs(poisson_bracket(mdl, st, 0, 1))
-            worst = max(worst, br / _bracket_scale(mdl, st, 0, 1))
+        worst = _worst_bracket(random_elliptic_ensemble(rng, 2, N, (2, 2)) for _ in range(25))
         rows.append(_residual(f"elliptic/involutivity_{label}",
                               "{H_1, H_2} = 0 on orbits x cotangent torus",
                               1e-8, worst))
@@ -602,23 +621,13 @@ def suite_elliptic(seed=0):
                           1e-5, worst))
 
     # gradient convergence order for the full genus-1 chain rule
-    dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, 0)
-    Ls = orbit_elements(model, state)
-    dirL = [random_traceless(rng, 2, 0.5) for _ in Ls]
+    dirL = [random_traceless(rng, 2, 0.5) for _ in range(model.n_sites)]
     dirq = rng.standard_normal(1) + 1j * rng.standard_normal(1)
     dirp = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-
-    def H_of(eps):
-        st = PhaseState(orbit_mats=[L + eps * Y for L, Y in zip(Ls, dirL)],
-                        q=state.q + eps * dirq, p=state.p + eps * dirp, t=state.t)
-        return hamiltonian(model, st, 0)
-
-    lin = sum(trace_pairing(Y, D) for Y, D in zip(dirL, dH_dL)) \
-        + np.sum(dirq * dH_dq) + np.sum(dirp * dH_dp)
-    errs = [abs(H_of(e) - H_of(0.0) - e * lin) for e in (1e-3, 1e-4, 1e-5)]
     rows.append(_order("grad/elliptic_directional_order",
                        "directional derivative of H matches (dH/dL, dH/dq, dH/dp) "
-                       "at second order", 2.0, 0.2, _fit_order(errs, ratio=10.0)))
+                       "at second order", 2.0, 0.2,
+                       _directional_order(model, state, dirL, dirq, dirp)))
     return rows
 
 
@@ -648,40 +657,34 @@ def suite_univar(seed=0):
     rows = []
     sys2 = rotation_invariant_pair()
 
+    def moments(system, p, q, h, field=None):
+        """mu_a = -p X_a q at every sample of flow 1 over T = 1 by rk4"""
+        ps, qs, _ = integrate_toy(system, p, q, 0, 1.0, h, field=field)
+        return np.array([noether_moment(system, pk, qk) for pk, qk in zip(ps, qs)])
+
     # Noether conservation at integrator order
     p0 = np.array([0.7, -0.4])
     q0 = np.array([0.5, 0.9])
-
-    def mu_drift(h):
-        ps, qs, _ = integrate_toy(sys2, p0, q0, 0, 1.0, h)
-        mus = np.array([noether_moment(sys2, p, q) for p, q in zip(ps, qs)])
-        return float(np.max(np.abs(mus - mus[0])))
-
-    d1, d2 = mu_drift(0.02), mu_drift(0.01)
+    d1, d2 = (np.max(np.abs(mus - mus[0])) for mus in
+              (moments(sys2, p0, q0, 0.02), moments(sys2, p0, q0, 0.01)))
     rows.append(_residual("univar/noether_drift",
                           "mu_a = -p X_a q conserved along invariant flows",
                           1e-9, d2))
     rows.append(_order("univar/noether_order",
                        "Noether drift scales like h^4 under rk4", 4.0, 1.0,
-                       np.log2(d1 / max(d2, 1e-300))))
+                       _fit_order([d1, d2])))
 
     # gauged flow preserves the constraint surface mu = 0
     field = GaugeField(((lambda t: 0.35, ), (lambda t: -0.2, )))
     pc = np.array([0.4, 0.72])       # p parallel to q => mu = 0
     qc = np.array([0.5, 0.9])
-
-    def mu0_drift(h):
-        ps, qs, _ = integrate_toy(sys2, pc, qc, 0, 1.0, h, field=field)
-        mus = np.array([noether_moment(sys2, p, q) for p, q in zip(ps, qs)])
-        return float(np.max(np.abs(mus)))
-
-    d1, d2 = mu0_drift(0.02), mu0_drift(0.01)
+    d1, d2 = (np.max(np.abs(moments(sys2, pc, qc, h, field))) for h in (0.02, 0.01))
     rows.append(_residual("univar/constraint_preserved",
                           "gauged flow starting on mu = 0 stays on mu = 0",
                           1e-9, d2))
     rows.append(_order("univar/constraint_order",
                        "constraint drift scales like h^4 under rk4", 4.0, 1.0,
-                       np.log2(d1 / max(d2, 1e-300))))
+                       _fit_order([d1, d2])))
 
     # ungauged reduction and the pure-gauge linear orbit
     dq_g, dp_g = gauged_rhs(sys2, p0, q0, np.zeros(2), None)
@@ -728,10 +731,9 @@ def suite_univar(seed=0):
     bad = GaugeField(((lambda t: t[1], lambda t: 0.0, lambda t: 0.0),
                       (lambda t: 0.0, lambda t: t[0], lambda t: 0.0)))
     F = check_flatness(bad, np.array([1.0, 1.0]), eps3)
-    rows.append(CheckResult("univar/nonflat_detected",
-                            "generic non-commuting multiplier shows F != 0",
-                            1e-3, float(np.max(np.abs(F))),
-                            bool(np.max(np.abs(F)) > 1e-3)))
+    rows.append(_floor("univar/nonflat_detected",
+                       "generic non-commuting multiplier shows F != 0",
+                       1e-3, np.max(np.abs(F))))
 
     # closure reports
     cl = check_closure(sys2, p0, q0)
@@ -760,13 +762,11 @@ def suite_univar(seed=0):
                           1e-6, worst))
 
     # so(3) system sanity: moment conservation under its own flow
-    sys3 = so3_invariant_system()
-    ps, qs, _ = integrate_toy(sys3, np.array([0.2, -0.4, 0.6]),
-                              np.array([0.8, 0.1, -0.5]), 0, 1.0, 0.01)
-    mus = np.array([noether_moment(sys3, p, q) for p, q in zip(ps, qs)])
+    mus = moments(so3_invariant_system(), np.array([0.2, -0.4, 0.6]),
+                  np.array([0.8, 0.1, -0.5]), 0.01)
     rows.append(_residual("univar/so3_noether",
                           "all three so(3) charges conserved", 1e-9,
-                          float(np.max(np.abs(mus - mus[0])))))
+                          np.max(np.abs(mus - mus[0]))))
     return rows
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "zeta_eval",
     "lattice_distance",
     "in_centred_cell",
-    "quasi_periodicity_check",
     "kernel_table",
     "kernel_z_side",
     "kernel_at_known_z",
@@ -267,27 +266,6 @@ def sigma_eval(cache: EllipticCache, z):
 
 def zeta_eval(cache: EllipticCache, z):
     return weierstrass_eval(cache, z)[1]
-
-
-def quasi_periodicity_check(cache: EllipticCache, z, l: int) -> float:
-    """Residual of the sigma and zeta quasi-periodicity laws over 2*omega_l.
-
-    Returns the max, over both laws and every entry of the array z, of
-    |sigma(z + 2w_l) + sigma(z) e^{2 eta_l (z + w_l)}| / |sigma(z)| and
-    |zeta(z + 2w_l) - zeta(z) - 2 eta_l|, with 2*omega_1 = 1, 2*omega_2 = tau.
-    """
-    if l not in (1, 2):
-        raise ValueError("l must be 1 or 2")
-    z = np.asarray(z, dtype=complex)
-    period = 1.0 if l == 1 else cache.tau
-    eta = cache.eta1 if l == 1 else cache.eta2
-    s0 = sigma_eval(cache, z)
-    s1 = sigma_eval(cache, z + period)
-    rs = abs(s1 + s0 * np.exp(2.0 * eta * (z + period / 2.0))) / abs(s0)
-    z0 = zeta_eval(cache, z)
-    z1 = zeta_eval(cache, z + period)
-    rz = abs(z1 - z0 - 2.0 * eta)
-    return float(max(np.max(rs), np.max(rz)))
 
 
 class KernelTable(NamedTuple):

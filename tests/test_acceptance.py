@@ -222,3 +222,40 @@ def test_all_rows_green(results):
         failed += sum(not r.passed for r in rows)
     print(f"\nacceptance total: {total - failed}/{total} checks passed")
     assert failed == 0
+
+
+def test_every_row_follows_its_kinds_rule(results):
+    """A residual row has target 0 and passes at measured <= tolerance, a
+    floor row has target = tolerance and passes at measured >= tolerance,
+    and an order row passes within tolerance of its target."""
+    for rows, _, _, _ in results.values():
+        for r in rows:
+            if r.target == 0.0:
+                assert r.passed == (r.measured <= r.tolerance), r
+            elif r.target == r.tolerance:
+                assert r.passed == (r.measured >= r.tolerance), r
+            else:
+                assert r.passed == (abs(r.measured - r.target) <= r.tolerance), r
+
+
+def test_fit_order_of_two_residuals_is_the_log2_quotient():
+    rng = np.random.default_rng(11)
+    a, b = 10.0 ** rng.uniform(-15, 0, (2, 1000))
+    assert all(verify._fit_order([x, y]) == np.log2(x / y) for x, y in zip(a, b))
+    assert verify._fit_order([1e-6, 1e-9], ratio=10.0) == pytest.approx(3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("ratio", [2.0, 10.0])
+@pytest.mark.parametrize("n", [3, 5])
+def test_fit_order_of_more_residuals_is_the_least_squares_slope(ratio, n):
+    rng = np.random.default_rng(n)
+    res = 10.0 ** rng.uniform(-12, -2, n)
+    steps = 0.1 / ratio ** np.arange(n)
+    slope = np.polyfit(np.log(steps), np.log(res), 1)[0]
+    assert verify._fit_order(res, ratio) == pytest.approx(slope, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("res", [[0.0, 1e-3], [1e-3, 0.0], [0.0, 0.0], [1e-3, 0.0, 1e-5]])
+def test_fit_order_clamps_a_zero_residual(res):
+    assert np.isfinite(verify._fit_order(res))

@@ -162,6 +162,16 @@ class TestExponential:
         with pytest.raises(ValueError):
             matrix_exponential(X)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_overflow_in_the_squarings(self, stacked):
+        # finite entries and 1-norm, but exp(800) is beyond double precision
+        X = np.diag([800.0, -800.0])
+        if stacked:
+            X = np.stack([np.diag([2.0, -2.0]), X, np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="overflows"):
+            matrix_exponential(X)
+
 
 def _expm_single(X):
     """The one-matrix Pade-13 scaling and squaring, written without stacks."""
