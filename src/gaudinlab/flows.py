@@ -120,12 +120,18 @@ class FlowCurve:
 
 @dataclass
 class Trajectory:
+    """One evolve's samples.  In lockstep every array carries a member axis
+    after the sample (or step) axis, h holds each member's step and
+    segment_ids one list per member; a member whose plan has fewer steps
+    than the longest holds its end: its later states and times repeat its
+    last ones, and its later axes are -1."""
+
     model: GaudinModel
     states: list                # PhaseState per sample; its t is a row of times
     segment_ids: list           # which curve segment produced each sample
     times: np.ndarray           # (K, n) multi-time of every sample, from the plan
     axes: np.ndarray            # (K - 1,) flow index of every step
-    h: float
+    h: float                    # the step size, or in lockstep one per member
     method: str
     projection_used: bool = False
     # (model, z_samples, _Observables) of the last _observables call
@@ -137,15 +143,33 @@ class Trajectory:
         return self.times.ndim == 3
 
     def member(self, b: int) -> "Trajectory":
-        """The trajectory of curve b of a lockstep evolve: views of its
-        slice of every state, of the times and of the axes."""
+        """The trajectory of member b of a lockstep evolve, equal bit for bit
+        to evolving curve b alone at its own step: views of its slice of
+        the states, times and axes up to its own last sample."""
         if not self.lockstep:
             raise ConfigError("only a lockstep trajectory has members")
-        states = [PhaseState(**{k: None if v is None else v[b] for k, v in vars(s).items()})
-                  for s in self.states]
-        return Trajectory(model=self.model, states=states, segment_ids=self.segment_ids,
-                          times=self.times[:, b], axes=self.axes[:, b], h=self.h,
+        K = len(self.segment_ids[b])
+        return Trajectory(model=self.model, states=[_member(s, b) for s in self.states[:K]],
+                          segment_ids=self.segment_ids[b], times=self.times[:K, b],
+                          axes=self.axes[:K - 1, b], h=float(self.h[b]),
                           method=self.method, projection_used=self.projection_used)
+
+
+def _member(state, b):
+    """Member (or index array of members) b of a state with a member axis."""
+    return PhaseState(**{k: None if v is None else v[b] for k, v in vars(state).items()})
+
+
+def _stack(*states):
+    """One state whose member axis holds the given states, in order."""
+    return PhaseState(**{k: None if v is None else np.stack([vars(s)[k] for s in states])
+                         for k, v in vars(states[0]).items()})
+
+
+def _held(rows, n, fill=None):
+    """rows lengthened to n rows by repeating its last row, or by fill."""
+    pad = rows[-1:] if fill is None else np.full((1,) + rows.shape[1:], fill, rows.dtype)
+    return np.concatenate((rows, np.repeat(pad, n - len(rows), axis=0)))
 
 
 @dataclass
@@ -255,18 +279,22 @@ def _guard(model, state, t_scalar, margin):
 
 def evolve(model, state, curve, h, method="rk4",
            project_residue_sum=False, resonance_margin_min=1e-3) -> Trajectory:
-    """Integrate along an axis-aligned curve by its plan at step h.
+    """Integrate along an axis-aligned curve by its plan at step h, which
+    must be finite and positive (else ConfigError, before any plan).
 
-    curve may also be a sequence of curves whose plans have the same step
-    counts (axes, directions and lengths may differ).  They are evolved in
-    lockstep from the one start with the one h: each time step is one
-    `step` on a state whose arrays carry a leading member axis, so the
-    returned states carry it too, and `Trajectory.member(b)` is curve b's
-    trajectory, equal bit for bit to evolving curve b alone.  A numerical
-    abort in any member aborts the call; its last_good_time is the arc
-    length along curve 0 of the last state that was finite and (genus 1)
-    kept rho(Q) resonance_margin_min from the lattice, or of a failed step's
-    start.
+    curve may also be a sequence of curves, and h one step or a sequence
+    of one step per curve: the member axis holds curves x step sizes, and
+    the plans may differ in everything, step counts included.  The members
+    are evolved in lockstep from the one start: each time step is one
+    `step` on a state whose arrays carry a leading member axis, taken by
+    every member that has steps left, while a finished member holds its
+    last state.  The returned states carry the member axis too, and
+    `Trajectory.member(b)` is member b's trajectory, equal bit for bit to
+    evolve(model, state, curve[b], h[b]).  A numerical abort in any member
+    aborts the call; its last_good_time is the arc length along curve 0 of
+    its last state that was finite and (genus 1) kept rho(Q)
+    resonance_margin_min from the lattice, or of a failed step's start
+    (curve 0's length once curve 0 has no steps left).
 
     Every trajectory starts on its curve, at its first waypoint.  A state
     may carry no time t; one whose t is not that waypoint (in lockstep, the
@@ -279,26 +307,33 @@ def evolve(model, state, curve, h, method="rk4",
     order.  Default is to monitor the constraint rather than enforce it.
     Asking for it with the conjugation stepper is a ConfigError.
     """
-    if h <= 0:
-        raise ConfigError(f"step size must be positive, got {h}")
     if method not in STEPPERS:
         raise ConfigError(f"unknown stepper {method!r}; choose from {STEPPERS}")
     lockstep = not isinstance(curve, FlowCurve)
     curves = list(curve) if lockstep else [curve]
     if not curves:
         raise ConfigError("a lockstep evolve needs at least one curve")
+    hs = np.array(h, dtype=float)
+    if hs.ndim > (1 if lockstep else 0) or hs.size not in (1, len(curves)):
+        raise ConfigError(f"give one step size or one per curve, got {h}")
+    if not (np.isfinite(hs) & (hs > 0)).all():
+        raise ConfigError(f"step size must be finite and positive, got {h}")
+    hs = np.broadcast_to(hs, len(curves))
     for c in curves:
         if c.n_times != model.n_hams:
             raise ConfigError(
                 f"curve lives in R^{c.n_times} but the model has {model.n_hams} flows")
-    plans = [c.plan(h) for c in curves]
+    plans = [c.plan(float(hb)) for c, hb in zip(curves, hs)]
     times, seg_ids, axes, dts = plans[0]
-    if any(p[1] != seg_ids for p in plans[1:]):
-        counts = [np.bincount(p[1][1:]).tolist() for p in plans]
-        raise ConfigError(f"lockstep curves need the same step counts, got {counts}")
+    counts = np.array([len(p[2]) for p in plans])
     if lockstep:
-        # the member axis follows the sample (or step) axis
-        times, axes, dts = (np.stack([p[x] for p in plans], axis=1) for x in (0, 2, 3))
+        # the member axis follows the sample (or step) axis; a member with
+        # no steps left holds its last time and takes no step
+        K = counts.max()
+        times = np.stack([_held(p[0], K + 1) for p in plans], axis=1)
+        axes = np.stack([_held(p[2], K, -1) for p in plans], axis=1)
+        dts = np.stack([_held(p[3], K, 0.0) for p in plans], axis=1)
+        seg_ids = [p[1] for p in plans]
     if state.t is not None:
         t = np.asarray(state.t, dtype=float)
         for b, start in enumerate(times[0].reshape(-1, model.n_hams)):
@@ -316,32 +351,45 @@ def evolve(model, state, curve, h, method="rk4",
         cur = PhaseState(orbit_mats=orbit_elements(model, cur), q=cur.q,
                          p=cur.p, t=cur.t)
     if lockstep:
-        cur = PhaseState(**{k: None if v is None else np.stack([v] * len(curves))
-                            for k, v in vars(cur).items()})
+        cur = _stack(*[cur] * len(curves))
     cur.t = times[0]
     # an abort reports the arc length walked along curve 0 to the last good state
-    lengths = np.abs(plans[0][3]).tolist()
+    lengths = np.abs(plans[0][3]).tolist() + [0.0] * (len(axes) - counts[0])
     arclen = 0.0
     _guard(model, cur, arclen, resonance_margin_min)
     states = [cur]
+    shortest = counts.min()
     for k in range(len(axes)):
+        # every member moves while all have steps left; after that only
+        # those that do, and the others keep their last state
+        live = None if k < shortest else np.flatnonzero(counts > k)
+        part, ax, dt = ((cur, axes[k], dts[k]) if live is None
+                        else (_member(cur, live), axes[k, live], dts[k, live]))
         try:
-            cur = step(model, cur, axes[k], dts[k], method)
+            new = step(model, part, ax, dt, method)
         except ConfigError:
             raise
         except ValueError as exc:
             # a stage hit a pole or a resonance, went non-finite, or met
             # a singular matrix (LinAlgError is a ValueError)
             raise NumericalAbort(f"step failed: {exc}", arclen) from exc
-        if project_residue_sum:     # cur is new, so it may be changed
-            cur.orbit_mats -= np.sum(cur.orbit_mats, axis=-3, keepdims=True) / model.n_sites
-        _guard(model, cur, arclen, resonance_margin_min)
+        if project_residue_sum:     # new is new, so it may be changed
+            new.orbit_mats -= np.sum(new.orbit_mats, axis=-3, keepdims=True) / model.n_sites
+        _guard(model, new, arclen, resonance_margin_min)
+        if live is not None:
+            held = cur.copy()
+            for key, v in vars(new).items():
+                if v is not None:
+                    vars(held)[key][live] = v
+            new = held
         # a step builds a new state and never writes into the old one
-        cur.t = times[k + 1]
+        new.t = times[k + 1]
         arclen += lengths[k]
+        cur = new
         states.append(cur)
     return Trajectory(model=model, states=states, segment_ids=seg_ids, times=times, axes=axes,
-                      h=float(h), method=method, projection_used=bool(project_residue_sum))
+                      h=np.array(hs) if lockstep else float(hs[0]), method=method,
+                      projection_used=bool(project_residue_sum))
 
 
 def action_along_curve(model, traj: Trajectory) -> complex:
@@ -375,9 +423,14 @@ def poisson_bracket(model, state, i, j) -> complex:
     The orientation is pinned by the contract {H, f} = df/dt along the flow
     of H, which the tests verify against the integrator.
     """
-    Ai, qi, pi = grad_hamiltonian(model, state, i)
-    Aj, qj, pj = grad_hamiltonian(model, state, j)
-    Ls = orbit_elements(model, state)
+    return _bracket(orbit_elements(model, state), grad_hamiltonian(model, state, i),
+                    grad_hamiltonian(model, state, j))
+
+
+def _bracket(Ls, grad_i, grad_j) -> complex:
+    """{H_i, H_j} from the residues and the partials (dH_dL, dH_dq, dH_dp)
+    of H_i and of H_j."""
+    (Ai, qi, pi), (Aj, qj, pj) = grad_i, grad_j
     orb = sum(np.trace(L @ (A @ B - B @ A)) for L, A, B in zip(Ls, Ai, Aj))
     canon = np.sum(pi * qj - qi * pj) if len(qi) else 0j
     return complex(orb + canon)
@@ -398,13 +451,13 @@ def plaquette_residual(model, state, i, j, h, z_samples, method="rk4") -> float:
     """
     if len(z_samples) == 0:
         return 0.0
-    after_i = step(model, state, i, h, method)
-    after_j = step(model, state, j, h, method)
-    # M_i, M_j at the corner, M_j after the i step and M_i after the j step:
-    # one gradient per (state, flow) and one exponential for all of them
-    E = matrix_exponential(h * np.array([
-        m_matrix(model, s, k, z_samples)
-        for s, k in ((state, i), (state, j), (after_i, j), (after_j, i))]))
+    # both corner steps as one lockstep step: members (after_i, after_j)
+    after = step(model, _stack(state, state), np.array([i, j]), np.array([h, h]), method)
+    # M_i at the corner and after the j step, M_j at the corner and after
+    # the i step: one m_matrix call per flow and one exponential for all
+    Mi = m_matrix(model, _stack(state, _member(after, 1)), i, z_samples)
+    Mj = m_matrix(model, _stack(state, _member(after, 0)), j, z_samples)
+    E = matrix_exponential(h * np.array([Mi[0], Mj[0], Mj[1], Mi[1]]))
     worst = 0.0
     for gap in E[2] @ E[0] - E[3] @ E[1]:      # U_ij - U_ji per z sample
         if model.genus == 1:
@@ -487,10 +540,16 @@ def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
     ham_drift = np.max(np.abs(obs.H - obs.H[0]), axis=0)
     iso_drift = np.max(np.abs(obs.charpoly - obs.charpoly[0]), initial=0.0)
 
+    # every charge's partials from one gradient call over n copies of the
+    # first state; genus 0's empty dH/dq and dH/dp stand for every flow
+    dL, dq, dp = grad_hamiltonian(model, _stack(*[states[0]] * n), np.arange(n))
+    dq, dp = (np.broadcast_to(x, (n, x.shape[-1])) for x in (dq, dp))
+    Ls = orbit_elements(model, states[0])
     closure = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            closure[i, j] = closure[j, i] = abs(poisson_bracket(model, states[0], i, j))
+            closure[i, j] = closure[j, i] = abs(_bracket(Ls, (dL[i], dq[i], dp[i]),
+                                                         (dL[j], dq[j], dp[j])))
 
     zc = 0.0
     if not traj.projection_used:

@@ -109,6 +109,9 @@ SEPARATION_TOL = 1e-8
 # entry that a config may give; far past it the products and norms of the
 # model and the state overflow double precision.
 MAX_ENTRY = 1e6
+# Draws a random ensemble spends on one point before it gives up: far more
+# than the suites' ensembles take, and a second's work when points do not fit
+SCATTER_DRAWS = 10_000
 # The keys of a config's model and Hamiltonian objects and of an explicit
 # initial_state
 MODEL_KEYS = ("genus", "m", "tau", "marked_points", "orbit_seeds", "hamiltonians")
@@ -606,12 +609,19 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
 def _scatter(rng, n, half, height, apart, avoid=(), origin=0.0):
     """n points x + i y height, x and y uniform in (-half, half), each drawn
     again until it lies farther than origin from 0 and farther than apart
-    from every point of avoid and every point drawn before it."""
+    from every point of avoid and every point drawn before it.  A point
+    not placed in SCATTER_DRAWS draws is a ConfigError: the points do not
+    fit."""
     pts = []
     while len(pts) < n:
-        c = complex(rng.uniform(-half, half), rng.uniform(-half, half) * height)
-        if abs(c) > origin and all(abs(c - p) > apart for p in (*avoid, *pts)):
-            pts.append(c)
+        for _ in range(SCATTER_DRAWS):
+            c = complex(rng.uniform(-half, half), rng.uniform(-half, half) * height)
+            if abs(c) > origin and all(abs(c - p) > apart for p in (*avoid, *pts)):
+                pts.append(c)
+                break
+        else:
+            raise ConfigError(f"could not place point {len(pts)} of {n} at least {apart} "
+                              f"from the others in {SCATTER_DRAWS} draws")
     return pts
 
 

@@ -119,10 +119,13 @@ def _five_point(f, x):
     return (f2 - 8.0 * f1 + 8.0 * g1 - g2) / (12.0 * h)
 
 
-def _closure_square(model, state, T, h, method="rk4"):
-    """Flow 1 then flow 2, and flow 2 then flow 1, for times T in lockstep."""
-    return evolve(model, state, [FlowCurve([[0.0, 0.0], [T, 0.0], [T, T]]),
-                                 FlowCurve([[0.0, 0.0], [0.0, T], [T, T]])], h, method=method)
+def _closure_squares(model, state, T, hs, method="rk4"):
+    """Flow 1 then flow 2, and flow 2 then flow 1, for times T at each step
+    of the ladder hs, in one lockstep evolve: members 2k and 2k + 1 are
+    the two orderings at hs[k]."""
+    orders = [FlowCurve([[0.0, 0.0], [T, 0.0], [T, T]]),
+              FlowCurve([[0.0, 0.0], [0.0, T], [T, T]])]
+    return evolve(model, state, orders * len(hs), np.repeat(hs, 2), method=method)
 
 
 def _norms(stack):
@@ -587,13 +590,11 @@ def suite_elliptic(seed=0):
     # the cotangent pair and the spectral invariants of L(z).
     zs_comm = rand_cell_z(model, 3)
 
-    def comm_gap(h):
-        end = _closure_square(model, state, 0.1, h).states[-1]
-        gap = max(np.max(np.abs(end.q[0] - end.q[1])), np.max(np.abs(end.p[0] - end.p[1])))
-        polyAB, polyBA = charpoly(lax_matrix(model, end, zs_comm))
-        return max(gap, np.max(np.abs(polyAB - polyBA)))
-
-    gaps = [comm_gap(h) for h in (0.008, 0.004, 0.002)]
+    end = _closure_squares(model, state, 0.1, (0.008, 0.004, 0.002)).states[-1]
+    polys = charpoly(lax_matrix(model, end, zs_comm))
+    gaps = [max(np.max(np.abs(end.q[a] - end.q[a + 1])), np.max(np.abs(end.p[a] - end.p[a + 1])),
+                np.max(np.abs(polys[a] - polys[a + 1])))
+            for a in (0, 2, 4)]
     rows.append(_order("elliptic/commutativity_order",
                        "flow_i o flow_j - flow_j o flow_i vanishes at the "
                        "integrator order on gauge-invariant data", 4.0, 1.2,
@@ -607,13 +608,16 @@ def suite_elliptic(seed=0):
     dt = 1e-3
     zs = rand_cell_z(model, 3)
     L0 = lax_matrix(model, state, zs)
-    for i in range(model.n_hams):
-        def L_at(t_shift):
-            curve = FlowCurve([[0.0, 0.0], t_shift * np.eye(2)[i]])
-            traj = evolve(model, state, curve, abs(t_shift) / 2.0)
-            return lax_matrix(model, traj.states[-1], zs)
-
-        dL = (8 * (L_at(dt) - L_at(-dt)) - (L_at(2 * dt) - L_at(-2 * dt))) / (12 * dt)
+    # two steps to each shifted time, every (flow, shift) a lockstep member
+    shifts = (dt, -dt, 2 * dt, -2 * dt)
+    axes = np.eye(model.n_hams)
+    ends = evolve(model, state,
+                  [FlowCurve([[0.0, 0.0], s * axis]) for axis in axes for s in shifts],
+                  [abs(s) / 2.0 for _ in axes for s in shifts]).states[-1]
+    shifted = lax_matrix(model, ends, zs).reshape(model.n_hams, len(shifts), len(zs),
+                                                  model.m, model.m)
+    for i, (L_p1, L_m1, L_p2, L_m2) in enumerate(shifted):
+        dL = (8 * (L_p1 - L_m1) - (L_p2 - L_m2)) / (12 * dt)
         M = m_matrix(model, state, i, zs)
         worst = max(worst, _norms(dL - (M @ L0 - L0 @ M)).max())
     rows.append(_residual("elliptic/lax_residual",
@@ -778,10 +782,10 @@ def suite_multiform(seed=0):
     rng = np.random.default_rng(seed + 4)
     rows = []
 
-    def gap(model, state, h, T, method="rk4"):
-        both = _closure_square(model, state, T, h, method)
-        a, b = (action_along_curve(model, both.member(k)) for k in (0, 1))
-        return abs(a - b)
+    def path_gaps(model, state, hs, T, method="rk4"):
+        squares = _closure_squares(model, state, T, hs, method)
+        a = [action_along_curve(model, squares.member(b)) for b in range(2 * len(hs))]
+        return [abs(x - y) for x, y in zip(a[::2], a[1::2])]
 
     # rational + rk4: the discrete path gap sits at roundoff already (the two
     # trajectories agree to integrator order, so the quadrature errors cancel)
@@ -789,11 +793,10 @@ def suite_multiform(seed=0):
     rows.append(_residual("multiform/rational_path_independence",
                           "on-shell action depends on the curve only through "
                           "its endpoints", 1e-7,
-                          gap(model, state, 0.01, 0.5)))
+                          path_gaps(model, state, [0.01], 0.5)[0]))
     # with the second-order stepper the trajectories differ measurably and the
     # gap must close at least at the quadrature order h^2
-    gaps = [gap(model, state, h, 0.5, method="conjugation")
-            for h in (0.02, 0.01, 0.005)]
+    gaps = path_gaps(model, state, (0.02, 0.01, 0.005), 0.5, method="conjugation")
     rows.append(_floor("multiform/rational_gap_order",
                        "path gap closes at least at the quadrature order h^2",
                        1.5, _fit_order(gaps)))
@@ -801,7 +804,7 @@ def suite_multiform(seed=0):
     # elliptic (spin Calogero-Moser, N = 1): trajectories differ by the
     # residual gauge motion, the actions agree up to clean h^2 quadrature
     emodel, estate = random_elliptic_ensemble(rng, 2, 1, (2, 2))
-    gaps = [gap(emodel, estate, h, 0.2) for h in (0.01, 0.005, 0.0025)]
+    gaps = path_gaps(emodel, estate, (0.01, 0.005, 0.0025), 0.2)
     rows.append(_residual("multiform/elliptic_path_independence",
                           "spin Calogero-Moser action is curve-independent "
                           "between fixed endpoints", 1e-4, gaps[-1]))

@@ -37,7 +37,7 @@ def _recording(evolve, calls):
     """evolve that also logs each curve it evolves as (start, curve): the
     start is every other argument, the model and the state by value, as one
     JSON string.  A lockstep call logs each of its curves with the shared
-    start."""
+    start and that curve's own step size."""
     signature = inspect.signature(evolve)
 
     def recorded(*args, **kwargs):
@@ -47,9 +47,10 @@ def _recording(evolve, calls):
         curve = start.pop("curve")
         start["model"] = model_to_dict(start["model"])
         start["state"] = state_to_dict(start["state"])
-        start = json.dumps(start, sort_keys=True)
         curves = [curve] if isinstance(curve, FlowCurve) else list(curve)
-        calls.extend((start, c) for c in curves)
+        steps = np.broadcast_to(start.pop("h"), len(curves))
+        calls.extend((json.dumps({**start, "h": float(h)}, sort_keys=True), c)
+                     for c, h in zip(curves, steps))
         return evolve(*args, **kwargs)
     return recorded
 

@@ -412,8 +412,8 @@ class TestSimulateDeterminism:
 
 class TestVerify:
     def test_deterministic_reports(self, tmp_path):
-        # multiform evolves its curve pairs in lockstep
-        for suite in ("weierstrass", "multiform"):
+        # multiform and elliptic evolve their step-size ladders in lockstep
+        for suite in ("weierstrass", "multiform", "elliptic"):
             d1, d2 = tmp_path / suite / "a", tmp_path / suite / "b"
             assert main(["verify", suite, "--seed", "7", "--out", str(d1)]) == 0
             assert main(["verify", suite, "--seed", "7", "--out", str(d2)]) == 0

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import warnings
 
@@ -403,6 +404,34 @@ def lockstep_curves(T):
             FlowCurve([[0.0, 0.0], [0.0, -T], [T, -T]])]
 
 
+def assert_members_equal_single_calls(model, state, curves, h, method="rk4"):
+    """Each member of the lockstep evolve of curves at h (one step or one
+    per curve) equals its single call bit for bit, and a member that ran
+    out of steps holds its end state to the last sample."""
+    both = evolve(model, state, curves, h, method=method)
+    hs = np.broadcast_to(h, len(curves))
+    assert both.lockstep and both.states[-1].mats.shape[0] == len(curves)
+    for b, curve in enumerate(curves):
+        alone = evolve(model, state, curve, hs[b], method=method)
+        member = both.member(b)
+        assert member.h == alone.h
+        assert member.segment_ids == alone.segment_ids
+        assert len(member.states) == len(alone.states)
+        np.testing.assert_array_equal(member.times, alone.times)
+        np.testing.assert_array_equal(member.axes, alone.axes)
+        for s, ref in zip(member.states, alone.states):
+            for key in ("phis", "q", "p", "t"):
+                got, want = getattr(s, key), getattr(ref, key)
+                assert (got is None and want is None) or np.array_equal(got, want)
+        K = len(alone.states)
+        assert (both.axes[K - 1:, b] == -1).all()
+        for s in both.states[K:]:
+            for key in ("phis", "q", "p", "t"):
+                got, want = getattr(s, key), getattr(alone.states[-1], key)
+                assert (got is None and want is None) or np.array_equal(got[b], want)
+        assert action_along_curve(model, member) == action_along_curve(model, alone)
+
+
 class TestLockstep:
     @pytest.mark.parametrize("genus, method, degrees", [
         (0, "rk4", (2, 2)), (0, "conjugation", (2, 3)), (1, "rk4", (2, 3))])
@@ -417,31 +446,33 @@ class TestLockstep:
         state = PhaseState(phis=state.phis, q=state.q, p=state.p)
         for curves in (lockstep_curves(0.02),
                        [FlowCurve([[0, 0], [0.02, 0]]), FlowCurve([[0, 0.1], [0, 0.12]])]):
-            both = evolve(model, state, curves, 0.005, method=method)
-            assert both.lockstep and both.states[-1].mats.shape[0] == len(curves)
-            for b, curve in enumerate(curves):
-                alone = evolve(model, state, curve, 0.005, method=method)
-                member = both.member(b)
-                assert member.segment_ids == alone.segment_ids
-                assert len(member.states) == len(alone.states)
-                np.testing.assert_array_equal(member.times, alone.times)
-                np.testing.assert_array_equal(member.axes, alone.axes)
-                for s, ref in zip(member.states, alone.states):
-                    for key in ("phis", "q", "p", "t"):
-                        got, want = getattr(s, key), getattr(ref, key)
-                        assert (got is None and want is None) or np.array_equal(got, want)
-                assert action_along_curve(model, member) == action_along_curve(model, alone)
+            assert_members_equal_single_calls(model, state, curves, 0.005, method)
+        # a step-size ladder of both orderings: 4, 8 and 16 steps per member
+        ladder = (0.01, 0.005, 0.0025)
+        assert_members_equal_single_calls(model, state, lockstep_curves(0.02)[:2] * 3,
+                                          np.repeat(ladder, 2), method)
 
     @pytest.mark.parametrize("waypoints", [
         [[0.0, 0.0], [0.02, 0.0]],
         [[0.0, 0.0], [0.0, 0.01], [0.01, 0.01]]])
-    def test_different_step_counts_take_no_step(self, rational, monkeypatch, waypoints):
-        # 2 steps against 4, and 1 segment against 2
+    def test_different_step_counts_equal_single_calls(self, rational, waypoints):
+        # 2 steps against 4, and 1 segment against 2, at one h
         model, state = rational
-        monkeypatch.setattr(flows, "grad_hamiltonian", None)   # any step fails
-        with pytest.raises(ConfigError, match="same step counts"):
-            evolve(model, state, [FlowCurve([[0.0, 0.0], [0.01, 0.0]]),
-                                  FlowCurve(waypoints)], 0.005)
+        assert_members_equal_single_calls(
+            model, state, [FlowCurve([[0.0, 0.0], [0.01, 0.0]]), FlowCurve(waypoints)], 0.005)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -0.01, [0.01, np.nan], [0.01, -0.01],
+                                   [0.01, 0.01, 0.01]])
+    def test_every_step_must_be_finite_and_positive(self, rational, monkeypatch, h):
+        # checked before any plan is built, for one curve and for each member
+        model, state = rational
+        monkeypatch.setattr(FlowCurve, "plan", None)
+        curve = FlowCurve([[0.0, 0.0], [0.02, 0.0]])
+        with pytest.raises(ConfigError, match="step size"):
+            evolve(model, state, [curve, curve], h)
+        if np.ndim(h) == 0:
+            with pytest.raises(ConfigError, match="step size"):
+                evolve(model, state, curve, h)
 
     def test_an_abort_in_one_member_aborts_the_call(self, rng):
         # the state of test_resonance_abort: the flow of H_1 drives rho(Q)
@@ -454,6 +485,25 @@ class TestLockstep:
         with pytest.raises(NumericalAbort) as info:
             evolve(model, state, curves, 0.01, resonance_margin_min=0.12)
         assert 0.0 <= info.value.last_good_time < 2.0
+
+    @pytest.mark.parametrize("aborting, safe", [
+        # 100 steps that abort after 53, beside 500 safe ones
+        ((2.0, 0.02), (-2.0, 0.004)),
+        # 200 steps that abort after 66, when the 20 safe ones are done
+        ((2.0, 0.01), (-0.2, 0.01))], ids=["short", "long"])
+    def test_an_abort_reports_as_its_single_call(self, rng, aborting, safe):
+        # the aborting member is curve 0, so the call reports its arc length
+        model, state = random_elliptic_ensemble(rng, 2, 1, (2, 2))
+        state = PhaseState(phis=state.phis, q=np.array([0.125 + 0.0j]),
+                           p=np.array([-0.6 + 0.0j]), t=state.t)
+        curves = [FlowCurve([[0.0, 0.0], [T, 0.0]]) for T, _ in (aborting, safe)]
+        evolve(model, state, curves[1], safe[1], resonance_margin_min=0.12)
+        with pytest.raises(NumericalAbort) as alone:
+            evolve(model, state, curves[0], aborting[1], resonance_margin_min=0.12)
+        with pytest.raises(NumericalAbort) as both:
+            evolve(model, state, curves, [aborting[1], safe[1]], resonance_margin_min=0.12)
+        assert both.value.last_good_time == alone.value.last_good_time
+        assert both.value.reason == alone.value.reason
 
     def test_members_are_read_one_at_a_time(self, rational):
         model, state = rational
@@ -633,6 +683,36 @@ class TestDiagnostics:
         r2 = plaquette_residual(model, state, 0, 1, 0.01, zs)
         assert r2 < r1
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_lockstep_passes_keep_the_bits(self, rng, genus):
+        # the closure matrix takes every gradient from one call over stacked
+        # copies of the first state, and a plaquette steps both corners in
+        # lockstep and forms M_i and M_j over stacked corners: both equal
+        # the per-state route bit for bit
+        from gaudinlab.liealg import matrix_exponential
+        from gaudinlab.models import m_matrix
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3, 2))
+            zs, h = [2.2 + 1.4j, -1.9 + 0.7j], 0.01
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3))
+            zs, h = [0.11 + 0.31j, -0.33 + 0.17j], 0.002
+        rep = diagnostics(model, evolve(model, state, FlowCurve([[0.0] * model.n_hams]), h), zs)
+        for i, j in itertools.combinations(range(model.n_hams), 2):
+            bracket = abs(poisson_bracket(model, state, i, j))
+            assert rep.closure_values[i, j] == rep.closure_values[j, i] == bracket
+        for i, j in ((0, 1), (1, 0)):
+            after_i, after_j = step(model, state, i, h), step(model, state, j, h)
+            E = matrix_exponential(h * np.array([
+                m_matrix(model, s, k, zs)
+                for s, k in ((state, i), (state, j), (after_i, j), (after_j, i))]))
+            worst = 0.0
+            for gap in E[2] @ E[0] - E[3] @ E[1]:
+                if genus == 1:
+                    gap = gap - np.diag(np.diag(gap))
+                worst = max(worst, np.linalg.norm(gap) / h ** 2)
+            assert plaquette_residual(model, state, i, j, h, zs) == worst
+
     def test_elliptic_plaquette_extrapolates_to_zero(self, rng):
         # after projecting out the residual diagonal gauge direction, the
         # torus plaquette defect is pure O(h): the extrapolated curvature
@@ -670,21 +750,20 @@ class TestObservables:
                 counts[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(module, name, counted)
-        # leave the closure brackets out of the count
-        monkeypatch.setattr(flows, "poisson_bracket", lambda *args: 0j)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, model, traj, zs, seed=1)
         # genus 1: one kernel table (one z side) per chunk, over every state
-        # at the n Hamiltonian points and the z samples; the plaquettes of
-        # the diagnostics are not counted
-        tables = counts["kernel_z_side"]
-        rep = diagnostics(model, traj, zs)
+        # at the n Hamiltonian points and the z samples
         K, n = len(traj.states), model.n_hams
         chunks = -(-K // flows._CHUNK)
-        assert tables == (chunks if kind == "genus1" else 0)
+        assert counts == {"hamiltonian": 0, "orbit_elements": chunks, "lax_matrix": chunks,
+                          "kernel_z_side": chunks if kind == "genus1" else 0}
+        # the diagnostics read the table; their closure matrix adds one
+        # residue pass and their plaquettes no call counted here
+        counts.update(dict.fromkeys(counts, 0))
+        rep = diagnostics(model, traj, zs)
         del counts["kernel_z_side"]
-        assert counts == {"hamiltonian": 0, "orbit_elements": chunks,
-                          "lax_matrix": chunks}
+        assert counts == {"hamiltonian": 0, "orbit_elements": 1, "lax_matrix": 0}
 
         with open(path) as fh:
             assert fh.readline() == "# seed=1\n"

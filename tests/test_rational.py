@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,14 @@ class TestValidation:
     def test_bad_genus(self):
         with pytest.raises(ConfigError):
             make_gaudin_model(2, 2, [0.0], [np.zeros((2, 2))], [2.0], [2])
+
+    def test_points_that_do_not_fit_are_a_config_error(self):
+        # 150 marked points 0.3 apart do not fit in the 3 x 3 square: the
+        # draws give up within a second instead of running forever
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="could not place point"):
+            random_rational_ensemble(np.random.default_rng(0), 2, 150, (2,))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSerialization:
