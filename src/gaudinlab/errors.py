@@ -25,9 +25,12 @@ class ResonanceError(PoleError):
 class NumericalAbort(GaudinLabError, RuntimeError):
     """A flow ran into a pole during integration.  Carries the last time at
     which the state was still valid: the arc length of the last state that
-    passed the finiteness and resonance guard, or of a failed step's start."""
+    passed the finiteness and resonance guard, or of a failed step's start.
+    In a lockstep evolve, member is the index of the member that failed
+    (its curve's arc length is the one reported); otherwise None."""
 
-    def __init__(self, reason, last_good_time):
+    def __init__(self, reason, last_good_time, member=None):
         super().__init__(reason)
         self.reason = reason
         self.last_good_time = last_good_time
+        self.member = member

@@ -37,6 +37,9 @@ from .liealg import charpoly, matrix_exponential
 from .models import (
     GaudinModel,
     PhaseState,
+    _charge_partials,
+    _member,
+    _stack,
     grad_hamiltonian,
     # unused; perfbench/tests expects flows to bind it
     hamiltonian,  # noqa: F401
@@ -155,17 +158,6 @@ class Trajectory:
                           method=self.method, projection_used=self.projection_used)
 
 
-def _member(state, b):
-    """Member (or index array of members) b of a state with a member axis."""
-    return PhaseState(**{k: None if v is None else v[b] for k, v in vars(state).items()})
-
-
-def _stack(*states):
-    """One state whose member axis holds the given states, in order."""
-    return PhaseState(**{k: None if v is None else np.stack([vars(s)[k] for s in states])
-                         for k, v in vars(states[0]).items()})
-
-
 def _held(rows, n, fill=None):
     """rows lengthened to n rows by repeating its last row, or by fill."""
     pad = rows[-1:] if fill is None else np.full((1,) + rows.shape[1:], fill, rows.dtype)
@@ -266,15 +258,16 @@ def step(model, state, i, h, method="rk4"):
     raise ConfigError(f"unknown stepper {method!r}; choose from {STEPPERS}")
 
 
-def _guard(model, state, t_scalar, margin):
-    # finiteness first: the resonance margin of a non-finite q is undefined;
-    # on a lockstep state both checks cover every member
+def _guard(model, state, margin):
+    """Why the state fails the per-step guard, or None.  Finiteness first:
+    the resonance margin of a non-finite q is undefined.  On a lockstep
+    state both checks cover every member."""
     if not all(np.isfinite(x).all() for x in (state.mats, state.q, state.p)
                if x is not None):
-        raise NumericalAbort("state left the finite regime", t_scalar)
+        return "state left the finite regime"
     if model.genus == 1 and resonance_margin(model, state) < margin:
-        raise NumericalAbort(
-            "rho(Q) approached a lattice point (root resonance)", t_scalar)
+        return "rho(Q) approached a lattice point (root resonance)"
+    return None
 
 
 def evolve(model, state, curve, h, method="rk4",
@@ -291,10 +284,12 @@ def evolve(model, state, curve, h, method="rk4",
     last state.  The returned states carry the member axis too, and
     `Trajectory.member(b)` is member b's trajectory, equal bit for bit to
     evolve(model, state, curve[b], h[b]).  A numerical abort in any member
-    aborts the call; its last_good_time is the arc length along curve 0 of
-    its last state that was finite and (genus 1) kept rho(Q)
-    resonance_margin_min from the lattice, or of a failed step's start
-    (curve 0's length once curve 0 has no steps left).
+    aborts the call.  Its last_good_time is the arc length along the
+    member's own curve of its last state that was finite and (genus 1)
+    kept rho(Q) resonance_margin_min from the lattice, or of a failed
+    step's start; in lockstep its member attribute names the first member
+    that fails when checked (a guard) or stepped (a failed step) alone,
+    and the abort is that member's own: the one its single call raises.
 
     Every trajectory starts on its curve, at its first waypoint.  A state
     may carry no time t; one whose t is not that waypoint (in lockstep, the
@@ -353,18 +348,42 @@ def evolve(model, state, curve, h, method="rk4",
     if lockstep:
         cur = _stack(*[cur] * len(curves))
     cur.t = times[0]
-    # an abort reports the arc length walked along curve 0 to the last good state
-    lengths = np.abs(plans[0][3]).tolist() + [0.0] * (len(axes) - counts[0])
-    arclen = 0.0
-    _guard(model, cur, arclen, resonance_margin_min)
+
+    # The abort path.  An abort reports the failing member's arc length to
+    # its last good state, the sum of its first k steps, added in walk
+    # order (np.cumsum adds in sequence; a finished member adds 0.0)
+    def walked(k, member):
+        return float(np.cumsum(np.abs(dts[:k]).reshape(k, -1)[:, member])[-1]) if k else 0.0
+
+    def guard(k, part, members):
+        # a failure is checked again member by member
+        if _guard(model, part, resonance_margin_min) is None:
+            return
+        for b, member in enumerate(members):
+            reason = _guard(model, _member(part, b) if lockstep else part, resonance_margin_min)
+            if reason is not None:
+                raise NumericalAbort(reason, walked(k, member), int(member) if lockstep else None)
+
+    def failed_step(k, part, ax, dt, members, exc):
+        # in lockstep the live members are stepped again one at a time
+        if lockstep:
+            for b, member in enumerate(members):
+                try:
+                    step(model, _member(part, b), ax[b], dt[b], method)
+                except ValueError as own:
+                    return NumericalAbort(f"step failed: {own}", walked(k, member), int(member))
+        return NumericalAbort(f"step failed: {exc}", walked(k, 0))
+
+    everyone = np.arange(len(curves))
+    guard(0, cur, everyone)
     states = [cur]
     shortest = counts.min()
     for k in range(len(axes)):
         # every member moves while all have steps left; after that only
         # those that do, and the others keep their last state
         live = None if k < shortest else np.flatnonzero(counts > k)
-        part, ax, dt = ((cur, axes[k], dts[k]) if live is None
-                        else (_member(cur, live), axes[k, live], dts[k, live]))
+        part, ax, dt, members = ((cur, axes[k], dts[k], everyone) if live is None
+                                 else (_member(cur, live), axes[k, live], dts[k, live], live))
         try:
             new = step(model, part, ax, dt, method)
         except ConfigError:
@@ -372,10 +391,10 @@ def evolve(model, state, curve, h, method="rk4",
         except ValueError as exc:
             # a stage hit a pole or a resonance, went non-finite, or met
             # a singular matrix (LinAlgError is a ValueError)
-            raise NumericalAbort(f"step failed: {exc}", arclen) from exc
+            raise failed_step(k, part, ax, dt, members, exc) from exc
         if project_residue_sum:     # new is new, so it may be changed
             new.orbit_mats -= np.sum(new.orbit_mats, axis=-3, keepdims=True) / model.n_sites
-        _guard(model, new, arclen, resonance_margin_min)
+        guard(k, new, members)
         if live is not None:
             held = cur.copy()
             for key, v in vars(new).items():
@@ -384,7 +403,6 @@ def evolve(model, state, curve, h, method="rk4",
             new = held
         # a step builds a new state and never writes into the old one
         new.t = times[k + 1]
-        arclen += lengths[k]
         cur = new
         states.append(cur)
     return Trajectory(model=model, states=states, segment_ids=seg_ids, times=times, axes=axes,
@@ -402,7 +420,7 @@ def action_along_curve(model, traj: Trajectory) -> complex:
     dt = np.diff(traj.times, axis=0)
     # Tr(Lambda_a phi_a^{-1} dphi_a) of every (step, site), the inverse
     # averaged over the step, from one stacked inverse and one product
-    phis = np.array([s.phis for s in traj.states])
+    phis = _stack(*traj.states).phis
     inv = np.linalg.inv(phis)
     traces = np.trace(model.orbit_seeds @ (0.5 * (inv[:-1] + inv[1:])) @ np.diff(phis, axis=0),
                       axis1=-2, axis2=-1)
@@ -434,6 +452,19 @@ def _bracket(Ls, grad_i, grad_j) -> complex:
     orb = sum(np.trace(L @ (A @ B - B @ A)) for L, A, B in zip(Ls, Ai, Aj))
     canon = np.sum(pi * qj - qi * pj) if len(qi) else 0j
     return complex(orb + canon)
+
+
+def _closure(model, state) -> np.ndarray:
+    """The symmetric (n, n) matrix of |{H_i, H_j}| at one state, zero on the
+    diagonal, from one stacked gradient call: entry (i, j) equals
+    abs(poisson_bracket(model, state, i, j)) bit for bit."""
+    n = model.n_hams
+    grads, Ls = _charge_partials(model, state), orbit_elements(model, state)
+    closure = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            closure[i, j] = closure[j, i] = abs(_bracket(Ls, grads[i], grads[j]))
+    return closure
 
 
 def plaquette_residual(model, state, i, j, h, z_samples, method="rk4") -> float:
@@ -509,18 +540,15 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
         residue_drift=np.empty(K),
         charpoly=np.empty((K, len(z_samples), model.m + 1), dtype=complex))
     for lo in range(0, K, _CHUNK):
-        chunk = traj.states[lo:lo + _CHUNK]
-        q = p = None
-        if model.genus == 1:
-            q, p = np.array([s.q for s in chunk]), np.array([s.p for s in chunk])
-        Ls = orbit_elements(model, chunk[0].moved(np.array([s.mats for s in chunk]),
-                                                  None, None, None))
-        L = lax_matrix(model, PhaseState(orbit_mats=Ls, q=q, p=p), points)  # (C, n+Z, m, m)
+        chunk = _stack(*traj.states[lo:lo + _CHUNK])
+        Ls = orbit_elements(model, chunk)
+        L = lax_matrix(model, PhaseState(orbit_mats=Ls, q=chunk.q, p=chunk.p),
+                       points)      # (C, n+Z, m, m)
         casimirs = charpoly(Ls)         # (C, N, m+1)
         res = residue_constraint(model, Ls)     # conserved
         if lo == 0:
             casimirs0, res0 = casimirs[0], res[0]
-        rows = slice(lo, lo + len(chunk))
+        rows = slice(lo, lo + len(Ls))
         for i, P in enumerate(model.polys):
             table.H[rows, i] = P.evaluate(L[:, i])
         table.casimir_drift[rows] = np.max(np.abs(casimirs - casimirs0), axis=-1)
@@ -534,22 +562,11 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
 def diagnostics(model, traj: Trajectory, z_samples) -> DiagnosticsReport:
     """Fill the per-trajectory conservation and structure report."""
     obs = _observables(model, traj, z_samples)
-    n = model.n_hams
     states = traj.states
 
     ham_drift = np.max(np.abs(obs.H - obs.H[0]), axis=0)
     iso_drift = np.max(np.abs(obs.charpoly - obs.charpoly[0]), initial=0.0)
-
-    # every charge's partials from one gradient call over n copies of the
-    # first state; genus 0's empty dH/dq and dH/dp stand for every flow
-    dL, dq, dp = grad_hamiltonian(model, _stack(*[states[0]] * n), np.arange(n))
-    dq, dp = (np.broadcast_to(x, (n, x.shape[-1])) for x in (dq, dp))
-    Ls = orbit_elements(model, states[0])
-    closure = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            closure[i, j] = closure[j, i] = abs(_bracket(Ls, (dL[i], dq[i], dp[i]),
-                                                         (dL[j], dq[j], dp[j])))
+    closure = _closure(model, states[0])
 
     zc = 0.0
     if not traj.projection_used:

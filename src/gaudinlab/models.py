@@ -109,8 +109,9 @@ SEPARATION_TOL = 1e-8
 # entry that a config may give; far past it the products and norms of the
 # model and the state overflow double precision.
 MAX_ENTRY = 1e6
-# Draws a random ensemble spends on one point before it gives up: far more
-# than the suites' ensembles take, and a second's work when points do not fit
+# Draws a random ensemble spends on one point, and a random state on its
+# (q, p), before it gives up: far more than the suites' draws take, and a
+# second's work when nothing fits
 SCATTER_DRAWS = 10_000
 # The keys of a config's model and Hamiltonian objects and of an explicit
 # initial_state
@@ -208,6 +209,18 @@ class PhaseState:
                              for k, v in vars(self).items()})
 
 
+def _member(state, b):
+    """Member (or index array of members) b of a state with a member axis."""
+    return PhaseState(**{k: None if v is None else v[b] for k, v in vars(state).items()})
+
+
+def _stack(*states):
+    """One state whose member axis holds the given states, in order (np.array
+    of the list: np.stack takes 2-3 times as long on 128 small arrays)."""
+    return PhaseState(**{k: None if v is None else np.array([vars(s)[k] for s in states])
+                         for k, v in vars(states[0]).items()})
+
+
 def check_point(cache, z, others, tol, what):
     """ConfigError unless z is at least tol from each of others and, in
     genus 1 (cache is the model's; distances mod the lattice), from the
@@ -283,11 +296,18 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
 # ---------------------------------------------------------------------------
 
 def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
-    """Residues L_alpha = -phi Lambda phi^{-1} stacked (N, m, m), or the
-    stored matrices."""
-    if state.orbit_mats is not None:
-        return state.orbit_mats
-    return -(state.phis @ model.orbit_seeds @ np.linalg.inv(state.phis))
+    """Residues L_alpha = -phi Lambda phi^{-1} stacked (..., N, m, m), or
+    the stored matrices.  In genus 1 this is also the per-evaluation guard:
+    q, p and every residue must be finite before any kernel work, else
+    ValueError."""
+    if model.genus == 1 and not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
+        raise ValueError("non-finite Cartan coordinates q or momenta p")
+    Ls = state.orbit_mats
+    if Ls is None:
+        Ls = -(state.phis @ model.orbit_seeds @ np.linalg.inv(state.phis))
+    if model.genus == 1 and not np.isfinite(Ls).all():
+        raise ValueError("non-finite residue L_alpha")
+    return Ls
 
 
 def residue_constraint(model: GaudinModel, Ls: np.ndarray) -> np.ndarray:
@@ -307,19 +327,6 @@ def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
         return np.inf
     u = (model.basis.roots @ state.q[..., None])[..., 0]
     return float(lattice_distance(model.cache, u).min())
-
-
-def _residues(model: GaudinModel, state: PhaseState) -> np.ndarray:
-    """Stacked residues L_alpha.  In genus 1 this is also the per-evaluation
-    guard: q, p and every residue must be finite before any kernel work."""
-    if model.genus == 0:
-        return orbit_elements(model, state)
-    if not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
-        raise ValueError("non-finite Cartan coordinates q or momenta p")
-    Ls = orbit_elements(model, state)
-    if not np.isfinite(Ls).all():
-        raise ValueError("non-finite residue L_alpha")
-    return Ls
 
 
 def _kernel_weights(model: GaudinModel, q, z, ham=None):
@@ -395,7 +402,7 @@ def _twisted_weights(model: GaudinModel, q, z, poles, z_pole, sigma_zp, twist, t
 
 def _ham_lax(model: GaudinModel, state: PhaseState, i):
     """(Ls, L(q_i), W, dW_du): one residue pass and the weights at q_i."""
-    Ls = _residues(model, state)
+    Ls = orbit_elements(model, state)
     W, dW_du = _ham_weights(model, state.q, i)
     return Ls, _lax(model, Ls, state.p, W), W, dW_du
 
@@ -428,7 +435,7 @@ def lax_matrix(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
     set of weights (in genus 1 one z side and one u side for every state
     and point: two array-core calls), and each matrix equals its own
     one-point call bit for bit."""
-    Ls = _residues(model, state)
+    Ls = orbit_elements(model, state)
     q = None if state.q is None else state.q[..., None, :]
     p = None if state.p is None else state.p[..., None, :]
     W = _kernel_weights(model, q, np.ravel(z))[0]
@@ -505,6 +512,16 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
     return dH_dL, dH_dq, dH_dp[..., 0]
 
 
+def _charge_partials(model: GaudinModel, state: PhaseState) -> list:
+    """The partials (dH_dL, dH_dq, dH_dp) of each charge H_i at one state,
+    from one grad_hamiltonian call over n stacked copies of it: item i
+    equals H_i's own call bit for bit.  Genus 0's empty dH/dq and dH/dp
+    stand for every flow."""
+    n = model.n_hams
+    dL, dq, dp = grad_hamiltonian(model, _stack(*[state] * n), np.arange(n))
+    return list(zip(dL, *(np.broadcast_to(x, (n, x.shape[-1])) for x in (dq, dp))))
+
+
 # ---------------------------------------------------------------------------
 # M matrices
 # ---------------------------------------------------------------------------
@@ -569,7 +586,7 @@ def retrivialize(model: GaudinModel, state: PhaseState, z: complex):
     cache, basis = model.cache, model.basis
     tau = cache.tau
 
-    Ls = _residues(model, state)
+    Ls = orbit_elements(model, state)
     L = _lax(model, Ls, state.p, _kernel_weights(model, state.q, z)[0])
 
     def f1(at):
@@ -665,15 +682,10 @@ def random_elliptic_ensemble(rng, m, n_sites, ham_degrees, tau=1.1j, max_gradien
             t=np.zeros(len(ham_degrees)))
         if resonance_margin(model, state) < 0.15:
             continue
-        tame = True
-        for i in range(len(ham_degrees)):
-            dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
-            size = max([np.linalg.norm(D) for D in dH_dL]
-                       + [np.max(np.abs(dH_dq)), np.max(np.abs(dH_dp))])
-            if size > max_gradient:
-                tame = False
-                break
-        if tame:
+        # in flow order, up to the first gradient past the bound
+        sizes = (max([np.linalg.norm(D) for D in dL] + [np.max(np.abs(dq)), np.max(np.abs(dp))])
+                 for dL, dq, dp in _charge_partials(model, state))
+        if not any(size > max_gradient for size in sizes):
             return model, state
     raise ConfigError("could not draw a tame elliptic configuration")
 
@@ -681,7 +693,9 @@ def random_elliptic_ensemble(rng, m, n_sites, ham_degrees, tau=1.1j, max_gradien
 def random_phase_state(model: GaudinModel, rng, spread=0.4) -> PhaseState:
     """Random state on the constraint surface of a given model: a single
     global conjugation (needs sum Lambda_alpha = 0) plus random (q, p).  It
-    carries no time t, so `evolve` starts it at its curve's first waypoint."""
+    carries no time t, so `evolve` starts it at its curve's first waypoint.
+    In genus 1, (q, p) is drawn again until rho(q) keeps 0.05 from the
+    lattice for every root; SCATTER_DRAWS failed draws are a ConfigError."""
     total = sum(model.orbit_seeds)
     if np.linalg.norm(total) > 1e-8 * max(1.0, max(np.linalg.norm(s) for s in model.orbit_seeds)):
         raise ConfigError(
@@ -692,13 +706,15 @@ def random_phase_state(model: GaudinModel, rng, spread=0.4) -> PhaseState:
     if model.genus == 0:
         return PhaseState(phis=phis)
     rk = model.basis.rank
-    while True:
+    for _ in range(SCATTER_DRAWS):
         state = PhaseState(
             phis=phis,
             q=(rng.standard_normal(rk) + 1j * rng.standard_normal(rk)) * 0.2 + 0.15,
             p=(rng.standard_normal(rk) + 1j * rng.standard_normal(rk)) * spread)
         if resonance_margin(model, state) > 0.05:
             return state
+    raise ConfigError(f"could not draw Cartan coordinates q whose root values rho(q) all "
+                      f"keep 0.05 from the lattice in {SCATTER_DRAWS} draws")
 
 
 def read_real(value, what):

@@ -26,11 +26,11 @@ import numpy as np
 from .errors import GaudinLabError
 from .flows import (
     FlowCurve,
+    _closure,
     _observables,
     action_along_curve,
     evolve,
     plaquette_residual,
-    poisson_bracket,
 )
 from .liealg import (
     InvariantPolynomial,
@@ -279,9 +279,9 @@ def _worst_bracket(draws):
     worst = 0.0
     for model, state in draws:
         H = [abs(hamiltonian(model, state, i)) for i in range(model.n_hams)]
+        closure = _closure(model, state)
         for i, j in itertools.combinations(range(model.n_hams), 2):
-            br = abs(poisson_bracket(model, state, i, j))
-            worst = max(worst, br / max(H[i], H[j], 1.0))
+            worst = max(worst, float(closure[i, j]) / max(H[i], H[j], 1.0))
     return worst
 
 

@@ -60,6 +60,14 @@ __all__ = [
 # Below this distance from a lattice point (after cell reduction) double
 # precision has no usable digits left in p and zeta.
 POLE_TOL = 1e-10
+# The most terms a theta series may keep, which bounds Im(tau) from below.
+# The terms grow as 1/sqrt(Im(tau)), while theta1'(0) ~ exp(-pi / (4
+# Im(tau))) cancels out of terms of order 1: the Legendre relation holds to
+# 1.1e-9 at the 24 terms of Im(tau) = 0.0452, to 4e-5 at 28 terms (0.0303)
+# and is off by 200 at 0.01i (45 terms).  Every evaluation also allocates a
+# (2, terms, arguments) array of powers: at 1e-8i (38 272 terms) an
+# observables chunk of 10 000 arguments would take 12 GB.
+MAX_THETA_TERMS = 24
 
 
 @dataclass(frozen=True)
@@ -79,9 +87,16 @@ class EllipticCache:
 def _theta_terms(tau: complex):
     """Coefficient arrays for theta1; cutoff keeps the tail below 1e-16
     for arguments reduced to the fundamental cell.  PoleError, before any
-    series term is evaluated, for a modulus whose largest term overflows."""
+    series term is evaluated, for a modulus whose largest term overflows
+    or whose series needs more than MAX_THETA_TERMS terms."""
     im = float(np.imag(tau))
-    nmax = int(np.ceil(np.sqrt(46.0 / (np.pi * im)))) + 6
+    # a float, infinite for a subnormal Im(tau)
+    terms = np.ceil(np.sqrt(46.0 / (np.pi * im))) + 6
+    if terms > MAX_THETA_TERMS:
+        raise PoleError(f"modulus tau = {tau} is out of range: the theta series needs "
+                        f"{terms:.0f} terms, more than {MAX_THETA_TERMS}, below Im(tau) = "
+                        f"{46.0 / (np.pi * (MAX_THETA_TERMS - 6) ** 2):.4g}")
+    nmax = int(terms)
     # with |Im z0| up to Im(tau)/2 (eta2 = zeta(tau/2) reaches it), theta1's
     # terms sin and cos of pi z0 (2n + 1) grow up to exp((2n + 1) pi Im(tau)
     # / 2), and the powers b^n of b = exp(2 pi i z0) that _core sums them

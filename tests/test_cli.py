@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -30,17 +31,20 @@ def _unbalance_cartan(cfg):
 
 
 # configs that ran before the rules that reject them at load: a modulus
-# whose theta series overflows (it exited 3 at t = 0), a state whose time is
-# not its curve's start, and a genus-1 state whose residues' Cartan parts do
-# not sum to zero (both exited 0)
+# whose theta series overflows (it exited 3 at t = 0), one whose series
+# needs more terms than it keeps digits, a state whose time is not its
+# curve's start, and a genus-1 state whose residues' Cartan parts do not
+# sum to zero (the last three exited 0)
 NAMED_REJECTIONS = {
     "tau_im_50": ("elliptic_cm_sl2.json", lambda cfg: cfg["model"].update(tau=[0.0, 50.0])),
+    "tau_im_0.01": ("elliptic_cm_sl2.json", lambda cfg: cfg["model"].update(tau=[0.0, 0.01])),
     "t_off_curve": ("rational_sl2_n3.json",
                     lambda cfg: cfg["initial_state"].update(t=[0.3, 0.0])),
     "genus1_cartan_unbalanced": ("elliptic_cm_sl2.json", _unbalance_cartan),
 }
 NAMED_IN_MESSAGE = {
     "tau_im_50": "tau = 50j",
+    "tau_im_0.01": "tau = 0.01j is out of range: the theta series needs 45 terms",
     "t_off_curve": "t = [0.3, 0.0] is not the first waypoint [0.0, 0.0] of curve 0",
     "genus1_cartan_unbalanced": "violates sum L_a = 0 (|Cartan part of the sum| = 4.24e-01)",
 }
@@ -150,6 +154,22 @@ class TestSimulate:
         assert code == 0   # the shipped seeds sum to zero, so this works
         diag = json.loads((out / "diag.json").read_text())
         assert diag["residue_sum_drift"] < 1e-8
+
+    def test_random_state_that_cannot_keep_the_margin(self, tmp_path, capsys):
+        # at sl16 on a lattice 0.05 tall, some of the 240 root values rho(q)
+        # of every draw come within 0.05 of a lattice point: the redraws
+        # give up within seconds instead of running forever
+        def sl16(cfg):
+            cfg["model"].update(m=16, tau=[0.0, 0.05], marked_points=[[0.3, 0.001]],
+                                orbit_seeds=[[[[0.0, 0.0]] * 16] * 16],
+                                hamiltonians=[{"point": [0.1, 0.002], "degree": 2}])
+            cfg.update(initial_state={"random": True}, curve=[[0.0], [0.01]], step=0.01)
+
+        start = time.perf_counter()
+        code, _ = run_config(tmp_path, "elliptic_cm_sl2.json", mutate=sl16)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert "keep 0.05 from the lattice in 10000 draws" in capsys.readouterr().err
 
     def test_constraint_violation_rejected_in_monitor_mode(self, tmp_path, capsys):
         def unbalance(cfg):

@@ -424,10 +424,15 @@ class TestKernelTableReuse:
             getattr(bad, field)[0] = np.inf
         counts = {}
         self.count(monkeypatch, weierstrass, "_core", counts)
-        for call in (lambda: lax_matrix(model, bad, 0.11 + 0.31j),
+        # orbit_elements is the guard that every evaluation goes through:
+        # q and p first, then the residues
+        message = "non-finite residue L_alpha" if field == "phis" else \
+            "non-finite Cartan coordinates q or momenta p"
+        for call in (lambda: orbit_elements(model, bad),
+                     lambda: lax_matrix(model, bad, 0.11 + 0.31j),
                      lambda: grad_hamiltonian(model, bad, 0),
                      lambda: m_matrix(model, bad, 0, 0.11 + 0.31j)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 call()
         assert counts == {}
 

@@ -505,6 +505,35 @@ class TestLockstep:
         assert both.value.last_good_time == alone.value.last_good_time
         assert both.value.reason == alone.value.reason
 
+    @pytest.mark.parametrize("failure", ["guard", "step"])
+    def test_an_abort_names_its_member(self, rng, failure):
+        # the aborting member is curve 1, and curve 0 has walked another
+        # length by then: it finished at 0.2 before curve 1's guard fails
+        # at 0.66, or it steps at half curve 1's step when curve 1's kernel
+        # overflows.  The call reports curve 1's own abort
+        if failure == "guard":
+            model, state = random_elliptic_ensemble(rng, 2, 1, (2, 2))
+            state = PhaseState(phis=state.phis, q=np.array([0.125 + 0.0j]),
+                               p=np.array([-0.6 + 0.0j]), t=state.t)
+            curves = [FlowCurve([[0.0, 0.0], [-0.2, 0.0]]), FlowCurve([[0.0, 0.0], [2.0, 0.0]])]
+            h, margin = [0.01, 0.01], 0.12
+        else:
+            model, state = random_elliptic_ensemble(np.random.default_rng(0), 3, 3, (2, 3))
+            curves = [FlowCurve([[0.0, 0.0], [-0.1, 0.0]]),
+                      FlowCurve([[0.0, 0.0], [0.06, 0.0], [0.06, 0.06]])]
+            h, margin = [0.0025, 0.005], 1e-3
+        evolve(model, state, curves[0], h[0], resonance_margin_min=margin)
+        with pytest.raises(NumericalAbort) as alone:
+            evolve(model, state, curves[1], h[1], resonance_margin_min=margin)
+        with pytest.raises(NumericalAbort) as both:
+            evolve(model, state, curves, h, resonance_margin_min=margin)
+        assert alone.value.member is None and both.value.member == 1
+        assert both.value.last_good_time == alone.value.last_good_time
+        assert both.value.reason == alone.value.reason
+        assert both.value.reason.startswith("step failed") == (failure == "step")
+        if failure == "guard":
+            assert alone.value.last_good_time == pytest.approx(0.66)
+
     def test_members_are_read_one_at_a_time(self, rational):
         model, state = rational
         both = evolve(model, state, lockstep_curves(0.01), 0.005)
@@ -591,6 +620,25 @@ class TestBracket:
             scale = max(abs(hamiltonian(model, state, 0)),
                         abs(hamiltonian(model, state, 1)), 1.0)
             assert abs(poisson_bracket(model, state, 0, 1)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_closure_is_every_pairwise_bracket(self, rng, genus):
+        # one stacked gradient call serves every pair bit for bit, at
+        # states off the identity and with charges of two degrees
+        for _ in range(3):
+            if genus == 0:
+                model, state = random_rational_ensemble(rng, 3, 3, (2, 3, 2))
+            else:
+                model, state = random_elliptic_ensemble(rng, 3, 2, (2, 3, 2), max_gradient=1e3)
+            state = evolve(model, state, FlowCurve([[0.0] * 3, [0.02, 0.0, 0.0]]),
+                           0.01).states[-1]
+            closure = flows._closure(model, state)
+            np.testing.assert_array_equal(np.diag(closure), 0.0)
+            for i, j in itertools.combinations(range(model.n_hams), 2):
+                assert closure[i, j] == closure[j, i] == abs(poisson_bracket(model, state, i, j))
+            for i, partials in enumerate(models._charge_partials(model, state)):
+                for stacked, alone in zip(partials, grad_hamiltonian(model, state, i)):
+                    np.testing.assert_array_equal(stacked, alone)
 
     def test_bracket_matches_flow_derivative(self, rational):
         # {H_i, H_j} = d/dt H_j along the flow of H_i

@@ -6,6 +6,7 @@ import pytest
 from gaudinlab import weierstrass
 from gaudinlab.errors import PoleError, ResonanceError
 from gaudinlab.weierstrass import (
+    MAX_THETA_TERMS,
     POLE_TOL,
     LatticeSumOracle,
     build_cache,
@@ -56,6 +57,29 @@ class TestCache:
             warnings.simplefilter("error")
             with pytest.raises(PoleError, match=r"tau = 36j .* Im\(tau\) = 34.76"):
                 build_cache(36j)
+
+    def test_smallest_modulus(self):
+        # below Im(tau) = 0.0452 the series needs more than MAX_THETA_TERMS
+        # terms and theta1'(0) cancels out of them; down to there eta1 and
+        # eta2 keep the Legendre relation.  Each build allocates only the
+        # 24-term table or nothing
+        edge = 46.0 / (np.pi * (MAX_THETA_TERMS - 6) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for re in (0.0, 0.4):
+                tau = complex(re, edge * (1 + 1e-9))
+                c = build_cache(tau)
+                assert c.table.shape == (2 * MAX_THETA_TERMS, 3)
+                assert abs(tau * c.eta1 - c.eta2 - 1j * np.pi) < 1e-8
+                with pytest.raises(PoleError, match=r"needs 25 terms, more than 24, below "
+                                                    r"Im\(tau\) = 0.04519"):
+                    build_cache(complex(re, edge * (1 - 1e-9)))
+            with pytest.raises(PoleError, match="needs 38272 terms"):
+                build_cache(1e-8j)
+            # the term count of a subnormal Im(tau) is infinite, not an
+            # OverflowError
+            with pytest.raises(PoleError, match="needs inf terms"):
+                build_cache(5e-324j)
 
     def test_square_lattice(self):
         c = build_cache(1j)
