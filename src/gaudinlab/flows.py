@@ -38,6 +38,7 @@ from .models import (
     GaudinModel,
     PhaseState,
     _charge_partials,
+    _ham_lax,
     _member,
     _stack,
     grad_hamiltonian,
@@ -410,29 +411,52 @@ def evolve(model, state, curve, h, method="rk4",
                       projection_used=bool(project_residue_sum))
 
 
+# states per batch of the observables pass and of the action's charges: enough
+# to spread numpy's per-call cost, few enough that a batch's temporaries stay
+# small beside the trajectory
+_CHUNK = 128
+
+
 def action_along_curve(model, traj: Trajectory) -> complex:
-    """Trapezoidal pullback of the Lagrangian 1-form along the trajectory."""
+    """Trapezoidal pullback of the Lagrangian 1-form along the trajectory.
+
+    Each step adds its sites' Tr(Lambda_a phi_a^{-1} dphi_a), then (genus 1)
+    p dq, then -H_i dt^i, in walk order.  H_i is evaluated only where the
+    trapezoid reads it, at both ends of each step along flow i, _CHUNK
+    samples at a time from the model's weights at q_i: the bits of
+    hamiltonian(model, state, i)."""
     if not traj.states:
         raise ConfigError("empty trajectory")
     if traj.states[0].phis is None:
         raise ConfigError("the action needs group points (not projection mode)")
-    H = _observables(model, traj, ()).H
-    dt = np.diff(traj.times, axis=0)
+    if traj.lockstep:
+        raise ConfigError("a lockstep trajectory is read one member at a time")
+    every, axes = _stack(*traj.states), traj.axes
+    steps = np.arange(len(axes))
+    # H_i at both ends of each step along flow i, marked by a mask: no set
+    # routine, whose first call in an interpreter (np.union1d) takes ~13 ms
+    H = np.zeros((len(traj.states), model.n_hams), dtype=complex)
+    for i in range(model.n_hams):
+        along = axes == i
+        read = np.zeros(len(traj.states), dtype=bool)
+        read[:-1] |= along
+        read[1:] |= along
+        rows = np.flatnonzero(read)
+        for lo in range(0, len(rows), _CHUNK):
+            chunk = rows[lo:lo + _CHUNK]
+            H[chunk, i] = model.polys[i].evaluate(_ham_lax(model, _member(every, chunk), i)[1])
+    dt = np.diff(traj.times, axis=0)[steps, axes]
     # Tr(Lambda_a phi_a^{-1} dphi_a) of every (step, site), the inverse
     # averaged over the step, from one stacked inverse and one product
-    phis = _stack(*traj.states).phis
-    inv = np.linalg.inv(phis)
-    traces = np.trace(model.orbit_seeds @ (0.5 * (inv[:-1] + inv[1:])) @ np.diff(phis, axis=0),
-                      axis1=-2, axis2=-1)
-    total = 0j
-    for k, (s0, s1) in enumerate(zip(traj.states, traj.states[1:])):
-        for trace in traces[k]:
-            total += trace
-        if model.genus == 1:
-            total += 0.5 * np.sum((s0.p + s1.p) * (s1.q - s0.q))
-        i = traj.axes[k]
-        total -= 0.5 * (H[k, i] + H[k + 1, i]) * dt[k, i]
-    return complex(total)
+    inv = np.linalg.inv(every.phis)
+    terms = [np.trace(model.orbit_seeds @ (0.5 * (inv[:-1] + inv[1:]))
+                      @ np.diff(every.phis, axis=0), axis1=-2, axis2=-1)]
+    if model.genus == 1:
+        p, q = every.p, every.q
+        terms.append(0.5 * np.sum((p[:-1] + p[1:]) * (q[1:] - q[:-1]), axis=-1)[:, None])
+    terms.append(-(0.5 * (H[steps, axes] + H[steps + 1, axes]) * dt)[:, None])
+    # np.cumsum adds in sequence, step by step and term by term, from 0j
+    return complex(np.cumsum(np.concatenate(([0j], np.hstack(terms).ravel())))[-1])
 
 
 def poisson_bracket(model, state, i, j) -> complex:
@@ -507,11 +531,6 @@ class _Observables:
     residue_norm: np.ndarray    # (K,) norm of the constrained residue sum
     residue_drift: np.ndarray   # (K,) its distance from the row-0 value
     charpoly: np.ndarray        # (K, Z, m+1) coefficients of det(x - L(z_s))
-
-
-# states per batch of the observables pass: enough to spread numpy's per-call
-# cost, few enough that a batch's temporaries stay small beside the trajectory
-_CHUNK = 128
 
 
 def _observables(model, traj: Trajectory, z_samples) -> _Observables:

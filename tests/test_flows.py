@@ -534,11 +534,15 @@ class TestLockstep:
         if failure == "guard":
             assert alone.value.last_good_time == pytest.approx(0.66)
 
-    def test_members_are_read_one_at_a_time(self, rational):
+    def test_members_are_read_one_at_a_time(self, rational, tmp_path):
         model, state = rational
         both = evolve(model, state, lockstep_curves(0.01), 0.005)
-        with pytest.raises(ConfigError):
-            diagnostics(model, both, [])
+        for read in (lambda: diagnostics(model, both, []),
+                     lambda: action_along_curve(model, both),
+                     lambda: write_trajectory_csv(tmp_path / "both.csv", model, both, [])):
+            with pytest.raises(ConfigError, match="one member at a time"):
+                read()
+        assert not (tmp_path / "both.csv").exists()
         alone = evolve(model, state, lockstep_curves(0.01)[0], 0.005)
         assert not alone.lockstep
         with pytest.raises(ConfigError):
@@ -562,18 +566,36 @@ def reference_action(model, traj):
     return complex(total)
 
 
+ACTION_CURVES = {
+    # (curve, h, steps): three flows with a leg back along flow 0, then
+    # single legs whose read samples fill _CHUNK-row stacks exactly, or
+    # leave one sample over
+    "staircase": (FlowCurve([[0.0, 0.0, 0.0], [0.03, 0.0, 0.0], [0.03, 0.03, 0.0],
+                             [0.03, 0.03, 0.03], [0.0, 0.03, 0.03]]), 0.01, 12),
+    **{f"{n}_steps": (FlowCurve([[0.0, 0.0, 0.0], [0.0, n * 1e-3, 0.0]]), 1e-3, n)
+       for n in (127, 128, 129, 256, 257)},
+}
+
+
 class TestAction:
-    @pytest.mark.parametrize("genus", [0, 1])
-    def test_reads_the_charges_from_the_table(self, rng, genus):
-        # the observables table holds the same H_i as per-state calls, so
-        # the action is unchanged to the last bit
-        curve = FlowCurve([[0.0, 0.0], [0.06, 0.0], [0.06, 0.06]])
+    @pytest.mark.parametrize("curve", list(ACTION_CURVES))
+    @pytest.mark.parametrize("genus, method", [(1, "rk4"), (0, "rk4"), (0, "conjugation")])
+    def test_equals_per_state_charges(self, rng, monkeypatch, genus, method, curve):
+        # H_i comes only from the samples that the trapezoid reads, chunk by
+        # chunk, never from the observables table, and the action keeps
+        # the bits of per-state hamiltonian calls summed step by step
         if genus == 0:
-            model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
-            traj = evolve(model, state, curve, 0.01, method="conjugation")
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3, 2))
         else:
-            model, state = random_elliptic_ensemble(rng, 3, 2, (2, 3))
-            traj = evolve(model, state, curve, 0.01, method="rk4")
+            model, state = random_elliptic_ensemble(rng, 3, 2, (2, 3, 2), max_gradient=1e3)
+        curve, h, steps = ACTION_CURVES[curve]
+        traj = evolve(model, state, curve, h, method=method)
+        assert len(traj.axes) == steps
+
+        def no_table(*args):
+            raise AssertionError("the action read the observables table")
+
+        monkeypatch.setattr(flows, "_observables", no_table)
         assert action_along_curve(model, traj) == reference_action(model, traj)
 
     def test_stationary_zero(self, rational):
