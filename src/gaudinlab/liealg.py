@@ -204,29 +204,38 @@ def matrix_exponential(X) -> np.ndarray:
     return E.reshape(X.shape)
 
 
+def _power_sums(X, top: int, low: int = 1) -> np.ndarray:
+    """p_k = tr(X^k) for k = low..top on a new last axis, for one matrix or a
+    stack: sum A_ij B_ji for A = X^ceil(k/2), B = X^floor(k/2), one einsum on
+    C-contiguous operands (a Fortran-ordered stack rounds differently), so
+    each matrix gets the bits it gets alone and X^k is never formed."""
+    first = max(low // 2, 1)
+    P = {1: np.ascontiguousarray(X)}
+    P[first] = _matrix_power(P[1], first)
+    for j in range(first + 1, (top + 1) // 2 + 1):
+        P[j] = P[j - 1] @ P[1]
+    return np.stack([np.einsum("...ij,...ji->...", P[(k + 1) // 2], P[k // 2]) if k > 1
+                     else np.einsum("...ii->...", P[1]) for k in range(low, top + 1)], axis=-1)
+
+
 def charpoly(X) -> np.ndarray:
     """Coefficients of det(x - X), leading 1 first, for one matrix (shape
     (m + 1,)) or a (..., m, m) stack (shape (..., m + 1)).
 
-    Faddeev-LeVerrier: M_1 = X, c_k = -tr(M_k)/k, M_{k+1} = X (M_k + c_k I),
-    so m - 1 batched products and m diagonal sums, with no eigenvalues.
-    The coefficients are polynomial in the entries, so a defective X (a
-    nilpotent Jordan block, say) loses no more digits than any other."""
+    Newton's identities, k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)
+    added in that order, on power sums from ceil(m/2) - 1 batched products.
+    No eigenvalues: the coefficients are polynomial in the entries, so a
+    defective X (a nilpotent Jordan block, say) loses no more digits than
+    any other."""
     X = np.asarray(X, dtype=complex)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise DimensionError(f"square matrix required, got shape {X.shape}")
     m = X.shape[-1]
+    p = _power_sums(X, m)
     c = np.empty(X.shape[:-2] + (m + 1,), dtype=complex)
     c[..., 0] = 1.0
-    M = X.copy()        # M_1, a contiguous array that may be written
     for k in range(1, m + 1):
-        c[..., k] = np.einsum("...ii->...", M) / -k
-        if k == m:
-            break
-        # M + c_k I in place: the diagonal of a contiguous stack is every
-        # (m + 1)-th entry of its flattened matrices
-        M.reshape(M.shape[:-2] + (m * m,))[..., ::m + 1] += c[..., k, None]
-        M = X @ M
+        c[..., k] = sum((c[..., j] * p[..., k - 1 - j] for j in range(1, k)), p[..., k - 1]) / -k
     return c
 
 
@@ -243,9 +252,9 @@ class InvariantPolynomial:
                                  f"got {self.degree}")
 
     def evaluate(self, X):
-        """P(X) for one matrix (a complex) or a (..., m, m) stack (an array)."""
+        """P(X) = p_k / k for one matrix (a complex) or a (..., m, m) stack (an array)."""
         X = np.asarray(X, dtype=complex)
-        P = np.trace(_matrix_power(X, self.degree), axis1=-2, axis2=-1) / self.degree
+        P = _power_sums(X, self.degree, self.degree)[..., 0] / self.degree
         return complex(P) if X.ndim == 2 else P
 
     def gradient(self, X) -> np.ndarray:

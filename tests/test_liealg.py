@@ -304,21 +304,43 @@ def _principal_minor_charpoly(X, mp):
     return np.array([complex(x) for x in c])
 
 
+def _accuracy_inputs(rng, m):
+    """12 random matrices of entry scale 1.5, the nilpotent Jordan block J
+    and 3 J^T, and V diag(a, ..., a, -(m - 1) a) V^-1 (one repeated
+    eigenvalue), as one (15, m, m) stack."""
+    J = np.eye(m, k=1, dtype=complex)
+    V = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    D = np.diag([0.7 + 0.2j] * (m - 1) + [-(m - 1) * (0.7 + 0.2j)])
+    return np.concatenate((
+        1.5 * (rng.standard_normal((12, m, m)) + 1j * rng.standard_normal((12, m, m))),
+        [J, 3 * J.T, V @ D @ np.linalg.inv(V)]))
+
+
+def _layouts(rng, m):
+    """(name, X, flat) triples: one stack of 6 matrices in several layouts
+    and stack shapes, and `flat` the same matrices as a contiguous (6, m, m)
+    stack in the order of X's flattened leading axes."""
+    big = rng.standard_normal((3, 3, m, m)) + 1j * rng.standard_normal((3, 3, m, m))
+    flat = np.ascontiguousarray(big[:, 1:]).reshape(6, m, m)
+    return [("stack", flat, flat), ("(1,) stack", flat[:1], flat[:1]),
+            ("(2, 3) stack", flat.reshape(2, 3, m, m), flat),
+            ("(6, 1) stack", flat.reshape(6, 1, m, m), flat),
+            ("strided view", big[:, 1:], flat),
+            ("Fortran order", np.asfortranarray(flat), flat),
+            ("Fortran single", np.asfortranarray(flat[2]), flat[2:3]),
+            ("transposed view", np.ascontiguousarray(flat.swapaxes(-1, -2)).swapaxes(-1, -2),
+             flat)]
+
+
 class TestCharpoly:
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
     def test_against_a_30_digit_reference(self, rng, m):
-        # 12 random matrices of entry scale 1.5, the nilpotent Jordan block
-        # J and 3 J^T, and V diag(a, ..., a, -(m - 1) a) V^-1 (one repeated
-        # eigenvalue).  Coefficient k is within m eps max(1, |X|_F)^k: the
-        # largest measured error is 0.16 of that bound (at m = 5), while
-        # np.poly's eigenvalues and Vieta reach 1.8 of it on these matrices
+        # coefficient k is within m eps max(1, |X|_F)^k on _accuracy_inputs:
+        # the largest measured error is 0.16 of that bound (at m = 5), 0.10
+        # at m = 6 and 0.04 at m = 8, while np.poly's eigenvalues and Vieta
+        # reach 1.8 of it at m <= 5
         mp = pytest.importorskip("mpmath").mp
-        J = np.eye(m, k=1, dtype=complex)
-        V = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        D = np.diag([0.7 + 0.2j] * (m - 1) + [-(m - 1) * (0.7 + 0.2j)])
-        X = np.concatenate((
-            1.5 * (rng.standard_normal((12, m, m)) + 1j * rng.standard_normal((12, m, m))),
-            [J, 3 * J.T, V @ D @ np.linalg.inv(V)]))
+        X = _accuracy_inputs(rng, m)
         c = charpoly(X)
         assert c.shape == (len(X), m + 1)
         bound = m * np.finfo(float).eps * np.maximum(
@@ -326,15 +348,23 @@ class TestCharpoly:
         with mp.workdps(30):
             ref = np.array([_principal_minor_charpoly(x, mp) for x in X])
         assert np.all(np.abs(c - ref) <= bound)
-        # a nilpotent matrix's coefficients are exact: x^m
+        # a nilpotent matrix with exact powers has exact coefficients: x^m
         assert np.array_equal(c[12:14], np.eye(1, m + 1).repeat(2, axis=0))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_bits_do_not_depend_on_layout_or_stack_shape(self, rng, m):
+        # each matrix gets the bits of its own contiguous single call, in a
+        # stack of any shape, through a strided view or in Fortran order
+        for name, X, flat in _layouts(rng, m):
+            alone = np.array([charpoly(x) for x in flat])
+            assert np.array_equal(charpoly(X).reshape(-1, m + 1), alone), name
 
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
     def test_stack_equals_the_per_matrix_calls(self, rng, lead):
         X = rng.standard_normal(lead + (4, 4)) + 1j * rng.standard_normal(lead + (4, 4))
         X0 = X.copy()
         c = charpoly(X)
-        assert np.array_equal(X, X0)        # the diagonal shifts go to a copy
+        assert np.array_equal(X, X0)
         assert c.shape == lead + (5,)
         flat = [charpoly(x) for x in X.reshape(-1, 4, 4)]
         assert np.array_equal(c.reshape(-1, 5), flat)
@@ -370,6 +400,33 @@ class TestInvariantPolynomials:
             v0 = P.evaluate(X)
             v1 = P.evaluate(g @ X @ np.linalg.inv(g))
             assert abs(v1 - v0) < 1e-10 * (1.0 + abs(v0))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_against_a_30_digit_reference(self, rng, m):
+        # P_k on _accuracy_inputs is within k eps max(1, |X|_F)^k of the
+        # 30-digit Tr(X^k)/k: the largest measured error is 0.15 of that
+        # bound (k = 2 at m = 2), and a nilpotent matrix with exact powers
+        # gives exactly 0
+        mp = pytest.importorskip("mpmath").mp
+        X = _accuracy_inputs(rng, m)
+        norms = np.maximum(1.0, np.linalg.norm(X, axis=(-2, -1)))
+        for k in range(2, 8):
+            P = InvariantPolynomial(k).evaluate(X)
+            with mp.workdps(30):
+                powers = [mp.matrix([[mp.mpc(complex(v)) for v in row] for row in x]) ** k
+                          for x in X]
+                ref = np.array([complex(sum(A[i, i] for i in range(m))) for A in powers]) / k
+            assert np.all(np.abs(P - ref) <= k * np.finfo(float).eps * norms ** k), k
+            assert np.array_equal(P[12:14], [0, 0]), k
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_bits_do_not_depend_on_layout_or_stack_shape(self, rng, m):
+        # as charpoly's: each P_k(X) is the value of X's own single call
+        for k in range(2, 8):
+            P = InvariantPolynomial(k)
+            for name, X, flat in _layouts(rng, m):
+                alone = [P.evaluate(x) for x in flat]
+                assert np.array_equal(np.reshape(P.evaluate(X), -1), alone), (k, name)
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
     @pytest.mark.parametrize("n", range(1, 7))
