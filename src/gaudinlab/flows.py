@@ -27,7 +27,9 @@ curve only through its endpoints, which the tests exercise directly.
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,24 +124,51 @@ class FlowCurve:
         return np.concatenate(rows), seg_ids, np.array(axes, dtype=int), np.array(dts)
 
 
+class _Samples(Sequence):
+    """The read-only sequence of a trajectory's samples: item k is the
+    PhaseState of views of row k of the stack, and a slice is the samples
+    of the sliced stack."""
+
+    def __init__(self, stack):
+        self._rows = stack
+
+    def __len__(self):
+        return len(self._rows.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _Samples(_member(self._rows, k))
+        return _member(self._rows, operator.index(k))
+
+
 @dataclass
 class Trajectory:
-    """One evolve's samples.  In lockstep every array carries a member axis
-    after the sample (or step) axis, h holds each member's step and
-    segment_ids one list per member; a member whose plan has fewer steps
-    than the longest holds its end: its later states and times repeat its
-    last ones, and its later axes are -1."""
+    """One evolve's samples, kept as one PhaseState whose arrays carry a
+    leading sample axis: row k of every array, t included, is sample k.
+    In lockstep every array carries a member axis after the sample (or
+    step) axis, h holds each member's step and segment_ids one list per
+    member; a member whose plan has fewer steps than the longest holds its
+    end: its later rows repeat its last one, and its later axes are -1."""
 
     model: GaudinModel
-    states: list                # PhaseState per sample; its t is a row of times
+    stack: PhaseState           # every sample; its t is the (K, n) times
     segment_ids: list           # which curve segment produced each sample
-    times: np.ndarray           # (K, n) multi-time of every sample, from the plan
     axes: np.ndarray            # (K - 1,) flow index of every step
     h: float                    # the step size, or in lockstep one per member
     method: str
     projection_used: bool = False
     # (model, z_samples, _Observables) of the last _observables call
     observables: tuple = field(default=None, repr=False, compare=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        """(K, n) multi-time of every sample, from the plan."""
+        return self.stack.t
+
+    @property
+    def states(self) -> Sequence:
+        """The samples one PhaseState each, as views of the stack."""
+        return _Samples(self.stack)
 
     @property
     def lockstep(self) -> bool:
@@ -149,14 +178,14 @@ class Trajectory:
     def member(self, b: int) -> "Trajectory":
         """The trajectory of member b of a lockstep evolve, equal bit for bit
         to evolving curve b alone at its own step: views of its slice of
-        the states, times and axes up to its own last sample."""
+        the stack and the axes up to its own last sample."""
         if not self.lockstep:
             raise ConfigError("only a lockstep trajectory has members")
         K = len(self.segment_ids[b])
-        return Trajectory(model=self.model, states=[_member(s, b) for s in self.states[:K]],
-                          segment_ids=self.segment_ids[b], times=self.times[:K, b],
-                          axes=self.axes[:K - 1, b], h=float(self.h[b]),
-                          method=self.method, projection_used=self.projection_used)
+        return Trajectory(model=self.model, stack=_member(self.stack, (slice(K), b)),
+                          segment_ids=self.segment_ids[b], axes=self.axes[:K - 1, b],
+                          h=float(self.h[b]), method=self.method,
+                          projection_used=self.projection_used)
 
 
 def _held(rows, n, fill=None):
@@ -274,7 +303,9 @@ def _guard(model, state, margin):
 def evolve(model, state, curve, h, method="rk4",
            project_residue_sum=False, resonance_margin_min=1e-3) -> Trajectory:
     """Integrate along an axis-aligned curve by its plan at step h, which
-    must be finite and positive (else ConfigError, before any plan).
+    must be finite and positive (else ConfigError, before any plan).  The
+    Trajectory keeps every sample in one stack sized from the plan, whose
+    row k + 1 is written when step k is taken.
 
     curve may also be a sequence of curves, and h one step or a sequence
     of one step per curve: the member axis holds curves x step sizes, and
@@ -282,8 +313,9 @@ def evolve(model, state, curve, h, method="rk4",
     are evolved in lockstep from the one start: each time step is one
     `step` on a state whose arrays carry a leading member axis, taken by
     every member that has steps left, while a finished member holds its
-    last state.  The returned states carry the member axis too, and
-    `Trajectory.member(b)` is member b's trajectory, equal bit for bit to
+    last state.  The stack's arrays are indexed by sample, then member,
+    and `Trajectory.member(b)`, a slice of it, is member b's trajectory,
+    equal bit for bit to
     evolve(model, state, curve[b], h[b]).  A numerical abort in any member
     aborts the call.  Its last_good_time is the arc length along the
     member's own curve of its last state that was finite and (genus 1)
@@ -337,18 +369,20 @@ def evolve(model, state, curve, h, method="rk4",
             if t.shape != start.shape or not np.allclose(t, start, rtol=1e-9, atol=1e-9):
                 raise ConfigError(f"the state's time t = {t.tolist()} is not the first "
                                   f"waypoint {start.tolist()} of curve {b}")
-    cur = state.copy()
+    cur = state
     if project_residue_sum:
         if model.genus != 0:
             raise ConfigError("residue-sum projection is a genus-0 option")
         if method != "rk4":
             raise ConfigError("residue-sum projection evolves orbit matrices, "
                               f"so it needs method 'rk4', not {method!r}")
-        cur = PhaseState(orbit_mats=orbit_elements(model, cur), q=cur.q,
-                         p=cur.p, t=cur.t)
-    if lockstep:
-        cur = _stack(*[cur] * len(curves))
-    cur.t = times[0]
+        cur = PhaseState(orbit_mats=orbit_elements(model, cur), q=cur.q, p=cur.p)
+    # the trajectory, one row per sample (then one per member, if any): row
+    # 0 is the start, row k + 1 is written once step k is taken
+    stack = PhaseState(t=times, **{key: np.empty(times.shape[:-1] + v.shape, complex)
+                                   for key, v in vars(cur).items()
+                                   if v is not None and key != "t"})
+    _write(stack, 0, cur)
 
     # The abort path.  An abort reports the failing member's arc length to
     # its last good state, the sum of its first k steps, added in walk
@@ -376,8 +410,8 @@ def evolve(model, state, curve, h, method="rk4",
         return NumericalAbort(f"step failed: {exc}", walked(k, 0))
 
     everyone = np.arange(len(curves))
+    cur = _member(stack, 0)
     guard(0, cur, everyone)
-    states = [cur]
     shortest = counts.min()
     for k in range(len(axes)):
         # every member moves while all have steps left; after that only
@@ -396,19 +430,30 @@ def evolve(model, state, curve, h, method="rk4",
         if project_residue_sum:     # new is new, so it may be changed
             new.orbit_mats -= np.sum(new.orbit_mats, axis=-3, keepdims=True) / model.n_sites
         guard(k, new, members)
-        if live is not None:
-            held = cur.copy()
-            for key, v in vars(new).items():
-                if v is not None:
-                    vars(held)[key][live] = v
-            new = held
-        # a step builds a new state and never writes into the old one
-        new.t = times[k + 1]
-        cur = new
-        states.append(cur)
-    return Trajectory(model=model, states=states, segment_ids=seg_ids, times=times, axes=axes,
+        _write(stack, k + 1, new, live)
+        # the next step reads row k + 1: new itself when it is all of it
+        cur = new if live is None else _member(stack, k + 1)
+    return Trajectory(model=model, stack=stack, segment_ids=seg_ids, axes=axes,
                       h=np.array(hs) if lockstep else float(hs[0]), method=method,
                       projection_used=bool(project_residue_sum))
+
+
+def _write(stack, k, state, live=None):
+    """Write state's arrays (not its t) into row k of the stack: the whole
+    row (broadcast over the members), or only the members live, the others
+    keeping row k - 1."""
+    if live is None:
+        stack.mats[k] = state.mats
+        if state.q is not None:
+            stack.q[k] = state.q
+        if state.p is not None:
+            stack.p[k] = state.p
+        return
+    for key, v in vars(state).items():
+        if v is not None and key != "t":
+            rows = vars(stack)[key]
+            rows[k] = rows[k - 1]
+            rows[k, live] = v
 
 
 # states per batch of the observables pass and of the action's charges: enough
@@ -424,15 +469,17 @@ def action_along_curve(model, traj: Trajectory) -> complex:
     p dq, then -H_i dt^i, in walk order.  H_i is evaluated only where the
     trapezoid reads it, at both ends of each step along flow i, _CHUNK
     samples at a time from the model's weights at q_i: the bits of
-    hamiltonian(model, state, i)."""
+    hamiltonian(model, state, i).  One inverse of every group point serves
+    the group terms and the residues those charges read."""
     if not traj.states:
         raise ConfigError("empty trajectory")
-    if traj.states[0].phis is None:
+    if traj.stack.phis is None:
         raise ConfigError("the action needs group points (not projection mode)")
     if traj.lockstep:
         raise ConfigError("a lockstep trajectory is read one member at a time")
-    every, axes = _stack(*traj.states), traj.axes
+    every, axes = traj.stack, traj.axes
     steps = np.arange(len(axes))
+    inv = np.linalg.inv(every.phis)
     # H_i at both ends of each step along flow i, marked by a mask: no set
     # routine, whose first call in an interpreter (np.union1d) takes ~13 ms
     H = np.zeros((len(traj.states), model.n_hams), dtype=complex)
@@ -444,11 +491,11 @@ def action_along_curve(model, traj: Trajectory) -> complex:
         rows = np.flatnonzero(read)
         for lo in range(0, len(rows), _CHUNK):
             chunk = rows[lo:lo + _CHUNK]
-            H[chunk, i] = model.polys[i].evaluate(_ham_lax(model, _member(every, chunk), i)[1])
+            H[chunk, i] = model.polys[i].evaluate(
+                _ham_lax(model, _member(every, chunk), i, inv[chunk])[1])
     dt = np.diff(traj.times, axis=0)[steps, axes]
     # Tr(Lambda_a phi_a^{-1} dphi_a) of every (step, site), the inverse
-    # averaged over the step, from one stacked inverse and one product
-    inv = np.linalg.inv(every.phis)
+    # averaged over the step, from one product
     terms = [np.trace(model.orbit_seeds @ (0.5 * (inv[:-1] + inv[1:]))
                       @ np.diff(every.phis, axis=0), axis1=-2, axis2=-1)]
     if model.genus == 1:
@@ -559,7 +606,7 @@ def _observables(model, traj: Trajectory, z_samples) -> _Observables:
         residue_drift=np.empty(K),
         charpoly=np.empty((K, len(z_samples), model.m + 1), dtype=complex))
     for lo in range(0, K, _CHUNK):
-        chunk = _stack(*traj.states[lo:lo + _CHUNK])
+        chunk = _member(traj.stack, slice(lo, lo + _CHUNK))
         Ls = orbit_elements(model, chunk)
         L = lax_matrix(model, PhaseState(orbit_mats=Ls, q=chunk.q, p=chunk.p),
                        points)      # (C, n+Z, m, m)

@@ -300,11 +300,18 @@ def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
     the stored matrices.  In genus 1 this is also the per-evaluation guard:
     q, p and every residue must be finite before any kernel work, else
     ValueError."""
+    return _residues(model, state)
+
+
+def _residues(model: GaudinModel, state: PhaseState, inv=None) -> np.ndarray:
+    """orbit_elements, taking inv (when given) as the inverse of the group
+    points: a caller that already inverted them shares that inverse."""
     if model.genus == 1 and not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
         raise ValueError("non-finite Cartan coordinates q or momenta p")
     Ls = state.orbit_mats
     if Ls is None:
-        Ls = -(state.phis @ model.orbit_seeds @ np.linalg.inv(state.phis))
+        Ls = -(state.phis @ model.orbit_seeds
+               @ (np.linalg.inv(state.phis) if inv is None else inv))
     if model.genus == 1 and not np.isfinite(Ls).all():
         raise ValueError("non-finite residue L_alpha")
     return Ls
@@ -400,9 +407,10 @@ def _twisted_weights(model: GaudinModel, q, z, poles, z_pole, sigma_zp, twist, t
     return W, value * dlog_du.swapaxes(-1, -2)
 
 
-def _ham_lax(model: GaudinModel, state: PhaseState, i):
-    """(Ls, L(q_i), W, dW_du): one residue pass and the weights at q_i."""
-    Ls = orbit_elements(model, state)
+def _ham_lax(model: GaudinModel, state: PhaseState, i, inv=None):
+    """(Ls, L(q_i), W, dW_du): one residue pass (from inv, the inverse of
+    the group points, when given) and the weights at q_i."""
+    Ls = orbit_elements(model, state) if inv is None else _residues(model, state, inv)
     W, dW_du = _ham_weights(model, state.q, i)
     return Ls, _lax(model, Ls, state.p, W), W, dW_du
 

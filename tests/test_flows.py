@@ -1,3 +1,4 @@
+import collections.abc
 import csv
 import itertools
 import os
@@ -262,6 +263,28 @@ class TestEvolve:
         np.testing.assert_array_equal(times, np.stack([s.t for s in traj.states]))
         np.testing.assert_array_equal(times[-1], [0.05, -0.03])
 
+    def test_states_are_a_sequence_of_views(self, rational):
+        # one stack per trajectory; each sample is a state of views of its row
+        model, state = rational
+        traj = evolve(model, state, FlowCurve([[0.0, 0.0], [0.05, 0.0], [0.05, -0.03]]),
+                      0.01)
+        states = traj.states
+        assert isinstance(states, collections.abc.Sequence) and len(states) == 9
+        for k, s in enumerate(states):
+            assert np.shares_memory(s.t, traj.times) and np.shares_memory(s.phis, traj.stack.phis)
+            np.testing.assert_array_equal(s.t, traj.times[k])
+            np.testing.assert_array_equal(s.phis, traj.stack.phis[k])
+        assert k == len(states) - 1
+        np.testing.assert_array_equal(states[-1].t, [0.05, -0.03])
+        np.testing.assert_array_equal(states[-9].phis, state.phis)
+        with pytest.raises(IndexError):
+            states[9]
+        middle = states[2:5]
+        assert len(middle) == 3 and [s.t[0] for s in middle] == list(traj.times[2:5, 0])
+        np.testing.assert_array_equal(states[::-1][0].t, traj.times[-1])
+        with pytest.raises(TypeError):
+            states[0] = state
+
     def test_every_trajectory_starts_on_its_curve(self, rational):
         # a state without t starts at the curve's first waypoint; a t off it
         # is a ConfigError, taken before any step
@@ -453,6 +476,10 @@ def assert_members_equal_single_calls(model, state, curves, h, method="rk4"):
                 got, want = getattr(s, key), getattr(alone.states[-1], key)
                 assert (got is None and want is None) or np.array_equal(got[b], want)
         assert action_along_curve(model, member) == action_along_curve(model, alone)
+        zs = (0.11 + 0.31j,) if model.genus else (3.0 + 2.0j,)
+        got, want = flows._observables(model, member, zs), flows._observables(model, alone, zs)
+        for key, value in vars(want).items():
+            assert np.array_equal(getattr(got, key), value), key
 
 
 class TestLockstep:
@@ -557,6 +584,22 @@ class TestLockstep:
         if failure == "guard":
             assert alone.value.last_good_time == pytest.approx(0.66)
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_members_are_views_of_the_stack(self, rng, genus):
+        # member(b) slices the lockstep stack: no sample is copied
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 2, (2, 3), tau=1.1j)
+        state = PhaseState(phis=state.phis, q=state.q, p=state.p)
+        both = evolve(model, state, lockstep_curves(0.01), [0.005, 0.0025, 0.005])
+        for b in range(3):
+            member = both.member(b)
+            for key, value in vars(member.stack).items():
+                assert (value is None) == (getattr(both.stack, key) is None)
+                assert value is None or np.shares_memory(value, getattr(both.stack, key)), key
+            assert np.shares_memory(member.axes, both.axes)
+
     def test_members_are_read_one_at_a_time(self, rational, tmp_path):
         model, state = rational
         both = evolve(model, state, lockstep_curves(0.01), 0.005)
@@ -620,6 +663,28 @@ class TestAction:
 
         monkeypatch.setattr(flows, "_observables", no_table)
         assert action_along_curve(model, traj) == reference_action(model, traj)
+
+    @pytest.mark.parametrize("curve", ["staircase", "257_steps"])
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_one_inverse_per_trajectory(self, rng, monkeypatch, genus, curve):
+        # the group terms and the residues of every charge chunk share one
+        # inverse of the trajectory's group points
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3, 2))
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 2, (2, 3, 2), max_gradient=1e3)
+        curve, h, _ = ACTION_CURVES[curve]
+        traj = evolve(model, state, curve, h)
+        inverted = []
+        original = np.linalg.inv
+
+        def counted(a):
+            inverted.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        action_along_curve(model, traj)
+        assert inverted == [traj.stack.phis.shape]
 
     def test_stationary_zero(self, rational):
         model, state = rational

@@ -81,6 +81,18 @@ class TestCache:
             with pytest.raises(PoleError, match="needs inf terms"):
                 build_cache(5e-324j)
 
+    def test_legendre_relation_on_the_edge_line(self):
+        # the bounds that the MAX_THETA_TERMS comment and README state on
+        # the line Im(tau) = 0.0452: the loss sits at Re(tau) = 0 and is
+        # gone by |Re(tau)| = 0.05
+        def legendre(tau):
+            c = build_cache(tau)
+            return abs(tau * c.eta1 - c.eta2 - 1j * np.pi)
+
+        assert legendre(0.0452j) <= 3e-8
+        re = np.linspace(0.05, 0.5, 451)
+        assert max(legendre(tau) for tau in np.concatenate((re, -re)) + 0.0452j) <= 3e-12
+
     def test_square_lattice(self):
         c = build_cache(1j)
         oracle = LatticeSumOracle(1j)
