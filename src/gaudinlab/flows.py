@@ -442,16 +442,12 @@ def _write(stack, k, state, live=None):
     """Write state's arrays (not its t) into row k of the stack: the whole
     row (broadcast over the members), or only the members live, the others
     keeping row k - 1."""
-    if live is None:
-        stack.mats[k] = state.mats
-        if state.q is not None:
-            stack.q[k] = state.q
-        if state.p is not None:
-            stack.p[k] = state.p
-        return
-    for key, v in vars(state).items():
-        if v is not None and key != "t":
-            rows = vars(stack)[key]
+    for rows, v in ((stack.mats, state.mats), (stack.q, state.q), (stack.p, state.p)):
+        if v is None:
+            continue
+        if live is None:
+            rows[k] = v
+        else:
             rows[k] = rows[k - 1]
             rows[k, live] = v
 

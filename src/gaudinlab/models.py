@@ -295,17 +295,12 @@ def make_gaudin_model(genus, m, marked_points, orbit_seeds, ham_points,
 # state access
 # ---------------------------------------------------------------------------
 
-def orbit_elements(model: GaudinModel, state: PhaseState) -> np.ndarray:
+def orbit_elements(model: GaudinModel, state: PhaseState, inv=None) -> np.ndarray:
     """Residues L_alpha = -phi Lambda phi^{-1} stacked (..., N, m, m), or
-    the stored matrices.  In genus 1 this is also the per-evaluation guard:
-    q, p and every residue must be finite before any kernel work, else
-    ValueError."""
-    return _residues(model, state)
-
-
-def _residues(model: GaudinModel, state: PhaseState, inv=None) -> np.ndarray:
-    """orbit_elements, taking inv (when given) as the inverse of the group
-    points: a caller that already inverted them shares that inverse."""
+    the stored matrices; inv, when given, is the inverse of the group
+    points, which a caller that already inverted them shares.  In genus 1
+    this is also the per-evaluation guard: q, p and every residue must be
+    finite before any kernel work, else ValueError."""
     if model.genus == 1 and not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
         raise ValueError("non-finite Cartan coordinates q or momenta p")
     Ls = state.orbit_mats
@@ -410,7 +405,7 @@ def _twisted_weights(model: GaudinModel, q, z, poles, z_pole, sigma_zp, twist, t
 def _ham_lax(model: GaudinModel, state: PhaseState, i, inv=None):
     """(Ls, L(q_i), W, dW_du): one residue pass (from inv, the inverse of
     the group points, when given) and the weights at q_i."""
-    Ls = orbit_elements(model, state) if inv is None else _residues(model, state, inv)
+    Ls = orbit_elements(model, state, inv)
     W, dW_du = _ham_weights(model, state.q, i)
     return Ls, _lax(model, Ls, state.p, W), W, dW_du
 

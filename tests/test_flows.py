@@ -682,9 +682,20 @@ class TestAction:
             inverted.append(a.shape)
             return original(a)
 
+        residues = []
+        real_residues = models.orbit_elements
+
+        def shared(model, state, inv=None):
+            residues.append(inv is not None)
+            return real_residues(model, state, inv)
+
         monkeypatch.setattr(np.linalg, "inv", counted)
+        monkeypatch.setattr(models, "orbit_elements", shared)
         action_along_curve(model, traj)
         assert inverted == [traj.stack.phis.shape]
+        # the charges' residue passes go through orbit_elements, each
+        # given a slice of that inverse
+        assert residues and all(residues)
 
     def test_stationary_zero(self, rational):
         model, state = rational
