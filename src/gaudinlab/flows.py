@@ -27,12 +27,16 @@ curve only through its endpoints, which the tests exercise directly.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+# np.linalg.inv's gufunc without the wrapper, whose checks cost more than
+# the inverse of a small stack; a singular matrix gives NaNs, not LinAlgError
+from numpy.linalg._umath_linalg import inv as _inv
 
 from .errors import ConfigError, NumericalAbort
 from .liealg import charpoly, matrix_exponential
@@ -40,8 +44,10 @@ from .models import (
     GaudinModel,
     PhaseState,
     _charge_partials,
+    _gradient,
     _ham_lax,
     _member,
+    _residues,
     _stack,
     grad_hamiltonian,
     # unused; perfbench/tests expects flows to bind it
@@ -226,66 +232,58 @@ def _times(c, x):
     return c * x
 
 
-def _step_conjugation(model, state, i, h):
-    # explicit midpoint; the group points move by one stacked exponential
-    # of a traceless matrix, so det phi_a is kept and the step has order 2
-    dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
-    half = PhaseState(
-        phis=matrix_exponential(_times(-(h / 2.0), dH_dL)) @ state.phis,
-        q=None if state.q is None else state.q + _times(h / 2.0, dH_dp),
-        p=None if state.p is None else state.p - _times(h / 2.0, dH_dq),
-        t=state.t)
-    dH_dL2, dH_dq2, dH_dp2 = grad_hamiltonian(model, half, i)
-    return PhaseState(
-        phis=matrix_exponential(_times(-h, dH_dL2)) @ state.phis,
-        q=None if state.q is None else state.q + _times(h, dH_dp2),
-        p=None if state.p is None else state.p - _times(h, dH_dq2),
-        t=state.t)
+def _step_conjugation(partials, x, i, h):
+    # explicit midpoint on x = (phis, q, p); the group points move by one
+    # stacked exponential of a traceless matrix, so det phi_a is kept and
+    # the step has order 2
+    def advanced(c, dH):
+        dH_dL, dH_dq, dH_dp = dH
+        return (matrix_exponential(_times(-c, dH_dL)) @ x[0],
+                None if x[1] is None else x[1] + _times(c, dH_dp),
+                None if x[2] is None else x[2] - _times(c, dH_dq))
+    return advanced(h, partials(advanced(h / 2.0, partials(x, i)), i))
 
 
-def _rhs_tuple(model, state, i):
-    """Raw right-hand side on the flat coordinates used by RK4."""
-    dH_dL, dH_dq, dH_dp = grad_hamiltonian(model, state, i)
-    if state.phis is not None:
-        dmats = -(dH_dL @ state.phis)   # left-trivialised
-    else:
-        Ls = state.orbit_mats
-        dmats = Ls @ dH_dL - dH_dL @ Ls
-    return dmats, dH_dp, -dH_dq
+def _step_rk4(partials, x, i, h, orbit=False):
+    # classical rk4 on x = (mats, q, p): group points move left-trivialised,
+    # orbit matrices by a commutator
+    def slope(c, k):
+        y = x if k is None else [None if v is None else v + _times(c, dv) for v, dv in zip(x, k)]
+        dH_dL, dH_dq, dH_dp = partials(y, i)
+        return (y[0] @ dH_dL - dH_dL @ y[0] if orbit else -(dH_dL @ y[0])), dH_dp, -dH_dq
+
+    k1 = slope(0.0, None)
+    k2 = slope(h / 2.0, k1)
+    k3 = slope(h / 2.0, k2)
+    k4 = slope(h, k3)
+    return tuple(None if v is None else v + _times(h / 6.0, a + 2 * b + 2 * c + d)
+                 for v, a, b, c, d in zip(x, k1, k2, k3, k4))
 
 
-def _shifted(state, k, c):
-    return state.moved(state.mats + _times(c, k[0]),
-                       None if state.q is None else state.q + _times(c, k[1]),
-                       None if state.p is None else state.p + _times(c, k[2]), state.t)
-
-
-def _step_rk4(model, state, i, h):
-    k1 = _rhs_tuple(model, state, i)
-    k2 = _rhs_tuple(model, _shifted(state, k1, h / 2.0), i)
-    k3 = _rhs_tuple(model, _shifted(state, k2, h / 2.0), i)
-    k4 = _rhs_tuple(model, _shifted(state, k3, h), i)
-    new = [None if x is None else x + _times(h / 6.0, a + 2 * b + 2 * c + d)
-           for x, a, b, c, d in zip((state.mats, state.q, state.p), k1, k2, k3, k4)]
-    return state.moved(*new, state.t)
+def _stepper(method, state):
+    """stepper(partials, (mats, q, p), i, h) of method for the state, or a ConfigError."""
+    if method not in STEPPERS:
+        raise ConfigError(f"unknown stepper {method!r}; choose from {STEPPERS}")
+    if method == "rk4":
+        return functools.partial(_step_rk4, orbit=state.phis is None)
+    if state.phis is None:
+        raise ConfigError("conjugation stepper needs group points")
+    return _step_conjugation
 
 
 def step(model, state, i, h, method="rk4"):
-    """One step of signed, nonzero size h along the flow of H_i.  The
-    result keeps the input's t: evolve sets t from the curve's plan.
+    """One step of signed, nonzero size h along the flow of H_i, every stage
+    checked by grad_hamiltonian.  The result keeps the input's t: evolve
+    sets t from the curve's plan.
 
     On a state whose arrays carry a leading member axis, i and h may be
     arrays of one flow index and one step per member (a lockstep evolve);
     every member's result equals its own single step bit for bit."""
     if (h == 0).any() if isinstance(h, np.ndarray) else h == 0:
         raise ConfigError("step size must be nonzero")
-    if method == "conjugation":
-        if state.phis is None:
-            raise ConfigError("conjugation stepper needs group points")
-        return _step_conjugation(model, state, i, h)
-    if method == "rk4":
-        return _step_rk4(model, state, i, h)
-    raise ConfigError(f"unknown stepper {method!r}; choose from {STEPPERS}")
+    x = _stepper(method, state)(lambda y, i: grad_hamiltonian(model, state.moved(*y, None), i),
+                                (state.mats, state.q, state.p), i, h)
+    return state.moved(*x, state.t)
 
 
 def _guard(model, state, margin):
@@ -328,6 +326,12 @@ def evolve(model, state, curve, h, method="rk4",
     may carry no time t; one whose t is not that waypoint (in lockstep, the
     first waypoint of each member's curve) to 1e-9, relative or absolute,
     is a ConfigError.
+
+    A step's stages check no value for finiteness and no inverse for
+    singularity (a singular group point gives NaNs), under
+    np.errstate(all="ignore"): the guard is the step's one check, and a
+    step that fails it or raises is retaken by `step`, which names the
+    cause; every stage's slope enters the step, so the guard sees it.
 
     project_residue_sum (genus 0, rk4 only): after every step subtract the
     mean residue from the orbit matrices; the state then evolves in the
@@ -377,6 +381,7 @@ def evolve(model, state, curve, h, method="rk4",
             raise ConfigError("residue-sum projection evolves orbit matrices, "
                               f"so it needs method 'rk4', not {method!r}")
         cur = PhaseState(orbit_mats=orbit_elements(model, cur), q=cur.q, p=cur.p)
+    stepper, orbit = _stepper(method, cur), cur.phis is None
     # the trajectory, one row per sample (then one per member, if any): row
     # 0 is the start, row k + 1 is written once step k is taken
     stack = PhaseState(t=times, **{key: np.empty(times.shape[:-1] + v.shape, complex)
@@ -409,6 +414,22 @@ def evolve(model, state, curve, h, method="rk4",
                     return NumericalAbort(f"step failed: {own}", walked(k, member), int(member))
         return NumericalAbort(f"step failed: {exc}", walked(k, 0))
 
+    def raw(y, i):
+        Ls = y[0] if orbit else _residues(model, y[0], _inv(y[0]))
+        return _gradient(model, Ls, y[1], y[2], i)
+
+    def taken(part, ax, dt, checked):
+        # the live members' step through `step`, whose stages are checked,
+        # or through raw stages, which check no value for finiteness and
+        # no inverse for singularity
+        if checked:
+            new = step(model, part, ax, dt, method)
+        else:
+            new = part.moved(*stepper(raw, (part.mats, part.q, part.p), ax, dt), part.t)
+        if project_residue_sum:     # new is new, so it may be changed
+            new.orbit_mats -= np.sum(new.orbit_mats, axis=-3, keepdims=True) / model.n_sites
+        return new
+
     everyone = np.arange(len(curves))
     cur = _member(stack, 0)
     guard(0, cur, everyone)
@@ -420,16 +441,21 @@ def evolve(model, state, curve, h, method="rk4",
         part, ax, dt, members = ((cur, axes[k], dts[k], everyone) if live is None
                                  else (_member(cur, live), axes[k, live], dts[k, live], live))
         try:
-            new = step(model, part, ax, dt, method)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            # a stage hit a pole or a resonance, went non-finite, or met
-            # a singular matrix (LinAlgError is a ValueError)
-            raise failed_step(k, part, ax, dt, members, exc) from exc
-        if project_residue_sum:     # new is new, so it may be changed
-            new.orbit_mats -= np.sum(new.orbit_mats, axis=-3, keepdims=True) / model.n_sites
-        guard(k, new, members)
+            with np.errstate(all="ignore"):
+                new = taken(part, ax, dt, False)
+        except ValueError:
+            new = None
+        if new is None or _guard(model, new, resonance_margin_min) is not None:
+            # taken again, checked, so that the abort names the cause
+            try:
+                new = taken(part, ax, dt, True)
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                # a stage hit a pole or a resonance, went non-finite, or met
+                # a singular matrix (LinAlgError is a ValueError)
+                raise failed_step(k, part, ax, dt, members, exc) from exc
+            guard(k, new, members)
         _write(stack, k + 1, new, live)
         # the next step reads row k + 1: new itself when it is all of it
         cur = new if live is None else _member(stack, k + 1)
@@ -488,7 +514,7 @@ def action_along_curve(model, traj: Trajectory) -> complex:
         for lo in range(0, len(rows), _CHUNK):
             chunk = rows[lo:lo + _CHUNK]
             H[chunk, i] = model.polys[i].evaluate(
-                _ham_lax(model, _member(every, chunk), i, inv[chunk])[1])
+                _ham_lax(model, _member(every, chunk), i, inv[chunk]))
     dt = np.diff(traj.times, axis=0)[steps, axes]
     # Tr(Lambda_a phi_a^{-1} dphi_a) of every (step, site), the inverse
     # averaged over the step, from one product

@@ -41,7 +41,7 @@ def _subtract_trace(P):
     P = np.ascontiguousarray(P)     # so that the diagonals below are a view
     m = P.shape[-1]
     d = P.reshape(P.shape[:-2] + (m * m,))[..., ::m + 1]
-    d -= d.sum(axis=-1, keepdims=True) / m
+    d -= np.add.reduce(d, axis=-1, keepdims=True) / m
     return P
 
 

@@ -74,6 +74,7 @@ from .weierstrass import (  # noqa: F401
     in_centred_cell,
     kernel_at_known_z,
     kernel_phi,
+    kernel_u_side,
     kernel_z_side,
     lattice_distance,
     sigma_eval,
@@ -170,7 +171,7 @@ class GaudinModel:
         return self.basis.m
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseState:
     """Dynamical variables.  Exactly one of group points (phis) and raw
     orbit matrices (orbit_mats; used by the optional genus-0 projection
@@ -178,7 +179,7 @@ class PhaseState:
     steppers phis; it is a complex (N, m, m) stack (a list is stacked);
     leading axes before N hold several states, over which orbit_elements
     and the Lax assembly broadcast.  q/p are the genus-1 cotangent
-    coordinates."""
+    coordinates.  A state equals only itself (the fields hold arrays)."""
 
     phis: np.ndarray = None
     q: np.ndarray = None
@@ -303,13 +304,15 @@ def orbit_elements(model: GaudinModel, state: PhaseState, inv=None) -> np.ndarra
     finite before any kernel work, else ValueError."""
     if model.genus == 1 and not (np.isfinite(state.q).all() and np.isfinite(state.p).all()):
         raise ValueError("non-finite Cartan coordinates q or momenta p")
-    Ls = state.orbit_mats
-    if Ls is None:
-        Ls = -(state.phis @ model.orbit_seeds
-               @ (np.linalg.inv(state.phis) if inv is None else inv))
+    Ls = state.orbit_mats if state.phis is None else _residues(model, state.phis, inv)
     if model.genus == 1 and not np.isfinite(Ls).all():
         raise ValueError("non-finite residue L_alpha")
     return Ls
+
+
+def _residues(model: GaudinModel, phis, inv=None) -> np.ndarray:
+    """-phi Lambda phi^{-1} of group points phis (inv: their inverse), unchecked."""
+    return -(phis @ model.orbit_seeds @ (np.linalg.inv(phis) if inv is None else inv))
 
 
 def residue_constraint(model: GaudinModel, Ls: np.ndarray) -> np.ndarray:
@@ -366,19 +369,19 @@ def _kernel_weights(model: GaudinModel, q, z, ham=None):
                             zeta_poles - zeta_z[..., None], _cartan_template(model.m, cartan))
 
 
-def _ham_weights(model: GaudinModel, q, i):
+def _ham_weights(model: GaudinModel, q, i, checked=True):
     """The Lax weights at the Hamiltonian point q_i (i an int, or one flow
     index per state along q's leading axis) and their u-derivatives:
     _kernel_weights(model, q, model.ham_points[i]) bit for bit at every tau,
     from the model's weights (genus 0), or from its z side, twist exponents
     and Cartan template (genus 1, which then evaluates only the u side, in
-    one array-core call).  No z guard: construction keeps each q_i off the
-    lattice and the poles."""
+    one array-core call: kernel_at_known_z, or unchecked kernel_u_side).
+    No z guard: construction keeps each q_i off the lattice and the poles."""
     if model.genus == 0:
         return model.ham_weights[i], None
     _, _, z_pole, _, sigma_zp = model.ham_z_side
     return _twisted_weights(model, q, model.ham_points[i], model.marked_points, z_pole[i],
-                            sigma_zp[i], model.ham_twist[i], model.ham_weights[i])
+                            sigma_zp[i], model.ham_twist[i], model.ham_weights[i], checked)
 
 
 def _cartan_template(m, cartan):
@@ -387,14 +390,16 @@ def _cartan_template(m, cartan):
     return cartan[..., None, None] * np.eye(m)
 
 
-def _twisted_weights(model: GaudinModel, q, z, poles, z_pole, sigma_zp, twist, template):
+def _twisted_weights(model: GaudinModel, q, z, poles, z_pole, sigma_zp, twist, template,
+                     checked=True):
     """Genus-1 weights W (..., P, m, m) at z and their (..., P, R)
     u-derivatives, as _kernel_weights returns them: a copy of the Cartan
     template whose root entries take the kernel's u side over u = rho(Q),
-    kernel_at_known_z with z - pole, sigma(z - pole) and the twist exponent
-    zeta(pole) - zeta(z) of the z side at z."""
+    kernel_at_known_z (unchecked, kernel_u_side) with z - pole, sigma(z -
+    pole) and the twist exponent zeta(pole) - zeta(z) of the z side at z."""
     u = (model.basis.roots @ q[..., None])[..., 0]
-    value, dlog_du, _ = kernel_at_known_z(model.cache, u, z, poles, z_pole, sigma_zp, twist)
+    value, dlog_du, _ = (kernel_at_known_z if checked else kernel_u_side)(
+        model.cache, u, z, poles, z_pole, sigma_zp, twist)
     value = value.swapaxes(-1, -2)
     W = np.empty(value.shape[:-1] + template.shape[-2:], dtype=complex)
     W[...] = template
@@ -403,11 +408,10 @@ def _twisted_weights(model: GaudinModel, q, z, poles, z_pole, sigma_zp, twist, t
 
 
 def _ham_lax(model: GaudinModel, state: PhaseState, i, inv=None):
-    """(Ls, L(q_i), W, dW_du): one residue pass (from inv, the inverse of
-    the group points, when given) and the weights at q_i."""
-    Ls = orbit_elements(model, state, inv)
-    W, dW_du = _ham_weights(model, state.q, i)
-    return Ls, _lax(model, Ls, state.p, W), W, dW_du
+    """L(q_i) from one residue pass (from inv, the inverse of the group
+    points, when given) and the model's weights at q_i."""
+    return _lax(model, orbit_elements(model, state, inv), state.p,
+                _ham_weights(model, state.q, i)[0])
 
 
 def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
@@ -416,7 +420,7 @@ def _lax(model: GaudinModel, Ls: np.ndarray, p, W: np.ndarray) -> np.ndarray:
     the diagonal.  Leading axes of Ls (..., N, m, m), p (..., rk) and W
     broadcast; each state's products have one state's shapes, so a stack
     of states gives each one's own bits."""
-    L = (Ls * W).sum(axis=-3)
+    L = np.add.reduce(Ls * W, axis=-3)
     if model.genus == 1:
         diag = np.arange(model.m)
         L[..., diag, diag] += (p[..., None, :] @ model.pi_diag)[..., 0, :]
@@ -464,7 +468,7 @@ def transition_gamma(model: GaudinModel, state: PhaseState, z) -> np.ndarray:
 
 def hamiltonian(model: GaudinModel, state: PhaseState, i: int) -> complex:
     """H_i = P_i(L(q_i)), from the model's weights at q_i."""
-    return model.polys[i].evaluate(_ham_lax(model, state, i)[1])
+    return model.polys[i].evaluate(_ham_lax(model, state, i))
 
 
 def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
@@ -488,11 +492,21 @@ def grad_hamiltonian(model: GaudinModel, state: PhaseState, i):
     then carry that axis, and each member's equal its own single call bit
     for bit.  Members whose polynomials differ in degree take one gradient
     call per degree.
+
+    It is _gradient with the genus-1 finiteness checks, in order: q and p
+    and the residues (orbit_elements), then the kernel's values.
     """
+    return _gradient(model, orbit_elements(model, state), state.q, state.p, i, checked=True)
+
+
+def _gradient(model: GaudinModel, Ls, q, p, i, checked=False):
+    """grad_hamiltonian's arithmetic on the residues Ls and arrays q, p;
+    unchecked, it keeps only the kernel's lattice checks."""
     # one residue pass and one set of weights at q_i serve L(q_i) and every
     # partial derivative; the weights are the model's, and in genus 1 only
     # their root entries are evaluated, at u and u + q_i - p_a
-    Ls, L, W, dW_du = _ham_lax(model, state, i)
+    W, dW_du = _ham_weights(model, q, i, checked)
+    L = _lax(model, Ls, p, W)
     if not isinstance(i, np.ndarray):
         G = model.polys[i].gradient(L)
     else:
@@ -538,7 +552,7 @@ def m_matrix(model: GaudinModel, state: PhaseState, i: int, z) -> np.ndarray:
     shape: the result is the (..., *z.shape, m, m) stack, leading axes of
     the state first, from one gradient and one set of weights, and each
     matrix equals its own one-point call bit for bit."""
-    G = model.polys[i].gradient(_ham_lax(model, state, i)[1])
+    G = model.polys[i].gradient(_ham_lax(model, state, i))
     # the weights at z have the single pole q_i; they raise PoleError at
     # q_i and, in genus 1, at the gluing point z = 0
     q = None if state.q is None else state.q[..., None, :]

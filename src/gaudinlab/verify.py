@@ -369,18 +369,18 @@ def suite_rational(seed=0):
         w = model.ham_points[0]
         ps = model.marked_points[:, None, None]
         n_steps = int(round(T / h_fine))
-        w_p, p_w = w - ps, ps - w
+        w_p, p_w, half, sixth = w - ps, ps - w, h_fine / 2, h_fine / 6
 
         def rhs(Ls):
-            A = np.sum(Ls / w_p, axis=0) / p_w
+            A = np.add.reduce(Ls / w_p, axis=0) / p_w
             return A @ Ls - Ls @ A
 
         for _ in range(n_steps):
             k1 = rhs(Ls)
-            k2 = rhs(Ls + h_fine / 2 * k1)
-            k3 = rhs(Ls + h_fine / 2 * k2)
+            k2 = rhs(Ls + half * k1)
+            k3 = rhs(Ls + half * k2)
             k4 = rhs(Ls + h_fine * k3)
-            Ls = Ls + h_fine / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            Ls = Ls + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         return Ls
 
     # the contract run's first leg is the flow of H_1 over T = 1

@@ -16,9 +16,9 @@ Two independent evaluation routes are provided:
   treats a whole array of arguments in one pass; the scalar functions are
   thin wrappers over it; p is evaluated only for the callers that read it.
   The twisted kernel has one z side (`kernel_z_side`: z and z - pole) and
-  one u side (`kernel_at_known_z`: u and u + (z - pole), no p), each one
-  call; `kernel_table` is both, for all (u, pole) pairs at one or many
-  points z.
+  one u side (`kernel_at_known_z`: u and u + (z - pole), no p; unchecked,
+  `kernel_u_side`), each one call; `kernel_table` is both, for all (u,
+  pole) pairs at one or many points z.
 
 * `LatticeSumOracle` evaluates the same three functions from symmetrised
   truncated lattice sums.  Lattice points are grouped in +/- pairs, which
@@ -51,6 +51,7 @@ __all__ = [
     "in_centred_cell",
     "kernel_table",
     "kernel_z_side",
+    "kernel_u_side",
     "kernel_at_known_z",
     "KernelTable",
     "LatticeSumOracle",
@@ -340,29 +341,37 @@ def kernel_at_known_z(cache: EllipticCache, us, z, poles, z_pole, sigma_zp, twis
     then ValueError when a value is not finite (a sigma quotient that
     overflows).  The callers check that u is finite: kernel_table does, and
     the model's weights take u = rho(Q) from a checked state."""
-    us = np.asarray(us, dtype=complex)
-    shifted = us[..., None] + z_pole[..., None, :]
-    n_u = us.size
     with np.errstate(over="ignore", invalid="ignore"):
-        _, ze, sig, dist = _core(cache, np.concatenate((us.ravel(), shifted.ravel())),
-                                 with_wp=False)
-        near = dist < POLE_TOL
-        if near.any():
-            k = int(np.argmax(near))
-            if k < n_u:
-                raise ResonanceError(f"kernel: u = {us.ravel()[k]} is on the lattice")
-            *at, r, pole = np.unravel_index(k - n_u, shifted.shape)
-            u_at = np.broadcast_to(us, shifted.shape[:-1])[(*at, r)]
-            z_at = np.broadcast_to(z, shifted.shape[:-2])[tuple(at)]
-            raise PoleError(f"kernel: u + z - pole is on the lattice "
-                            f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
-        zeta_u, sig_u = ze[:n_u].reshape(us.shape), sig[:n_u].reshape(us.shape)
-        zeta_s, sig_s = ze[n_u:].reshape(shifted.shape), sig[n_u:].reshape(shifted.shape)
-        twist = twist[..., None, :]
-        value = sig_s / (sig_u[..., None] * sigma_zp[..., None, :]) * np.exp(us[..., None] * twist)
+        value, dlog_du, zeta_s = kernel_u_side(cache, us, z, poles, z_pole, sigma_zp, twist)
     if not np.isfinite(value).all():
         raise ValueError(f"kernel: a sigma quotient overflows "
                          f"(largest |u| = {np.abs(us).max():.3g})")
+    return value, dlog_du, zeta_s
+
+
+def kernel_u_side(cache: EllipticCache, us, z, poles, z_pole, sigma_zp, twist):
+    """kernel_at_known_z without its check that the values are finite; the
+    lattice checks stay, since a u can be that close while every value is
+    finite.  The caller holds np.errstate(over="ignore", invalid="ignore")."""
+    us = np.asarray(us, dtype=complex)
+    shifted = us[..., None] + z_pole[..., None, :]
+    n_u = us.size
+    _, ze, sig, dist = _core(cache, np.concatenate((us.ravel(), shifted.ravel())),
+                             with_wp=False)
+    near = dist < POLE_TOL
+    if near.any():
+        k = int(np.argmax(near))
+        if k < n_u:
+            raise ResonanceError(f"kernel: u = {us.ravel()[k]} is on the lattice")
+        *at, r, pole = np.unravel_index(k - n_u, shifted.shape)
+        u_at = np.broadcast_to(us, shifted.shape[:-1])[(*at, r)]
+        z_at = np.broadcast_to(z, shifted.shape[:-2])[tuple(at)]
+        raise PoleError(f"kernel: u + z - pole is on the lattice "
+                        f"(u = {u_at}, z = {z_at}, pole = {poles[pole]})")
+    zeta_u, sig_u = ze[:n_u].reshape(us.shape), sig[:n_u].reshape(us.shape)
+    zeta_s, sig_s = ze[n_u:].reshape(shifted.shape), sig[n_u:].reshape(shifted.shape)
+    twist = twist[..., None, :]
+    value = sig_s / (sig_u[..., None] * sigma_zp[..., None, :]) * np.exp(us[..., None] * twist)
     return value, zeta_s - zeta_u[..., None] + twist, zeta_s
 
 

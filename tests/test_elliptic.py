@@ -472,7 +472,8 @@ class TestHamiltonianPointWeights:
         return model, state, stack
 
     @staticmethod
-    def kernel_route(model, q, i):
+    def kernel_route(model, q, i, checked=True):
+        # the kernel route checks its values whether asked to or not
         return models._kernel_weights(model, q, model.ham_points[i])
 
     def test_weights_and_results_equal_the_kernel_route(self, monkeypatch, m, n_sites,

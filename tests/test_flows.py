@@ -285,6 +285,16 @@ class TestEvolve:
         with pytest.raises(TypeError):
             states[0] = state
 
+    def test_states_compare_by_identity(self, rational):
+        # a state equals only itself, so a sequence of states can be
+        # searched; each item of traj.states is a new state of views
+        model, state = rational
+        traj = evolve(model, state, FlowCurve([[0.0, 0.0], [0.03, 0.0]]), 0.01)
+        states = list(traj.states)
+        assert states[1] in states and states.index(states[1]) == 1
+        assert states[1] == states[1] and states[1] != states[2]
+        assert traj.states[1] not in traj.states and traj.states.count(states[1]) == 0
+
     def test_every_trajectory_starts_on_its_curve(self, rational):
         # a state without t starts at the curve's first waypoint; a t off it
         # is a ConfigError, taken before any step
@@ -313,7 +323,7 @@ class TestEvolve:
         both = evolve(model, PhaseState(phis=state.phis), curves, 0.0078125)
         np.testing.assert_array_equal(both.states[0].t, [[0.0, 0.0], [0.0, 0.5]])
         np.testing.assert_array_equal(both.states[-1].t, [[0.015625, 0.0], [0.0, 0.515625]])
-        monkeypatch.setattr(flows, "grad_hamiltonian", None)   # any step fails
+        monkeypatch.setattr(flows, "_gradient", None)   # any step fails
         with pytest.raises(ConfigError, match="of curve 1"):
             evolve(model, state, curves, 0.0078125)
 
@@ -389,6 +399,45 @@ class TestEvolve:
         assert 0.0 <= info.value.last_good_time < 0.12
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("k, h, reason, last_good", [
+        (0, 0.005, "step failed: kernel: a sigma quotient overflows (largest |u| = 47.7)", 0.075),
+        (8, 0.005, "step failed: kernel: u = (7.157", 0.115),
+        (8, 0.01, "rho(Q) approached a lattice point (root resonance)", 0.11),
+    ])
+    def test_abort_kinds(self, k, h, reason, last_good):
+        # three ends of coarse sl3 torus runs: a stage whose kernel
+        # overflows; a stage whose root value u is on the lattice, within
+        # POLE_TOL, while every value is still finite; and a step whose
+        # result fails the guard.  Each has the same reason and time alone
+        # and as lockstep member 1 beside a curve that does not fail
+        model, state = random_elliptic_ensemble(np.random.default_rng(k), 3, 3, (2, 3),
+                                                tau=1.1j)
+        curve = FlowCurve([[0.0, 0.0], [0.06, 0.0], [0.06, 0.06]])
+        safe = FlowCurve([[0.0, 0.0], [0.02, 0.0]])
+        for curves, member in ((curve, None), ([safe, curve], 1)):
+            with pytest.raises(NumericalAbort) as info:
+                evolve(model, state, curves, h)
+            assert info.value.reason.startswith(reason)
+            assert info.value.last_good_time == pytest.approx(last_good, abs=1e-12)
+            assert info.value.member == member
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    @pytest.mark.parametrize("method", ["rk4", "conjugation"])
+    def test_singular_group_point_aborts(self, rng, genus, method):
+        # evolve's stages invert the group points with no singularity
+        # check: the NaNs of a singular one reach the guard, and the
+        # checked retake of the step names the cause, with no warning
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
+        else:
+            model, state = random_elliptic_ensemble(rng, 2, 2, (2, 2))
+        phis = state.phis.copy()
+        phis[1] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(NumericalAbort, match="^step failed: Singular matrix$") as info:
+            evolve(model, PhaseState(phis=phis, q=state.q, p=state.p),
+                   FlowCurve([[0.0, 0.0], [0.05, 0.0]]), 0.01, method=method)
+        assert info.value.last_good_time == 0.0
+
     @pytest.mark.parametrize("error", [
         PoleError("stage at a pole"),
         ResonanceError("stage at a resonance"),
@@ -396,16 +445,20 @@ class TestEvolve:
         ValueError("matrix_exponential: non-finite entries"),
     ])
     def test_stage_errors_abort(self, rational, monkeypatch, error):
+        # the error comes from the partials that the unchecked stages and
+        # the checked retake of the failing step share, so both raise it
         model, state = rational
         calls = []
+        gradient = models._gradient
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             calls.append(1)
             if len(calls) > 3:   # the second step fails
                 raise error
-            return grad_hamiltonian(*args)
+            return gradient(*args, **kwargs)
 
-        monkeypatch.setattr(flows, "grad_hamiltonian", failing)
+        for owner in (models, flows):
+            monkeypatch.setattr(owner, "_gradient", failing)
         with pytest.raises(NumericalAbort) as info:
             evolve(model, state, FlowCurve([[0.0, 0.0], [0.1, 0.0]]), 0.01,
                    method="conjugation")
