@@ -20,6 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# np.linalg's gufuncs without the wrappers' checks, which cost more than a
+# small stack's solve: a singular matrix gives NaNs, not LinAlgError.  They
+# are private API, so where they are missing the public functions stand in
+try:
+    from numpy.linalg._umath_linalg import inv as _inv, solve as _solve
+except ImportError:
+    _inv, _solve = np.linalg.inv, np.linalg.solve
+
 from .errors import DimensionError
 
 __all__ = [
@@ -142,13 +150,45 @@ _PADE13 = (
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
-# The coefficients of A6, A4, A2: [0] inside the product with A6, [1] outside
-# it, each with U's in row 0 and V's in row 1; then U's b1 and V's b0
-_PADE13_TERMS = np.array(_PADE13)[[[[13, 11, 9], [12, 10, 8]],
-                                   [[7, 5, 3], [6, 4, 2]]]].reshape(2, 2, 3, 1, 1, 1)
-_PADE13_DIAG = np.array(_PADE13)[[1, 0]].reshape(2, 1, 1)
-_PADE13_TERMS.setflags(write=False)
-_PADE13_DIAG.setflags(write=False)
+_UNSCALED = 0.999 * _THETA13    # m max|x_ij| under it: no 1-norm exceeds theta13
+# The coefficients, complex as numpy would cast them: of A6, A4, A2 inside
+# the product with A6 and outside it, U's in row 0 and V's in row 1; then
+# U's b1 and V's b0
+_PADE13_INNER, _PADE13_OUTER = np.array(_PADE13, dtype=complex)[
+    [[[13, 11, 9], [12, 10, 8]], [[7, 5, 3], [6, 4, 2]]]].reshape(2, 2, 3, 1, 1, 1)
+_PADE13_DIAG = np.array(_PADE13, dtype=complex)[[1, 0]].reshape(2, 1, 1)
+for _c in (_PADE13_INNER, _PADE13_OUTER, _PADE13_DIAG):
+    _c.setflags(write=False)
+
+
+def _pade13(A) -> np.ndarray:
+    """Pade-13 of exp for a complex (K, m, m) stack, unchecked and unscaled.
+    U and V are rows 0 and 1 of one stack, built from the stacked A6, A4, A2
+    by the written-out formula's operations in its order, so each matrix
+    gets the bits it gets alone (the references pin them); a reduction
+    along a short axis adds in sequence."""
+    m = A.shape[-1]
+    P = np.empty((3,) + A.shape, dtype=complex)          # A6, A4, A2
+    np.matmul(A, A, out=P[2])
+    np.matmul(P[2], P[2], out=P[1])
+    np.matmul(P[1], P[2], out=P[0])
+    S = np.empty((2, 4) + A.shape, dtype=complex)        # U's and V's terms
+    np.matmul(P[0], np.add.reduce(_PADE13_INNER * P, axis=1), out=S[:, 0])
+    np.multiply(_PADE13_OUTER, P, out=S[:, 1:])
+    T = np.add.reduce(S, axis=1, initial=-0j)    # -0 + x is x, also at x = -0
+    # b1 I and b0 I on the diagonals of the contiguous T only
+    T.reshape(2, -1, m * m)[..., ::m + 1] += _PADE13_DIAG
+    U, V = A @ T[0], T[1]
+    return _solve(V - U, V + U)
+
+
+def _exp_unchecked(X) -> np.ndarray:
+    """matrix_exponential of a complex (..., m, m) stack, unchecked where
+    nothing needs scaling, otherwise (a NaN too) with every check."""
+    m = X.shape[-1]
+    if np.abs(X).max(initial=0.0) <= _UNSCALED / m:
+        return _pade13(X.reshape(-1, m, m)).reshape(X.shape)
+    return matrix_exponential(X)
 
 
 def matrix_exponential(X) -> np.ndarray:
@@ -160,18 +200,15 @@ def matrix_exponential(X) -> np.ndarray:
     for the rounding of the column sums, nothing is scaled and X is read
     once (a NaN fails that test).  Otherwise a non-finite X or 1-norm
     raises ValueError, and each matrix whose 1-norm exceeds theta13 is scaled,
-    with a ValueError if squaring it back overflows.
-
-    U and V are rows 0 and 1 of one stack, built from the stacked A6, A4,
-    A2 by the operations, in the order, of the written-out formula, so
-    each matrix gets the bits it gets alone (the references pin them)."""
+    with a ValueError if squaring it back overflows.  Under theta13 the
+    Pade denominator is well conditioned (Higham 2005): never singular."""
     X = np.asarray(X, dtype=complex)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise DimensionError(f"square matrix required, got shape {X.shape}")
     m = X.shape[-1]
     A = X.reshape(-1, m, m)
     squarings = 0
-    if not np.abs(A).max(initial=0.0) <= 0.999 * _THETA13 / m:
+    if not np.abs(A).max(initial=0.0) <= _UNSCALED / m:
         if not np.isfinite(A).all():
             raise ValueError("matrix_exponential: non-finite entries")
         with np.errstate(over="ignore"):
@@ -181,19 +218,7 @@ def matrix_exponential(X) -> np.ndarray:
         s = np.ceil(np.log2(np.maximum(nrm / _THETA13, 1.0))).astype(int)
         A = A / (2.0 ** s)[:, None, None]      # exact where s = 0
         squarings = int(s.max())
-    P = np.empty((3,) + A.shape, dtype=complex)          # A6, A4, A2
-    np.matmul(A, A, out=P[2])
-    np.matmul(P[2], P[2], out=P[1])
-    np.matmul(P[1], P[2], out=P[0])
-    C = _PADE13_TERMS * P
-    T = P[0] @ C[0].sum(axis=1)
-    for k in range(3):      # the outer terms in place, left to right
-        T += C[1, :, k]
-    # b I on the diagonals of the contiguous T only: the +0 it adds elsewhere
-    # would change no entry, since matmul's sums start from +0, so none is -0
-    T.reshape(2, -1, m * m)[..., ::m + 1] += _PADE13_DIAG
-    U, V = A @ T[0], T[1]
-    E = np.linalg.solve(V - U, V + U)
+    E = _pade13(A)
     if squarings:
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(squarings):

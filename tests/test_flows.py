@@ -1,8 +1,10 @@
 import collections.abc
 import csv
 import itertools
+import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +26,17 @@ from gaudinlab.models import (
     grad_hamiltonian,
     hamiltonian,
     lax_matrix,
+    _stack,
     make_gaudin_model,
+    model_from_dict,
     orbit_elements,
     random_elliptic_ensemble,
     random_rational_ensemble,
     resonance_margin,
+    state_from_dict,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture
@@ -493,6 +500,144 @@ class TestEvolve:
         both = evolve(model, state, lockstep_curves(0.01)[:2], 0.005, method=method)
         assert np.isfinite(single.states[-1].mats).all() and np.isfinite(both.states[-1].mats).all()
         assert np.isfinite(plaquette_residual(model, single.states[-1], 0, 1, 0.005, zs, method))
+
+
+def assert_evolve_equals_checked_steps(model, state, curves, h, method):
+    """evolve's unchecked stages give, byte for byte (signed zeros count),
+    the samples of one checked `step` per plan step from the same start,
+    and no step is retaken; in lockstep the curves must have the same step
+    counts."""
+    lockstep = not isinstance(curves, FlowCurve)
+    retaken = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows, "step", lambda *args: retaken.append(args) or step(*args))
+        traj = evolve(model, state, curves, h, method=method)
+    assert not retaken
+    plans = [c.plan(h) for c in (curves if lockstep else [curves])]
+    axes, dts = (np.stack([p[k] for p in plans], axis=1) if lockstep else plans[0][k]
+                 for k in (2, 3))
+    cur = _stack(*[state] * len(plans)) if lockstep else state
+    assert len(traj.states) == len(axes) + 1
+    for k, (ax, dt) in enumerate(zip(axes, dts)):
+        cur = step(model, cur, ax if lockstep else int(ax), dt if lockstep else float(dt), method)
+        got = traj.states[k + 1]
+        for key in ("mats", "q", "p"):
+            want = getattr(cur, key)
+            assert (want is None and getattr(got, key) is None) or \
+                getattr(got, key).tobytes() == want.tobytes(), (k, key)
+    return traj
+
+
+class TestUncheckedRoute:
+    @pytest.mark.parametrize("genus", [0, 1])
+    @pytest.mark.parametrize("method", ["rk4", "conjugation"])
+    def test_evolve_equals_checked_steps(self, rng, genus, method):
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3))
+        curve = FlowCurve([[0.0, 0.0], [0.04, 0.0], [0.04, -0.03]])
+        assert_evolve_equals_checked_steps(model, state, curve, 0.01, method)
+
+    @pytest.mark.parametrize("genus, method", [(0, "conjugation"), (1, "rk4")])
+    def test_lockstep_equals_checked_steps(self, rng, genus, method):
+        if genus == 0:
+            model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
+        else:
+            model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3))
+        curves = lockstep_curves(0.03)[:2]
+        traj = assert_evolve_equals_checked_steps(model, state, curves, 0.01, method)
+        assert traj.lockstep and (traj.axes[:3] == [[0, 1]] * 3).all()
+
+    def test_nilpotent_config_equals_checked_steps(self):
+        # exact zeros in the seeds, the start and the partials: their signs
+        # must come out as the checked route gives them
+        cfg = json.loads((CONFIG_DIR / "rational_sl3_nilpotent.json").read_text())
+        model = model_from_dict(cfg["model"])
+        state = state_from_dict(cfg["initial_state"], model)
+        traj = assert_evolve_equals_checked_steps(model, state, FlowCurve(cfg["curve"]),
+                                                  cfg["step"], cfg["method"])
+        assert (traj.stack.phis == 0).any()
+
+    def test_scaled_stages_fall_back_to_the_checked_exponential(self, rng, monkeypatch):
+        # one step so long that the stages' exponentials need scaling: the
+        # unchecked route then takes them from matrix_exponential
+        model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
+        h = 2.5
+        stage = -(h / 2.0) * grad_hamiltonian(model, state, 0)[0]
+        assert model.m * np.abs(stage).max() > liealg._UNSCALED
+        scaled = []
+        original = liealg.matrix_exponential
+
+        def counted(X):
+            scaled.append(X.shape)
+            return original(X)
+
+        monkeypatch.setattr(liealg, "matrix_exponential", counted)
+        assert_evolve_equals_checked_steps(model, state, FlowCurve([[0.0, 0.0], [h, 0.0]]), h,
+                                           "conjugation")
+        assert scaled
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_partials_are_retaken_checked(self, rational, monkeypatch):
+        # NaN partials in the second step's last stage (returned, not
+        # raised): the unchecked exponential hands them to the checked one,
+        # the step is retaken through `step`, which names the cause
+        model, state = rational
+        calls, retakes = [], []
+        gradient, checked_step = models._gradient, flows.step
+
+        def nan_partials(*args, **kwargs):
+            calls.append(1)
+            dH_dL, dH_dq, dH_dp = gradient(*args, **kwargs)
+            return (dH_dL * np.nan if len(calls) > 3 else dH_dL), dH_dq, dH_dp
+
+        def counted_step(*args):
+            retakes.append(1)
+            return checked_step(*args)
+
+        for owner in (models, flows):
+            monkeypatch.setattr(owner, "_gradient", nan_partials)
+        monkeypatch.setattr(flows, "step", counted_step)
+        with pytest.raises(NumericalAbort) as info:
+            evolve(model, state, FlowCurve([[0.0, 0.0], [0.1, 0.0]]), 0.01,
+                   method="conjugation")
+        assert info.value.reason == "step failed: matrix_exponential: non-finite entries"
+        assert info.value.last_good_time == pytest.approx(0.01)
+        assert retakes == [1]
+
+    @pytest.mark.parametrize("lockstep", [False, True])
+    def test_overflowing_root_values_abort(self, rng, lockstep):
+        # a finite q whose rho(Q) overflows: the guard's reason, at the
+        # start, with no RuntimeWarning, naming the member in lockstep
+        model, state = random_elliptic_ensemble(rng, 3, 3, (2, 3))
+        state = PhaseState(phis=state.phis, q=np.array([1.5e308, -1.5e308]), p=state.p)
+        curve = FlowCurve([[0.0, 0.0], [0.02, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort) as info:
+                evolve(model, state, [curve, curve] if lockstep else curve, 0.01)
+        assert info.value.reason == "rho(Q) left the finite regime"
+        assert info.value.last_good_time == 0.0
+        assert info.value.member == (0 if lockstep else None)
+
+    @pytest.mark.parametrize("method", ["rk4", "conjugation"])
+    def test_public_linalg_stands_in_for_the_gufuncs(self, rng, monkeypatch, method):
+        # without numpy's private gufuncs the public inverse and solve run
+        # the stages: the same bits, and a singular group point raises in
+        # the unchecked stage, so the checked retake names it
+        model, state = random_rational_ensemble(rng, 2, 3, (2, 2))
+        curve = FlowCurve([[0.0, 0.0], [0.05, 0.0]])
+        fast = evolve(model, state, curve, 0.01, method=method)
+        monkeypatch.setattr(flows, "_inv", np.linalg.inv)
+        monkeypatch.setattr(liealg, "_solve", np.linalg.solve)
+        slow = assert_evolve_equals_checked_steps(model, state, curve, 0.01, method)
+        assert slow.stack.phis.tobytes() == fast.stack.phis.tobytes()
+        phis = state.phis.copy()
+        phis[1] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(NumericalAbort, match="^step failed: Singular matrix$"):
+            evolve(model, PhaseState(phis=phis, q=state.q, p=state.p), curve, 0.01,
+                   method=method)
 
 
 def lockstep_curves(T):

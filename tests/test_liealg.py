@@ -1,14 +1,20 @@
+import importlib.util
 import itertools
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from gaudinlab import liealg
 from gaudinlab.errors import DimensionError
 from gaudinlab.liealg import (
     _THETA13,
+    _UNSCALED,
     InvariantPolynomial,
+    _exp_unchecked,
     _matrix_power,
+    _pade13,
     build_slm_basis,
     cartan_components,
     charpoly,
@@ -289,6 +295,110 @@ class TestStackedExponential:
         values = P.evaluate(X)
         assert values.shape == (5, 1)
         assert np.array_equal(values[:, 0], [P.evaluate(x[0]) for x in X])
+
+
+def _stack_of_norms(rng, m, norms):
+    """Random complex m x m matrices with the given 1-norms, one each."""
+    X = rng.standard_normal((len(norms), m, m)) + 1j * rng.standard_normal((len(norms), m, m))
+    return X * (np.asarray(norms) / np.linalg.norm(X, 1, axis=(-2, -1)))[:, None, None]
+
+
+def _pade13_in_place(X):
+    """The unscaled one-matrix Pade-13 with the outer terms added in place,
+    left to right, and b1 I, b0 I added to the diagonal alone, so that an
+    off-diagonal -0 stays -0 (the written-out + b I of _expm_single adds +0
+    there, which makes it +0)."""
+    from gaudinlab.liealg import _PADE13 as b
+
+    A2 = X @ X
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    for T, c in ((U, b[7::-2]), (V, b[6::-2])):
+        T += c[0] * A6
+        T += c[1] * A4
+        T += c[2] * A2
+        T[np.diag_indices(len(X))] += c[3]
+    U = X @ U
+    return np.linalg.solve(V - U, V + U)
+
+
+class TestPadeCore:
+    def test_signed_zeros_of_the_in_place_sums(self, rng):
+        # exact zeros above the diagonal: the core keeps the -0 that the
+        # sums in place give, alone and in a stack
+        X = np.array([[[0.5 + 0.2j, -0.0], [0.3 - 0.1j, 0.0]],
+                      [[2e-3 + 7e-4j, -0.0], [1.4e-3 + 9e-5j, 0.0]],
+                      [[0.3 + 0.1j, 0.2], [0.1j, -0.2]]])
+        for stack in (X, X[:1], X[1:]):
+            E = _pade13(stack)
+            assert all(_same_bits(e, _pade13_in_place(x)) for e, x in zip(E, stack))
+        assert np.signbit(_pade13(X[:1])[0, 0, 1].real)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_core_equals_the_single_matrix_route(self, rng, m):
+        # every 1-norm under theta13, so nothing is scaled, with m max|x_ij|
+        # on both sides of the bound; and exact zeros, signed
+        X = _stack_of_norms(rng, m, np.geomspace(0.999 * _THETA13, 1e-8, 7))
+        X[3, 0] = 0.0
+        X[4].real[X[4].real < 0.2] = -0.0
+        entry_bound = m * np.abs(X).max(axis=(-2, -1))
+        assert (entry_bound > _UNSCALED).any() and (entry_bound < _UNSCALED).any()
+        E = _pade13(X)
+        assert all(_same_bits(e, _expm_single(x)) for e, x in zip(E, X))
+
+    def test_core_on_the_entry_bound_case(self, rng):
+        # as test_entry_bound_above_theta13_with_every_norm_below: the
+        # entry bound fails, no 1-norm exceeds theta13
+        X = 1e-3 * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+        X[:, 1, 2] = [3.0, -2.5j, 1.5 + 1.5j]
+        assert (4 * np.abs(X).max(axis=(-2, -1)) > _UNSCALED).all()
+        for route in (_pade13, _exp_unchecked, matrix_exponential):
+            assert all(_same_bits(e, _expm_single(x)) for e, x in zip(route(X), X))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("lead", [(3,), (2, 4)])
+    def test_unchecked_route_equals_the_checked_one(self, rng, m, lead):
+        # under the bound by the core alone, above it (five squarings at
+        # most) through matrix_exponential: the same bits either way
+        for top in (1e-3, 170.0):
+            X = _stack_of_norms(rng, m, np.geomspace(top, 1e-6, np.prod(lead))).reshape(
+                lead + (m, m))
+            E = _exp_unchecked(X)
+            assert E.shape == X.shape and _same_bits(E, matrix_exponential(X))
+            assert all(_same_bits(e, _expm_single(x))
+                       for e, x in zip(E.reshape(-1, m, m), X.reshape(-1, m, m)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_unchecked_route_raises_on_a_nonfinite_entry(self, bad):
+        # a NaN fails the bound, so the checked route names it, warning-free
+        X = np.full((2, 3, 3), 1e-3, dtype=complex)
+        X[1, 2, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix_exponential: non-finite entries$"):
+                _exp_unchecked(X)
+
+    def test_public_routines_stand_in_without_the_gufuncs(self, rng, monkeypatch):
+        # a fresh copy of the module, loaded with numpy's private linalg
+        # gufuncs hidden, binds np.linalg.solve and inv and keeps the bits
+        monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)
+        spec = importlib.util.spec_from_file_location("gaudinlab._liealg_copy", liealg.__file__)
+        copy = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, copy)
+        spec.loader.exec_module(copy)
+        assert copy._solve is np.linalg.solve and copy._inv is np.linalg.inv
+        assert liealg._solve is not np.linalg.solve
+        for top in (1e-3, 170.0):
+            X = _stack_of_norms(rng, 4, np.geomspace(top, 1e-6, 5))
+            assert _same_bits(copy.matrix_exponential(X), matrix_exponential(X))
+            assert _same_bits(copy._exp_unchecked(X), matrix_exponential(X))
+        phis = np.array([[[1.0, 2.0], [2.0, 4.0]], [[2.0, 1.0], [1.0, 1.0]]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            copy._inv(phis)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(liealg._inv(phis)[0]).all()
 
 
 def _principal_minor_charpoly(X, mp):
