@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalAbort
-from .liealg import _exp_unchecked, _inv, charpoly, matrix_exponential
+from .liealg import _inv, charpoly, matrix_exponential
 from .models import (
     GaudinModel,
     PhaseState,
@@ -53,8 +53,8 @@ from .models import (
     m_matrix,
     orbit_elements,
     residue_constraint,
+    resonance_margin,
 )
-from .weierstrass import lattice_distance
 
 __all__ = [
     "FlowCurve",
@@ -229,15 +229,13 @@ def _times(c, x):
     return c * x
 
 
-def _step_conjugation(partials, x, i, h, exp=None):
+def _step_conjugation(partials, x, i, h):
     # explicit midpoint on x = (phis, q, p); the group points move by one
-    # stacked exponential exp (matrix_exponential unless given) of a
-    # traceless matrix, so det phi_a is kept and the step has order 2
-    exp = exp or matrix_exponential
-
+    # stacked exponential of a traceless matrix, so det phi_a is kept and
+    # the step has order 2
     def advanced(c, dH):
         dH_dL, dH_dq, dH_dp = dH
-        return (exp(_times(-c, dH_dL)) @ x[0],
+        return (matrix_exponential(_times(-c, dH_dL)) @ x[0],
                 None if x[1] is None else x[1] + _times(c, dH_dp),
                 None if x[2] is None else x[2] - _times(c, dH_dq))
     return advanced(h, partials(advanced(h / 2.0, partials(x, i)), i))
@@ -293,13 +291,11 @@ def _guard(model, state, margin):
     if not all(np.isfinite(x).all() for x in (state.mats, state.q, state.p)
                if x is not None):
         return "state left the finite regime"
-    if model.genus == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = (model.basis.roots @ state.q[..., None])[..., 0]
-        if not np.isfinite(u).all():
-            return "rho(Q) left the finite regime"
-        if lattice_distance(model.cache, u).min() < margin:
-            return "rho(Q) approached a lattice point (root resonance)"
+    rho = resonance_margin(model, state)
+    if np.isnan(rho):
+        return "rho(Q) left the finite regime"
+    if rho < margin:
+        return "rho(Q) approached a lattice point (root resonance)"
     return None
 
 
@@ -387,8 +383,6 @@ def evolve(model, state, curve, h, method="rk4",
                               f"so it needs method 'rk4', not {method!r}")
         cur = PhaseState(orbit_mats=orbit_elements(model, cur), q=cur.q, p=cur.p)
     stepper, orbit = _stepper(method, cur), cur.phis is None
-    if method == "conjugation":     # an unscaled exponential skips its checks
-        stepper = functools.partial(stepper, exp=_exp_unchecked)
     # the trajectory, one row per sample (then one per member, if any): row
     # 0 is the start, row k + 1 is written once step k is taken
     stack = PhaseState(t=times, **{key: np.empty(times.shape[:-1] + v.shape, complex)

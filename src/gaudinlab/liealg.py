@@ -182,15 +182,6 @@ def _pade13(A) -> np.ndarray:
     return _solve(V - U, V + U)
 
 
-def _exp_unchecked(X) -> np.ndarray:
-    """matrix_exponential of a complex (..., m, m) stack, unchecked where
-    nothing needs scaling, otherwise (a NaN too) with every check."""
-    m = X.shape[-1]
-    if np.abs(X).max(initial=0.0) <= _UNSCALED / m:
-        return _pade13(X.reshape(-1, m, m)).reshape(X.shape)
-    return matrix_exponential(X)
-
-
 def matrix_exponential(X) -> np.ndarray:
     """exp(X) by Pade-13 with scaling and squaring, for one matrix or a
     (..., m, m) stack.  Each matrix keeps its own scaling power, and only

@@ -327,10 +327,14 @@ def residue_constraint(model: GaudinModel, Ls: np.ndarray) -> np.ndarray:
 
 def resonance_margin(model: GaudinModel, state: PhaseState) -> float:
     """Smallest lattice distance among all root pairings rho(Q); genus 1.
-    Leading axes of q hold several states, and the minimum runs over all."""
+    Leading axes of q hold several states, and the minimum runs over all.
+    NaN where rho(Q) is not finite (a finite q can overflow it)."""
     if model.genus == 0:
         return np.inf
-    u = (model.basis.roots @ state.q[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (model.basis.roots @ state.q[..., None])[..., 0]
+    if not np.isfinite(u).all():
+        return np.nan
     return float(lattice_distance(model.cache, u).min())
 
 

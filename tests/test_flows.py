@@ -559,30 +559,11 @@ class TestUncheckedRoute:
                                                   cfg["step"], cfg["method"])
         assert (traj.stack.phis == 0).any()
 
-    def test_scaled_stages_fall_back_to_the_checked_exponential(self, rng, monkeypatch):
-        # one step so long that the stages' exponentials need scaling: the
-        # unchecked route then takes them from matrix_exponential
-        model, state = random_rational_ensemble(rng, 3, 3, (2, 3))
-        h = 2.5
-        stage = -(h / 2.0) * grad_hamiltonian(model, state, 0)[0]
-        assert model.m * np.abs(stage).max() > liealg._UNSCALED
-        scaled = []
-        original = liealg.matrix_exponential
-
-        def counted(X):
-            scaled.append(X.shape)
-            return original(X)
-
-        monkeypatch.setattr(liealg, "matrix_exponential", counted)
-        assert_evolve_equals_checked_steps(model, state, FlowCurve([[0.0, 0.0], [h, 0.0]]), h,
-                                           "conjugation")
-        assert scaled
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_partials_are_retaken_checked(self, rational, monkeypatch):
         # NaN partials in the second step's last stage (returned, not
-        # raised): the unchecked exponential hands them to the checked one,
-        # the step is retaken through `step`, which names the cause
+        # raised): the exponential of the raw stage raises on them, warning-
+        # free, and the step is retaken through `step`, which names the cause
         model, state = rational
         calls, retakes = [], []
         gradient, checked_step = models._gradient, flows.step

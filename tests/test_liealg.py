@@ -12,7 +12,6 @@ from gaudinlab.liealg import (
     _THETA13,
     _UNSCALED,
     InvariantPolynomial,
-    _exp_unchecked,
     _matrix_power,
     _pade13,
     build_slm_basis,
@@ -354,31 +353,8 @@ class TestPadeCore:
         X = 1e-3 * (rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
         X[:, 1, 2] = [3.0, -2.5j, 1.5 + 1.5j]
         assert (4 * np.abs(X).max(axis=(-2, -1)) > _UNSCALED).all()
-        for route in (_pade13, _exp_unchecked, matrix_exponential):
+        for route in (_pade13, matrix_exponential):
             assert all(_same_bits(e, _expm_single(x)) for e, x in zip(route(X), X))
-
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    @pytest.mark.parametrize("lead", [(3,), (2, 4)])
-    def test_unchecked_route_equals_the_checked_one(self, rng, m, lead):
-        # under the bound by the core alone, above it (five squarings at
-        # most) through matrix_exponential: the same bits either way
-        for top in (1e-3, 170.0):
-            X = _stack_of_norms(rng, m, np.geomspace(top, 1e-6, np.prod(lead))).reshape(
-                lead + (m, m))
-            E = _exp_unchecked(X)
-            assert E.shape == X.shape and _same_bits(E, matrix_exponential(X))
-            assert all(_same_bits(e, _expm_single(x))
-                       for e, x in zip(E.reshape(-1, m, m), X.reshape(-1, m, m)))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
-    def test_unchecked_route_raises_on_a_nonfinite_entry(self, bad):
-        # a NaN fails the bound, so the checked route names it, warning-free
-        X = np.full((2, 3, 3), 1e-3, dtype=complex)
-        X[1, 2, 0] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^matrix_exponential: non-finite entries$"):
-                _exp_unchecked(X)
 
     def test_public_routines_stand_in_without_the_gufuncs(self, rng, monkeypatch):
         # a fresh copy of the module, loaded with numpy's private linalg
@@ -393,7 +369,6 @@ class TestPadeCore:
         for top in (1e-3, 170.0):
             X = _stack_of_norms(rng, 4, np.geomspace(top, 1e-6, 5))
             assert _same_bits(copy.matrix_exponential(X), matrix_exponential(X))
-            assert _same_bits(copy._exp_unchecked(X), matrix_exponential(X))
         phis = np.array([[[1.0, 2.0], [2.0, 4.0]], [[2.0, 1.0], [1.0, 1.0]]], dtype=complex)
         with pytest.raises(np.linalg.LinAlgError):
             copy._inv(phis)
